@@ -39,7 +39,6 @@ from .evaluation import (
 )
 from .late_terms import (
     SingulantReport,
-    StokesRay,
     chi_squared_estimate,
     fit_divergence_exponent,
     lambda_constant_sequence,
@@ -48,7 +47,6 @@ from .late_terms import (
     richardson_extrapolate,
     richardson_table,
     singulant_report,
-    stokes_line_geometry,
 )
 from .stokes import (
     DEFAULT_LAMBDA,
@@ -67,7 +65,6 @@ from .stokes import (
     tail_amplitude,
 )
 from .bvp import (
-    BoundaryClosure,
     ExponentFit,
     FitQualityError,
     GridSolution,
@@ -77,7 +74,6 @@ from .bvp import (
     SolverConfig,
     TailMeasurement,
     WindowContaminatedError,
-    boundary_conditions,
     check_window,
     default_c,
     fit_exponent,

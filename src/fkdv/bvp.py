@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .stokes import DEFAULT_LAMBDA
+from .late_terms import InsufficientDataError
+from .stokes import DEFAULT_LAMBDA, tail_amplitude
 
 
 class ResolutionError(ValueError):
@@ -48,10 +49,6 @@ class IllConditionedError(RuntimeError):
 
 class WindowContaminatedError(RuntimeError):
     """Measurement window is not clean tail (core influence or bad content)."""
-
-
-class InsufficientDataError(ValueError):
-    pass
 
 
 class FitQualityError(RuntimeError):
@@ -91,10 +88,14 @@ class SolverConfig:
             self.c_value = default_c(self.gamma, self.epsilon)
         if self.grid_spacing is None:
             self.grid_spacing = self.epsilon / 20.0
+        if not self.grid_spacing > 0:
+            raise ValueError("grid_spacing must be positive")
         if self.half_length is None:
             # round up to a whole number of cells
             n = math.ceil(default_half_length(self.epsilon) / self.grid_spacing)
             self.half_length = n * self.grid_spacing
+        if not self.half_length > 0:
+            raise ValueError("half_length must be positive")
 
     def validate(self) -> None:
         slack = 1.0 + 1e-9
@@ -130,34 +131,12 @@ class TailMeasurement:
     wavelength_measured: float
 
 
-@dataclass(frozen=True)
-class BoundaryClosure:
-    """Even-reflection ghost mapping realizing the four derivative constraints.
-
-    At x = 0: u'(0) = 0 and u'''(0) = 0 (symmetric core), via u[-k] = u[k].
-    At x = L: u'(L) = 0 and u'''(L) = 0 (stationary point of the tail), via
-    u[M+k] = u[M-k]. For a pure sine tail A sin((x - x0)/eps) the right-hand
-    closure is consistent exactly when cos((L - x0)/eps) = 0.
-    """
-
-    n_cells: int
-    constraints: tuple[str, str, str, str] = (
-        "u'(0) = 0", "u'''(0) = 0", "u'(L) = 0", "u'''(L) = 0")
-
-    def reflect(self, j: int) -> int:
-        if j < 0:
-            return -j
-        if j > self.n_cells:
-            return 2 * self.n_cells - j
-        return j
-
-
-def boundary_conditions(config: SolverConfig) -> BoundaryClosure:
-    return BoundaryClosure(n_cells=config.n_cells)
-
-
 def _padded(u: np.ndarray) -> np.ndarray:
-    # ghosts by even reflection at both ends: P[k] = u[k-2] extended
+    # ghosts by even reflection at both ends: P[k] = u[k-2] extended.
+    # u[-k] = u[k] imposes u'(0) = u'''(0) = 0 (symmetric core) and
+    # u[M+k] = u[M-k] imposes u'(L) = u'''(L) = 0. A pure sine tail
+    # A sin((x - x0)/eps) meets the right-hand closure exactly when
+    # cos((L - x0)/eps) = 0, so the measured tail depends on L mod pi eps.
     return np.concatenate([u[2:0:-1], u, u[-2:-4:-1]])
 
 
@@ -271,10 +250,9 @@ def _refine_extremum(xs: np.ndarray, us: np.ndarray, k: int) -> float:
 
 def predicted_amplitude(config: SolverConfig,
                         lambda_const: float = DEFAULT_LAMBDA) -> float:
-    """Symmetric-member tail amplitude |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
-    eps, g = config.epsilon, config.gamma
-    return abs(lambda_const) * math.pi / eps ** 2 * math.exp(
-        -math.pi / (2.0 * g * eps))
+    """Symmetric-member tail amplitude |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}:
+    half the one-sided switching amplitude."""
+    return 0.5 * tail_amplitude(config.epsilon, config.gamma, lambda_const)
 
 
 def check_window(config: SolverConfig,
@@ -368,17 +346,26 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
           **config_overrides):
     """Solve and measure for each epsilon, largest first when continuing.
 
-    With continuation the previous solution (interpolated onto the new grid)
-    seeds Newton; that mode is strictly sequential. Without it every solve
-    starts from the sech^2 guess and the entries are independent.
-    Returns a list of (config, solution, measurement).
+    The grid spacing is eps / h_factor unless config_overrides sets one;
+    overrides given as None are ignored. Every configuration is
+    built and checked (resolution and measurement window) before the first
+    solve. With continuation the previous solution (interpolated onto the new
+    grid) seeds Newton; that mode is strictly sequential. Without it every
+    solve starts from the sech^2 guess and the entries are independent.
+    Returns a list of (config, solution, measurement), ascending in epsilon.
     """
     eps_order = sorted(epsilons, reverse=True) if continuation else list(epsilons)
-    results = []
-    prev: GridSolution | None = None
+    overrides = {k: v for k, v in config_overrides.items() if v is not None}
+    configs = []
     for eps in eps_order:
         config = SolverConfig(epsilon=eps, gamma=gamma,
-                              grid_spacing=eps / h_factor, **config_overrides)
+                              **{"grid_spacing": eps / h_factor, **overrides})
+        config.validate()
+        check_window(config, lambda_const)
+        configs.append(config)
+    results = []
+    prev: GridSolution | None = None
+    for config in configs:
         guess = None
         if continuation and prev is not None:
             x_new = np.arange(config.n_cells + 1) * config.grid_spacing

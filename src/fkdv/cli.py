@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,19 +33,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .series import RecurrenceError, ResourceLimitError, build_series, save_table
+from .series import (RecurrenceError, ResourceLimitError, atomic_write,
+                     build_series, save_table)
 from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
                          optimal_N, partial_sum)
-from .late_terms import (InsufficientDataError as LateInsufficientData,
-                         lambda_csv_rows, report_to_json, singulant_report)
+from .late_terms import (InsufficientDataError, lambda_csv_rows,
+                         report_to_json, singulant_report)
 from .stokes import (DEFAULT_LAMBDA, QuadratureError, StokesFrame,
                      ValidityWedgeError, frame_for, integrate_multiplier,
                      profile_csv_rows)
-from .bvp import (FitQualityError, IllConditionedError,
-                  InsufficientDataError as BvpInsufficientData,
-                  NonConvergenceError, ResolutionError, SolverConfig,
-                  TailMeasurement, WindowContaminatedError, check_window,
-                  fit_exponent, measure_tail, predicted_amplitude, solve)
+from .bvp import (FitQualityError, IllConditionedError, NonConvergenceError,
+                  ResolutionError, SolverConfig, WindowContaminatedError,
+                  fit_exponent, predicted_amplitude, solve, sweep)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -55,9 +53,8 @@ EXIT_VALIDATION = 2
 _MATH_ERRORS = (RecurrenceError, PoleProximityError, QuadratureError,
                 ValidityWedgeError, NonConvergenceError, IllConditionedError,
                 FitQualityError)
-_VALIDATION_ERRORS = (ResourceLimitError, LateInsufficientData,
-                      BvpInsufficientData, ResolutionError,
-                      WindowContaminatedError, ValueError)
+_VALIDATION_ERRORS = (ResourceLimitError, InsufficientDataError,
+                      ResolutionError, WindowContaminatedError, ValueError)
 
 
 @dataclass
@@ -75,21 +72,8 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("FKDV_OUT_DIR", "."))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -98,7 +82,7 @@ def _write_csv(path: Path, header, rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def _finish(command: str, args, outputs: list[Path], t0: float) -> None:
@@ -107,16 +91,14 @@ def _finish(command: str, args, outputs: list[Path], t0: float) -> None:
                            version=__version__,
                            outputs=[str(p) for p in outputs],
                            duration_seconds=time.perf_counter() - t0)
-    if outputs:
-        _write_json(Path(str(outputs[0]) + ".manifest.json"),
-                    dataclasses.asdict(manifest))
+    _write_json(Path(str(outputs[0]) + ".manifest.json"),
+                dataclasses.asdict(manifest))
 
 
 def cmd_series(args) -> int:
     t0 = time.perf_counter()
     table = build_series(args.n_max, Fraction(args.gamma))
     out = Path(args.out) if args.out else _out_dir(args) / "series_table.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out)
     print("c =", "[" + ", ".join(str(ci) for ci in table.c) + "]")
     print(f"wrote {out} ({table.n_max + 1} orders, gamma = {table.gamma})")
@@ -127,10 +109,10 @@ def cmd_series(args) -> int:
 def cmd_lambda(args) -> int:
     t0 = time.perf_counter()
     if args.n_max < 5:
-        raise LateInsufficientData(
+        raise InsufficientDataError(
             f"insufficient data: need --n-max >= 5, got {args.n_max}")
     if args.n_max < args.order + 2:
-        raise LateInsufficientData(
+        raise InsufficientDataError(
             f"insufficient data: order {args.order} needs n_max >= {args.order + 2}")
     table = build_series(args.n_max, Fraction(args.gamma))
     report = singulant_report(table, order=args.order)
@@ -180,63 +162,39 @@ def cmd_stokes_profile(args) -> int:
 
 def cmd_tails(args) -> int:
     t0 = time.perf_counter()
-    epsilons = sorted(set(args.epsilon), reverse=True)
-    configs = []
-    for eps in epsilons:
-        overrides = {}
-        if args.domain_length is not None:
-            overrides["half_length"] = args.domain_length
-        cfg = SolverConfig(epsilon=eps, gamma=float(Fraction(args.gamma)),
-                           grid_spacing=args.grid_h or eps / 20.0, **overrides)
-        cfg.validate()
-        check_window(cfg, args.lambda_const)  # validate before any solve
-        configs.append(cfg)
-
-    records = []
+    gamma = float(Fraction(args.gamma))
+    results = sweep(set(args.epsilon), gamma, lambda_const=args.lambda_const,
+                    half_length=args.domain_length, grid_spacing=args.grid_h)
     solution_files = []
-    prev_sol = None
-    for cfg in configs:
-        guess = None
-        if prev_sol is not None:
-            x_new = np.arange(cfg.n_cells + 1) * cfg.grid_spacing
-            guess = np.interp(x_new, prev_sol.nodes, prev_sol.u, right=0.0)
-        sol = solve(cfg, guess)
-        meas = measure_tail(sol, cfg, args.lambda_const)
+    for cfg, sol, meas in reversed(results):
         if args.dump_solutions:
             spath = _out_dir(args) / f"bvp_solution_eps{cfg.epsilon:g}.csv"
             _write_csv(spath, ["x", "u"],
                        zip(sol.nodes.tolist(), sol.u.tolist()))
             solution_files.append(spath)
-        records.append({
-            "epsilon": meas.epsilon,
-            "amplitude_measured": meas.amplitude_measured,
-            "amplitude_predicted": meas.amplitude_predicted,
-            "wavelength_measured": meas.wavelength_measured,
-            "iterations": sol.iterations,
-            "residual_norm": sol.residual_norm,
-            "half_length": cfg.half_length,
-            "grid_spacing": cfg.grid_spacing,
-        })
-        prev_sol = sol
         print(f"eps = {meas.epsilon:g}: amplitude = {meas.amplitude_measured:.6e} "
               f"(predicted {meas.amplitude_predicted:.6e}), "
               f"wavelength = {meas.wavelength_measured:.4f}")
 
     out = Path(args.out) if args.out else _out_dir(args) / "tail_measurements.jsonl"
-    _atomic_write(out, "".join(json.dumps(r, sort_keys=True) + "\n"
-                               for r in sorted(records, key=lambda r: r["epsilon"])))
-    outputs = [out] + solution_files
-    if len(records) >= 4:
-        meas_list = [TailMeasurement(r["epsilon"], r["amplitude_measured"],
-                                     r["amplitude_predicted"],
-                                     r["wavelength_measured"]) for r in records]
-        fit = fit_exponent(meas_list, float(Fraction(args.gamma)))
-        target = -math.pi / (2.0 * float(Fraction(args.gamma)))
+    atomic_write(out, "".join(json.dumps({
+        "epsilon": meas.epsilon,
+        "amplitude_measured": meas.amplitude_measured,
+        "amplitude_predicted": meas.amplitude_predicted,
+        "wavelength_measured": meas.wavelength_measured,
+        "iterations": sol.iterations,
+        "residual_norm": sol.residual_norm,
+        "half_length": cfg.half_length,
+        "grid_spacing": cfg.grid_spacing,
+    }, sort_keys=True) + "\n" for cfg, sol, meas in results))
+    if len(results) >= 4:
+        fit = fit_exponent([meas for _, _, meas in reversed(results)], gamma)
+        target = -math.pi / (2.0 * gamma)
         print(f"fit: slope = {fit.slope:.4f} (model {target:.4f}), "
               f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
     else:
         print("fewer than 4 measurements: skipping the exponent fit")
-    _finish("tails", args, outputs, t0)
+    _finish("tails", args, [out] + solution_files, t0)
     return EXIT_OK
 
 
@@ -245,7 +203,7 @@ def cmd_compare(args) -> int:
     gamma = Fraction(args.gamma)
     eps = args.epsilon
     cfg = SolverConfig(epsilon=eps, gamma=float(gamma),
-                       grid_spacing=args.grid_h or eps / 20.0,
+                       grid_spacing=args.grid_h,
                        half_length=args.domain_length)
     cfg.validate()
     if abs(args.x) > cfg.half_length:
@@ -273,17 +231,14 @@ def cmd_compare(args) -> int:
     if err_opt is not None and scale > 0:
         print(f"err(optimal) / tail scale = {err_opt / scale:.3f} "
               f"(scale {scale:.3e})")
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        _write_json(out, {
-            "epsilon": eps, "x": args.x, "optimal_N": n_opt,
-            "empirical_argmin": n_emp, "u_bvp": u_bvp,
-            "errors": [[N, e] for N, e in errors],
-            "tail_scale": scale,
-        })
-        outputs.append(out)
-    _finish("compare", args, outputs, t0)
+    out = Path(args.out) if args.out else _out_dir(args) / "compare.json"
+    _write_json(out, {
+        "epsilon": eps, "x": args.x, "optimal_N": n_opt,
+        "empirical_argmin": n_emp, "u_bvp": u_bvp,
+        "errors": [[N, e] for N, e in errors],
+        "tail_scale": scale,
+    })
+    _finish("compare", args, [out], t0)
     return EXIT_OK
 
 

@@ -25,7 +25,8 @@ from .series import SeriesTable
 
 
 class InsufficientDataError(ValueError):
-    """Not enough sequence entries for the requested operation."""
+    """Not enough sequence entries or measurements for the requested
+    operation."""
 
 
 def lambda_sequence(table: SeriesTable) -> list[float]:
@@ -165,22 +166,6 @@ def fit_divergence_exponent(table: SeriesTable, betas=(0, 1, 2, 3, 4),
                         / sum((xv - mx) ** 2 for xv in xs))
     best = min(slopes, key=lambda b: abs(slopes[b]))
     return best, slopes
-
-
-@dataclass(frozen=True)
-class StokesRay:
-    origin: complex
-    direction: complex
-
-
-def stokes_line_geometry(gamma) -> tuple[StokesRay, StokesRay]:
-    """The two Stokes rays: down the imaginary axis from +sigma, up from -sigma.
-
-    They are the loci where Im[-chi^2] = 0 with Re[-chi^2] >= 0; both cross
-    the real axis at x = 0.
-    """
-    sigma = singularity(gamma)
-    return (StokesRay(sigma, -1j), StokesRay(-sigma, +1j))
 
 
 @dataclass(frozen=True)

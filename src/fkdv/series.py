@@ -24,6 +24,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from pathlib import Path
 
 
 class RecurrenceError(Exception):
@@ -268,19 +269,25 @@ def table_from_json(doc: dict) -> SeriesTable:
     return SeriesTable(gamma, u, c)
 
 
-def save_table(table: SeriesTable, path) -> None:
-    """Atomic JSON dump (temp file + rename) of the exact table."""
-    payload = json.dumps(table_to_json(table), indent=1, sort_keys=True)
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+def atomic_write(path, text: str) -> None:
+    """Write text to path via a temp file and rename, creating parent
+    directories; readers never see a partial file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_table(table: SeriesTable, path) -> None:
+    """Atomic JSON dump of the exact table."""
+    atomic_write(path, json.dumps(table_to_json(table), indent=1, sort_keys=True))
 
 
 def load_table(path) -> SeriesTable:

@@ -244,17 +244,16 @@ def exp_tail(x: float, epsilon: float, gamma=1,
              lambda_const: float = DEFAULT_LAMBDA) -> float:
     """Real tail from the conjugate pair of crossings:
     -(2 Lam pi / eps^2) e^{-pi/(2 gamma eps)} sin(x/eps)."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    g = float(gamma)
-    amp = -2.0 * lambda_const * math.pi / epsilon ** 2 * math.exp(
-        -math.pi / (2.0 * g * epsilon))
+    amp = math.copysign(tail_amplitude(epsilon, gamma, lambda_const),
+                        -lambda_const)
     return amp * math.sin(x / epsilon)
 
 
 def tail_amplitude(epsilon: float, gamma=1,
                    lambda_const: float = DEFAULT_LAMBDA) -> float:
     """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     g = float(gamma)
     return (2.0 * abs(lambda_const) * math.pi / epsilon ** 2
             * math.exp(-math.pi / (2.0 * g * epsilon)))

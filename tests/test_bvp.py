@@ -10,13 +10,16 @@ from fkdv import (
     SolverConfig,
     TailMeasurement,
     WindowContaminatedError,
-    boundary_conditions,
     default_c,
     fit_exponent,
     initial_guess,
     measure_tail,
+    predicted_amplitude,
     solve,
+    sweep,
+    tail_amplitude,
 )
+from fkdv import bvp, late_terms
 from fkdv.bvp import InsufficientDataError, residual
 
 
@@ -43,13 +46,30 @@ def test_too_short_domain_rejected():
         SolverConfig(epsilon=0.1, half_length=5.0).validate()
 
 
-def test_boundary_closure_reflection():
-    bc = boundary_conditions(SolverConfig(epsilon=0.1))
-    M = bc.n_cells
-    assert bc.reflect(-1) == 1 and bc.reflect(-2) == 2
-    assert bc.reflect(M + 1) == M - 1 and bc.reflect(M + 2) == M - 2
-    assert bc.reflect(5) == 5
-    assert len(bc.constraints) == 4
+@pytest.mark.parametrize("field", ["grid_spacing", "half_length"])
+@pytest.mark.parametrize("value", [0.0, -0.005])
+def test_nonpositive_grid_or_domain_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(epsilon=0.1, **{field: value})
+
+
+def test_sweep_checks_every_config_before_solving(monkeypatch):
+    calls = []
+    real_solve = bvp.solve
+    monkeypatch.setattr(bvp, "solve",
+                        lambda *a: calls.append(a) or real_solve(*a))
+    with pytest.raises(WindowContaminatedError):
+        sweep([0.15, 0.03])
+    assert calls == []
+
+
+def test_predicted_amplitude_is_half_the_one_sided_tail():
+    for eps, g in ((0.08, 1.0), (0.1, 1.5), (0.15, 1.0)):
+        cfg = SolverConfig(epsilon=eps, gamma=g)
+        # bit-identical to the closed form |Lam| pi eps^-2 e^{-pi/(2 g eps)}
+        assert predicted_amplitude(cfg) == (
+            19.97 * math.pi / eps ** 2 * math.exp(-math.pi / (2.0 * g * eps)))
+        assert predicted_amplitude(cfg) == 0.5 * tail_amplitude(eps, g)
 
 
 def test_zero_solution_satisfies_closed_system():
@@ -174,6 +194,7 @@ def test_fit_exact_on_synthetic_amplitudes():
 
 
 def test_fit_requires_four_measurements():
+    assert InsufficientDataError is late_terms.InsufficientDataError
     with pytest.raises(InsufficientDataError):
         fit_exponent([TailMeasurement(0.1, 1e-3, 1e-3, 0.6)])
 

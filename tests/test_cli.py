@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,11 +86,13 @@ def test_stokes_profile_flat_for_zero_lambda(tmp_path, capsys):
 def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     code, stdout, _ = run(capsys, "tails", "--epsilon", "0.15", "--out", str(out),
-                          "--out-dir", str(tmp_path), "--dump-solutions")
+                          "--out-dir", str(tmp_path), "--dump-solutions",
+                          "--grid-h", "0.005")
     assert code == 0
     assert "skipping the exponent fit" in stdout
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 1 and records[0]["epsilon"] == 0.15
+    assert records[0]["grid_spacing"] == 0.005
     dump = tmp_path / "bvp_solution_eps0.15.csv"
     assert dump.read_text().splitlines()[0] == "x,u"
     manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
@@ -119,3 +122,29 @@ def test_compare_reports_optimal_N(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["optimal_N"] == 8
     assert len(doc["errors"]) == 13
+
+
+@pytest.mark.parametrize("command", ["tails", "compare"])
+@pytest.mark.parametrize("grid_h", ["0", "-0.005"])
+def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, grid_h):
+    code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--grid-h", grid_h,
+                          "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "grid_spacing must be positive" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--n-max", "2"],
+    ["lambda", "--n-max", "14"],
+    ["stokes-profile", "--epsilon", "0.1"],
+    ["tails", "--epsilon", "0.15"],
+    ["compare", "--epsilon", "0.1", "--n-max", "8"],
+], ids=lambda argv: argv[0])
+def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
+    code, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    manifests = list(tmp_path.glob("*.manifest.json"))
+    assert len(manifests) == 1
+    outputs = json.loads(manifests[0].read_text())["outputs"]
+    assert outputs and all(Path(p).exists() for p in outputs)

@@ -14,7 +14,6 @@ from fkdv import (
     richardson_extrapolate,
     richardson_table,
     singulant_report,
-    stokes_line_geometry,
 )
 from fkdv.late_terms import InsufficientDataError, report_to_json
 
@@ -97,22 +96,6 @@ def test_beta_fit_selects_two(table30):
     best, slopes = fit_divergence_exponent(table30)
     assert best == 2
     assert abs(slopes[2]) < min(abs(slopes[b]) for b in (0, 1, 3, 4))
-
-
-def test_stokes_rays():
-    up, down = stokes_line_geometry(1)
-    assert up.origin == pytest.approx(1j * math.pi / 2)
-    assert up.direction == -1j
-    assert down.origin == pytest.approx(-1j * math.pi / 2)
-    assert down.direction == 1j
-    # both rays cross the real axis at x = 0
-    t_up = up.origin.imag / (-up.direction.imag)
-    assert (up.origin + t_up * up.direction) == pytest.approx(0.0)
-
-
-def test_stokes_rays_scale_with_gamma():
-    up, _ = stokes_line_geometry(2)
-    assert up.origin == pytest.approx(1j * math.pi / 4)
 
 
 def test_report_assembly(table30):

@@ -13,7 +13,9 @@ from fkdv import (
     SeriesTable,
     build_series,
     fourth_derivative,
+    load_table,
     order_residual,
+    save_table,
     second_derivative,
     solve_order,
     table_from_json,
@@ -210,6 +212,15 @@ def test_negative_n_max_rejected():
 
 
 # --- serialization
+
+def test_save_table_creates_parent_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "table.json"
+    t = build_series(2)
+    save_table(t, path)
+    assert load_table(path).u == t.u
+    assert not path.read_text().endswith("\n")
+    assert [p.name for p in path.parent.iterdir()] == ["table.json"]
+
 
 def test_json_shape():
     doc = table_to_json(build_series(1))

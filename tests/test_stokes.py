@@ -201,6 +201,14 @@ def test_tail_example_eps_005():
     assert tail_amplitude(0.05) == pytest.approx(1.1399e-9, rel=1e-3)
 
 
+@pytest.mark.parametrize("lam", [-19.97, 7.5, 0.0])
+def test_tail_is_signed_tail_amplitude(lam):
+    # bit-identical to the closed form -(2 Lam pi / eps^2) e^{-pi/(2 eps)}
+    eps, x = 0.1, 0.37
+    amp = -2.0 * lam * math.pi / eps ** 2 * math.exp(-math.pi / (2.0 * eps))
+    assert exp_tail(x, eps, lambda_const=lam) == amp * math.sin(x / eps)
+
+
 def test_tail_node_at_origin():
     assert exp_tail(0.0, 0.1) == 0.0
 
