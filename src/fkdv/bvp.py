@@ -16,13 +16,13 @@ side, so measured tails are compared against |Lam| pi eps^-2 e^{-pi/(2 g eps)}.
 Note on tolerances: with double precision the residual sup-norm cannot drop
 below roughly macheps * (eps/h^2)^2 * |u| (cancellation in the stiff stencil),
 which exceeds the nominal 1e-12 target at practical resolutions. Convergence
-is therefore declared at max(newton_tol, estimated roundoff floor).
+is therefore declared at max(NEWTON_TOL, estimated roundoff floor).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -71,33 +71,36 @@ def default_half_length(epsilon: float) -> float:
     return 10.0 + 10.0 * (2.0 * math.pi * epsilon)
 
 
-@dataclass
+#: nominal Newton residual target; the roundoff floor usually exceeds it
+NEWTON_TOL = 1e-12
+MAX_ITERS = 50
+
+
+@dataclass(frozen=True)
 class SolverConfig:
+    """Grid and domain for one solve, checked at construction; h defaults
+    to eps/20, L to default_half_length and c is always default_c."""
+
     epsilon: float
     gamma: float = 1.0
-    c_value: float | None = None
     half_length: float | None = None
     grid_spacing: float | None = None
-    newton_tol: float = 1e-12
-    max_iters: int = 50
+    c_value: float = field(init=False)
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.c_value is None:
-            self.c_value = default_c(self.gamma, self.epsilon)
+        object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
         if self.grid_spacing is None:
-            self.grid_spacing = self.epsilon / 20.0
+            object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not self.grid_spacing > 0:
             raise ValueError("grid_spacing must be positive")
         if self.half_length is None:
             # round up to a whole number of cells
             n = math.ceil(default_half_length(self.epsilon) / self.grid_spacing)
-            self.half_length = n * self.grid_spacing
+            object.__setattr__(self, "half_length", n * self.grid_spacing)
         if not self.half_length > 0:
             raise ValueError("half_length must be positive")
-
-    def validate(self) -> None:
         slack = 1.0 + 1e-9
         if self.grid_spacing > self.epsilon / 10.0 * slack:
             raise ResolutionError(
@@ -192,12 +195,11 @@ def initial_guess(config: SolverConfig) -> np.ndarray:
 def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSolution:
     """Newton iteration on the discrete system down to the residual target.
 
-    The target is max(newton_tol, roundoff floor); quadratic convergence makes
+    The target is max(NEWTON_TOL, roundoff floor); quadratic convergence makes
     the approach take a handful of steps from the sech^2 guess. Stalling above
     the target raises NonConvergenceError; a failed or non-finite banded solve
     raises IllConditionedError.
     """
-    config.validate()
     M = config.n_cells
     x = np.arange(M + 1) * config.grid_spacing
     u = initial_guess(config) if initial is None else np.asarray(initial, float).copy()
@@ -207,11 +209,11 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
     history = []
     best_u, best_rn = u, math.inf
     stalls = 0
-    for it in range(config.max_iters):
+    for it in range(MAX_ITERS):
         F = residual(u, config)
         rn = float(np.abs(F).max())
         history.append(rn)
-        target = max(config.newton_tol, _residual_floor(u, config))
+        target = max(NEWTON_TOL, _residual_floor(u, config))
         if rn <= target:
             return GridSolution(x, u, rn, it, tuple(history), target)
         if rn < 0.7 * best_rn:
@@ -232,8 +234,8 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
             raise IllConditionedError("non-finite Newton correction")
         u = u + du
     raise NonConvergenceError(
-        f"residual {best_rn:.3e} after {config.max_iters} iterations "
-        f"(target {max(config.newton_tol, _residual_floor(u, config)):.3e})",
+        f"residual {best_rn:.3e} after {MAX_ITERS} iterations "
+        f"(target {max(NEWTON_TOL, _residual_floor(u, config)):.3e})",
         history)
 
 
@@ -316,12 +318,11 @@ class ExponentFit:
     r_squared: float
 
 
-def fit_exponent(measurements: list[TailMeasurement], gamma=1.0,
-                 min_r_squared: float = 0.99) -> ExponentFit:
+def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
     """Regress log(amplitude eps^2) on 1/eps; the model slope is -pi/(2 gamma).
 
     Requires at least four measurements; raises FitQualityError when the fit
-    explains less than min_r_squared of the variance.
+    explains less than 99% of the variance.
     """
     if len(measurements) < 4:
         raise InsufficientDataError("need at least 4 measurements for the fit")
@@ -334,40 +335,37 @@ def fit_exponent(measurements: list[TailMeasurement], gamma=1.0,
     ss_res = float(((Y - fitted) ** 2).sum())
     ss_tot = float(((Y - Y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < min_r_squared:
+    if r2 < 0.99:
         raise FitQualityError(
-            f"r^2 = {r2:.4f} below {min_r_squared}; measurements unreliable",
+            f"r^2 = {r2:.4f} below 0.99; measurements unreliable",
             slope=float(slope), r_squared=r2)
     return ExponentFit(float(slope), float(intercept), r2)
 
 
 def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
-          lambda_const: float = DEFAULT_LAMBDA, continuation: bool = True,
-          **config_overrides):
-    """Solve and measure for each epsilon, largest first when continuing.
+          lambda_const: float = DEFAULT_LAMBDA, half_length: float | None = None,
+          grid_spacing: float | None = None):
+    """Solve and measure for each epsilon, largest first.
 
-    The grid spacing is eps / h_factor unless config_overrides sets one;
-    overrides given as None are ignored. Every configuration is
+    The grid spacing is eps / h_factor unless grid_spacing is given; a
+    half_length of None takes the default domain. Every configuration is
     built and checked (resolution and measurement window) before the first
-    solve. With continuation the previous solution (interpolated onto the new
-    grid) seeds Newton; that mode is strictly sequential. Without it every
-    solve starts from the sech^2 guess and the entries are independent.
+    solve. The previous solution (interpolated onto the new grid) seeds every
+    solve after the first, so the solves are strictly sequential.
     Returns a list of (config, solution, measurement), ascending in epsilon.
     """
-    eps_order = sorted(epsilons, reverse=True) if continuation else list(epsilons)
-    overrides = {k: v for k, v in config_overrides.items() if v is not None}
     configs = []
-    for eps in eps_order:
-        config = SolverConfig(epsilon=eps, gamma=gamma,
-                              **{"grid_spacing": eps / h_factor, **overrides})
-        config.validate()
+    for eps in sorted(epsilons, reverse=True):
+        config = SolverConfig(
+            epsilon=eps, gamma=gamma, half_length=half_length,
+            grid_spacing=eps / h_factor if grid_spacing is None else grid_spacing)
         check_window(config, lambda_const)
         configs.append(config)
     results = []
     prev: GridSolution | None = None
     for config in configs:
         guess = None
-        if continuation and prev is not None:
+        if prev is not None:
             x_new = np.arange(config.n_cells + 1) * config.grid_spacing
             guess = np.interp(x_new, prev.nodes, prev.u, right=0.0)
         sol = solve(config, guess)

@@ -37,8 +37,8 @@ from .series import (RecurrenceError, ResourceLimitError, atomic_write,
                      build_series, save_table)
 from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
                          optimal_N, partial_sum)
-from .late_terms import (InsufficientDataError, lambda_csv_rows,
-                         report_to_json, singulant_report)
+from .late_terms import (InsufficientDataError, check_report_data,
+                         lambda_csv_rows, report_to_json, singulant_report)
 from .stokes import (DEFAULT_LAMBDA, QuadratureError, StokesFrame,
                      ValidityWedgeError, frame_for, integrate_multiplier,
                      profile_csv_rows)
@@ -72,6 +72,11 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("FKDV_OUT_DIR", "."))
 
 
+def _out_path(args, name: str) -> Path:
+    """--out if given, else name in the output directory."""
+    return Path(args.out) if args.out else _out_dir(args) / name
+
+
 def _write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -85,38 +90,20 @@ def _write_csv(path: Path, header, rows) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def _finish(command: str, args, outputs: list[Path], t0: float) -> None:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = RunManifest(command=command, parameters=params,
-                           version=__version__,
-                           outputs=[str(p) for p in outputs],
-                           duration_seconds=time.perf_counter() - t0)
-    _write_json(Path(str(outputs[0]) + ".manifest.json"),
-                dataclasses.asdict(manifest))
-
-
-def cmd_series(args) -> int:
-    t0 = time.perf_counter()
+def cmd_series(args) -> list[Path]:
     table = build_series(args.n_max, Fraction(args.gamma))
-    out = Path(args.out) if args.out else _out_dir(args) / "series_table.json"
+    out = _out_path(args, "series_table.json")
     save_table(table, out)
     print("c =", "[" + ", ".join(str(ci) for ci in table.c) + "]")
     print(f"wrote {out} ({table.n_max + 1} orders, gamma = {table.gamma})")
-    _finish("series", args, [out], t0)
-    return EXIT_OK
+    return [out]
 
 
-def cmd_lambda(args) -> int:
-    t0 = time.perf_counter()
-    if args.n_max < 5:
-        raise InsufficientDataError(
-            f"insufficient data: need --n-max >= 5, got {args.n_max}")
-    if args.n_max < args.order + 2:
-        raise InsufficientDataError(
-            f"insufficient data: order {args.order} needs n_max >= {args.order + 2}")
+def cmd_lambda(args) -> list[Path]:
+    check_report_data(args.n_max, args.order)
     table = build_series(args.n_max, Fraction(args.gamma))
     report = singulant_report(table, order=args.order)
-    out = Path(args.out) if args.out else _out_dir(args) / "lambda_report.json"
+    out = _out_path(args, "lambda_report.json")
     _write_json(out, report_to_json(report, table))
     outputs = [out]
     if args.emit_csv:
@@ -126,12 +113,10 @@ def cmd_lambda(args) -> int:
     print(f"lambda_final = {report.lambda_final:.6f} "
           f"+/- {report.lambda_error:.2e} (order {args.order}, "
           f"n_max {args.n_max}); beta = {report.beta_selected}")
-    _finish("lambda", args, outputs, t0)
-    return EXIT_OK
+    return outputs
 
 
-def cmd_stokes_profile(args) -> int:
-    t0 = time.perf_counter()
+def cmd_stokes_profile(args) -> list[Path]:
     gamma = Fraction(args.gamma)
     outputs = []
     for eps in args.epsilon:
@@ -156,12 +141,10 @@ def cmd_stokes_profile(args) -> int:
                  if profile.jump_closed_form != 0 else math.nan)
         print(f"eps = {eps:g}: jump_numeric/jump_closed = {ratio:.6f} "
               f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
-    _finish("stokes-profile", args, outputs, t0)
-    return EXIT_OK
+    return outputs
 
 
-def cmd_tails(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tails(args) -> list[Path]:
     gamma = float(Fraction(args.gamma))
     results = sweep(set(args.epsilon), gamma, lambda_const=args.lambda_const,
                     half_length=args.domain_length, grid_spacing=args.grid_h)
@@ -176,7 +159,7 @@ def cmd_tails(args) -> int:
               f"(predicted {meas.amplitude_predicted:.6e}), "
               f"wavelength = {meas.wavelength_measured:.4f}")
 
-    out = Path(args.out) if args.out else _out_dir(args) / "tail_measurements.jsonl"
+    out = _out_path(args, "tail_measurements.jsonl")
     atomic_write(out, "".join(json.dumps({
         "epsilon": meas.epsilon,
         "amplitude_measured": meas.amplitude_measured,
@@ -188,24 +171,21 @@ def cmd_tails(args) -> int:
         "grid_spacing": cfg.grid_spacing,
     }, sort_keys=True) + "\n" for cfg, sol, meas in results))
     if len(results) >= 4:
-        fit = fit_exponent([meas for _, _, meas in reversed(results)], gamma)
+        fit = fit_exponent([meas for _, _, meas in reversed(results)])
         target = -math.pi / (2.0 * gamma)
         print(f"fit: slope = {fit.slope:.4f} (model {target:.4f}), "
               f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
     else:
         print("fewer than 4 measurements: skipping the exponent fit")
-    _finish("tails", args, [out] + solution_files, t0)
-    return EXIT_OK
+    return [out] + solution_files
 
 
-def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
+def cmd_compare(args) -> list[Path]:
     gamma = Fraction(args.gamma)
     eps = args.epsilon
     cfg = SolverConfig(epsilon=eps, gamma=float(gamma),
                        grid_spacing=args.grid_h,
                        half_length=args.domain_length)
-    cfg.validate()
     if abs(args.x) > cfg.half_length:
         raise ValueError(f"x = {args.x} lies beyond the domain [0, {cfg.half_length}]")
 
@@ -231,15 +211,14 @@ def cmd_compare(args) -> int:
     if err_opt is not None and scale > 0:
         print(f"err(optimal) / tail scale = {err_opt / scale:.3f} "
               f"(scale {scale:.3e})")
-    out = Path(args.out) if args.out else _out_dir(args) / "compare.json"
+    out = _out_path(args, "compare.json")
     _write_json(out, {
         "epsilon": eps, "x": args.x, "optimal_N": n_opt,
         "empirical_argmin": n_emp, "u_bvp": u_bvp,
         "errors": [[N, e] for N, e in errors],
         "tail_scale": scale,
     })
-    _finish("compare", args, [out], t0)
-    return EXIT_OK
+    return [out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        manifest = RunManifest(
+            command=args.command,
+            parameters={k: v for k, v in vars(args).items() if k != "func"},
+            version=__version__, outputs=[str(p) for p in outputs],
+            duration_seconds=time.perf_counter() - t0)
+        _write_json(Path(str(outputs[0]) + ".manifest.json"),
+                    dataclasses.asdict(manifest))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except _MATH_ERRORS as exc:
         print(f"math failure: {exc}", file=sys.stderr)
         return EXIT_MATH
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -65,17 +65,16 @@ def _coeff_scaled(a: Fraction) -> tuple[float, int]:
     return scaled.numerator / scaled.denominator, shift
 
 
-def sech_squared(x: complex, gamma, threshold: float = POLE_THRESHOLD) -> complex:
+def sech_squared(x: complex, gamma) -> complex:
     ch = cmath.cosh(float(Fraction(gamma)) * complex(x))
-    if abs(ch) < threshold:
+    if abs(ch) < POLE_THRESHOLD:
         raise PoleProximityError(f"|cosh(gamma x)| = {abs(ch):.3e} at x = {x}")
     return 1.0 / (ch * ch)
 
 
-def eval_coefficient(p: SechPolynomial, x: complex,
-                     pole_threshold: float = POLE_THRESHOLD) -> complex:
+def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
     """Evaluate sum a_m S^m at S = sech^2(gamma x) in complex arithmetic."""
-    S = sech_squared(x, p.gamma, pole_threshold)
+    S = sech_squared(x, p.gamma)
     acc = 0.0 + 0.0j
     for m, a in p.terms():
         mant, exp2 = _coeff_scaled(a)

@@ -82,8 +82,7 @@ def richardson_table(seq: list[float], max_order: int) -> list[float]:
 def richardson_extrapolate(seq: list[float], order: int) -> tuple[float, float]:
     """(estimate, error bound) after eliminating 1/n powers up to the order.
 
-    The error bound is the difference of the last two extrapolants, 0 for
-    order 0.
+    The error bound is the difference of the last two extrapolants.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -182,6 +181,18 @@ class SingulantReport:
     beta_slopes: dict[int, float]
 
 
+def check_report_data(n_max: int, order: int) -> None:
+    """singulant_report's data rule, checkable before a table is built:
+    Richardson order >= 1 for an error bar, and n_max >= max(14, order + 1)
+    for order + 1 aligned entries from n = 1 and for the default beta fit
+    (n_lo + 4 = 14 orders)."""
+    need = max(14, order + 1)
+    if order < 1 or n_max < need:
+        raise InsufficientDataError(
+            f"insufficient data: the report needs order >= 1 and n_max >= "
+            f"{need}, got order {order} and n_max {n_max}")
+
+
 def singulant_report(table: SeriesTable, order: int = 3) -> SingulantReport:
     """Assemble the full late-term analysis at the table's gamma.
 
@@ -189,11 +200,11 @@ def singulant_report(table: SeriesTable, order: int = 3) -> SingulantReport:
     (the n = 0 entry has no 1/n model to speak of); the raw alternating
     sequence is reported alongside.
     """
+    check_report_data(table.n_max, order)
     raw = lambda_sequence(table)
     aligned = lambda_constant_sequence(table)
     extrap = richardson_table(aligned[1:], order)
-    final = extrap[-1]
-    err = abs(extrap[-1] - extrap[-2]) if order >= 1 else 0.0
+    final, err = richardson_extrapolate(aligned[1:], order)
     beta_sel, slopes = fit_divergence_exponent(table)
     return SingulantReport(
         sigma=singularity(table.gamma),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -233,12 +232,12 @@ def solve_order(table: SeriesTable, n: int) -> tuple[SechPolynomial, Fraction]:
     return u_n, c_n
 
 
-def build_series(n_max: int, gamma=Fraction(1), limit: int = N_MAX_LIMIT) -> SeriesTable:
+def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
     """Build the table {u_n, c_n} for n = 0..n_max by repeated solve_order."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > limit:
-        raise ResourceLimitError(f"n_max = {n_max} exceeds limit {limit}")
+    if n_max > N_MAX_LIMIT:
+        raise ResourceLimitError(f"n_max = {n_max} exceeds limit {N_MAX_LIMIT}")
     g = _rat(gamma)
     u0, c0 = _leading_order(g)
     table = SeriesTable(g, (u0,), (c0,))
@@ -271,10 +270,13 @@ def table_from_json(doc: dict) -> SeriesTable:
 
 def atomic_write(path, text: str) -> None:
     """Write text to path via a temp file and rename, creating parent
-    directories; readers never see a partial file."""
+    directories; readers never see a partial file. The file gets the mode
+    a plain open() would give it (0o666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    # O_EXCL on a random name: never clobbers another writer's temp file
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

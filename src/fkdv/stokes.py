@@ -52,6 +52,8 @@ class QuadratureError(Exception):
 
 DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
+#: late-term power shift, forced by the double pole of u_0
+BETA = 2
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,6 @@ class StokesFrame:
     epsilon: float
     rho: float = 0.0
     lambda_const: float = DEFAULT_LAMBDA
-    beta_exponent: int = 2
-    theta: float = STOKES_ANGLE
 
     def __post_init__(self):
         if not self.r > 0:
@@ -78,19 +78,18 @@ class StokesFrame:
             raise ValueError("|rho| must not exceed 1")
 
 
-def frame_for(epsilon: float, gamma=1, lambda_const: float = DEFAULT_LAMBDA,
-              x: complex = 0.0) -> StokesFrame:
-    """Frame at the optimal truncation for the point x (default x = 0)."""
-    r = abs(complex(x) - singularity(gamma))
-    N = optimal_N(x, epsilon, gamma)
+def frame_for(epsilon: float, gamma=1,
+              lambda_const: float = DEFAULT_LAMBDA) -> StokesFrame:
+    """Frame at the optimal truncation for the point x = 0."""
+    r = abs(singularity(gamma))
+    N = optimal_N(0.0, epsilon, gamma)
     return StokesFrame(r=r, epsilon=epsilon, rho=N - r / (2 * epsilon),
                        lambda_const=lambda_const)
 
 
 def _prefactor(frame: StokesFrame) -> float:
-    b = frame.beta_exponent
     return (frame.lambda_const * math.sqrt(frame.r * math.pi)
-            / (math.sqrt(2.0) * frame.epsilon ** (b + 0.5)))
+            / (math.sqrt(2.0) * frame.epsilon ** (BETA + 0.5)))
 
 
 def multiplier_rhs(frame: StokesFrame, theta: float) -> complex:
@@ -103,7 +102,7 @@ def multiplier_rhs(frame: StokesFrame, theta: float) -> complex:
             f"exponent real part {exponent_re:.3e} > 0 at theta = {theta}")
     braced = 1.0 - 1j * cmath.exp(1j * theta) + 1j * theta + 1j * math.pi / 2
     slow = (-2.0 * frame.rho * (theta + math.pi / 2)
-            - theta * (frame.beta_exponent + 1))
+            - theta * (BETA + 1))
     return _prefactor(frame) * cmath.exp(-(frame.r / frame.epsilon) * braced
                                          + 1j * slow)
 
@@ -113,7 +112,7 @@ def smoothing_rhs(frame: StokesFrame, theta: float) -> complex:
     at the Stokes line (where the rho factor is exactly 1)."""
     damp = math.exp(-(frame.r / frame.epsilon)
                     * (1.0 - math.cos(theta - STOKES_ANGLE)))
-    return _prefactor(frame) * damp * 1j ** (frame.beta_exponent + 1)
+    return _prefactor(frame) * damp * 1j ** (BETA + 1)
 
 
 _INTEGRANDS = {"smoothing": smoothing_rhs, "late_term": multiplier_rhs}
@@ -131,8 +130,7 @@ class StokesProfile:
     refinements: int = 0
 
 
-def stokes_jump(epsilon: float, lambda_const: float,
-                beta_exponent: int = 2) -> complex:
+def stokes_jump(epsilon: float, lambda_const: float) -> complex:
     """Closed-form multiplier jump Lam pi e^{i pi (beta+1)/2} / eps^beta.
 
     For beta = 2 the phase is e^{3 i pi/2} = -i, so a negative Lam gives a
@@ -140,7 +138,7 @@ def stokes_jump(epsilon: float, lambda_const: float,
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return lambda_const * math.pi * 1j ** (beta_exponent + 1) / epsilon ** beta_exponent
+    return lambda_const * math.pi * 1j ** (BETA + 1) / epsilon ** BETA
 
 
 def integrate_multiplier(frame: StokesFrame,
@@ -208,8 +206,7 @@ def integrate_multiplier(frame: StokesFrame,
     return StokesProfile(
         samples=samples,
         jump_numeric=complex(cum[-1]),
-        jump_closed_form=stokes_jump(frame.epsilon, frame.lambda_const,
-                                     frame.beta_exponent),
+        jump_closed_form=stokes_jump(frame.epsilon, frame.lambda_const),
         integrand=integrand,
         refinements=refinements,
     )
@@ -224,9 +221,8 @@ def erf_profile(eta: float, frame: StokesFrame) -> complex:
     Tends to 0 as eta -> -inf and to the full closed-form jump as
     eta -> +inf; eta = 0 sits exactly halfway.
     """
-    b = frame.beta_exponent
     pref = (frame.lambda_const * math.sqrt(math.pi)
-            / (math.sqrt(2.0) * frame.epsilon ** b)) * 1j ** (b + 1)
+            / (math.sqrt(2.0) * frame.epsilon ** BETA)) * 1j ** (BETA + 1)
     integral = math.sqrt(math.pi / 2.0) * (1.0 + math.erf(
         math.sqrt(frame.r) * eta / math.sqrt(2.0)))
     return pref * integral

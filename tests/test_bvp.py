@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,18 +33,22 @@ def test_config_defaults():
     cfg = SolverConfig(epsilon=0.1)
     assert cfg.grid_spacing == pytest.approx(0.005)
     assert cfg.half_length >= 10.0 + 20.0 * math.pi * 0.1
-    cfg.validate()
+
+
+def test_config_is_frozen():
+    cfg = SolverConfig(epsilon=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid_spacing = 1.0
 
 
 def test_too_coarse_grid_rejected_before_solve():
-    cfg = SolverConfig(epsilon=0.1, grid_spacing=0.1)
     with pytest.raises(ResolutionError):
-        solve(cfg)
+        SolverConfig(epsilon=0.1, grid_spacing=0.1)
 
 
 def test_too_short_domain_rejected():
     with pytest.raises(ResolutionError):
-        SolverConfig(epsilon=0.1, half_length=5.0).validate()
+        SolverConfig(epsilon=0.1, half_length=5.0)
 
 
 @pytest.mark.parametrize("field", ["grid_spacing", "half_length"])

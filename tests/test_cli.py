@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fkdv import cli
 from fkdv.cli import main
 
 
@@ -56,12 +57,17 @@ def test_lambda_report(tmp_path, capsys):
     assert len(csv_lines) == 32
 
 
-def test_lambda_insufficient_data_is_validation_failure(tmp_path, capsys):
-    code, _, stderr = run(capsys, "lambda", "--n-max", "3",
-                          "--out", str(tmp_path / "r.json"))
-    assert code == 2
-    assert "insufficient" in stderr
-    assert not (tmp_path / "r.json").exists()
+def test_lambda_insufficient_data_is_validation_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    # every shortfall is caught before any table is built
+    monkeypatch.setattr(cli, "build_series", None)
+    for argv in (["--n-max", "3"], ["--n-max", "7"], ["--n-max", "13"],
+                 ["--order", "-1"], ["--order", "0"]):
+        code, _, stderr = run(capsys, "lambda", *argv,
+                              "--out", str(tmp_path / "r.json"))
+        assert code == 2, argv
+        assert "insufficient" in stderr or "order" in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_stokes_profile_sweep(tmp_path, capsys):

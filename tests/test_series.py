@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from fkdv import (
     table_from_json,
     table_to_json,
 )
+from fkdv.series import atomic_write
 
 F = Fraction
 
@@ -220,6 +223,21 @@ def test_save_table_creates_parent_directories(tmp_path):
     assert load_table(path).u == t.u
     assert not path.read_text().endswith("\n")
     assert [p.name for p in path.parent.iterdir()] == ["table.json"]
+
+
+def test_save_table_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        save_table(build_series(1), tmp_path / "table.json")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "table.json").stat().st_mode) == 0o644
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write(tmp_path / "out.json", None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_shape():
