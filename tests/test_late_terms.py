@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkdv import (
+    SechPolynomial,
+    SeriesTable,
     build_series,
     chi_squared_estimate,
     fit_divergence_exponent,
@@ -84,6 +87,16 @@ def test_ratio_measured_over_predicted(table30):
     devs = [abs(rows[n][0] / rows[n][1] - 1.0) for n in range(13, 30)]
     assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
     assert all(d < 0.007 for d in devs)
+
+
+def test_ratio_at_origin_beyond_float_range():
+    # u_n(0) = 10^(100 n) reaches 1e800: the ratio is taken in exact
+    # arithmetic, never through float(u_n(0))
+    u = [SechPolynomial({n + 1: Fraction(10) ** (100 * n)}) for n in range(9)]
+    table = SeriesTable(Fraction(1), u, [Fraction(0)] * 9)
+    rows = ratio_test(table, 0.0)
+    assert [n for n, _, _ in rows] == list(range(8))
+    assert all(m == 1e100 for _, m, _ in rows)
 
 
 def test_chi_squared_recovery(table30):

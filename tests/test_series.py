@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -19,10 +20,10 @@ from fkdv import (
     order_residual,
     save_table,
     second_derivative,
-    solve_order,
     table_from_json,
     table_to_json,
 )
+from fkdv import series
 from fkdv.series import atomic_write
 
 F = Fraction
@@ -198,10 +199,59 @@ def test_determinism():
         json.dumps(table_to_json(b), sort_keys=True)
 
 
-def test_solve_order_requires_prefix():
-    t = build_series(2)
-    with pytest.raises(ValueError):
-        solve_order(t, 5)
+@pytest.mark.parametrize("n_max, gamma, digest", [
+    (30, F(1), "c440800824de426d9d354261f3fea1052930a17b964caeb326a8f1634b58739a"),
+    (24, F(2, 3), "dbe251cf871410a5a8a33cdb481d45f8c5acb8ffe5245d5924036136055fbec6"),
+    (40, F(3, 2), "feb13a248a2246aa211d06d67a5071c97ccc364ddb4700c79757ead99ebe532f"),
+])
+def test_table_json_hash_is_pinned(n_max, gamma, digest):
+    # reference digests from an independent build: a per-coefficient
+    # Fraction recurrence run directly at each gamma
+    text = json.dumps(table_to_json(build_series(n_max, gamma)), indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _perturbed(t, n, delta_u, delta_c):
+    # the table t with delta_u added to the top coefficient of u_n and
+    # delta_c added to c_n
+    u = list(t.u)
+    coeffs = dict(u[n].coeffs)
+    coeffs[n + 1] += delta_u
+    u[n] = SechPolynomial(coeffs, t.gamma)
+    c = list(t.c)
+    c[n] += delta_c
+    return SeriesTable(t.gamma, u, c)
+
+
+PERTURBATIONS = pytest.mark.parametrize("delta_u, delta_c", [(F(1, 10**30), 0),
+                                                              (0, F(1, 10**30))])
+
+
+@PERTURBATIONS
+def test_exact_residual_catches_a_perturbed_order(delta_u, delta_c):
+    t = build_series(7, gamma=F(3, 2))
+    bad = _perturbed(t, 7, delta_u, delta_c)
+    assert not order_residual(bad, 7).is_zero
+    assert all(order_residual(bad, n).is_zero for n in range(7))
+
+
+@PERTURBATIONS
+def test_build_verifies_the_rescaled_table(monkeypatch, delta_u, delta_c):
+    # the exact check runs on the finished gamma table, so an error in the
+    # rescale from gamma = 1 is caught, up to the last order
+    rescaled = series._rescaled
+    monkeypatch.setattr(series, "_rescaled", lambda u, c, g: _perturbed(
+        rescaled(u, c, g), 7, delta_u, delta_c))
+    with pytest.raises(RecurrenceError, match="order 7"):
+        build_series(7, gamma=F(3, 2))
+
+
+@pytest.mark.parametrize("gamma, error", [(0, ValueError), (-1, ValueError),
+                                          (F(-1, 2), ValueError), (1.5, TypeError)])
+def test_bad_gamma_rejected_before_any_order(monkeypatch, gamma, error):
+    monkeypatch.setattr(series, "_solve_order", None)
+    with pytest.raises(error):
+        build_series(4, gamma=gamma)
 
 
 def test_resource_limit():
