@@ -52,7 +52,7 @@ EXIT_VALIDATION = 2
 
 _MATH_ERRORS = (RecurrenceError, PoleProximityError, QuadratureError,
                 ValidityWedgeError, NonConvergenceError, IllConditionedError,
-                FitQualityError)
+                FitQualityError, OverflowError)
 _VALIDATION_ERRORS = (ResourceLimitError, InsufficientDataError,
                       ResolutionError, WindowContaminatedError, ValueError)
 

@@ -1,4 +1,6 @@
-"""Floating-point evaluation of the exact series at real and complex points.
+"""Evaluation of the exact series at real and complex points: exact in
+integers at the double S = sech^2(gamma x), each output rounded once, so the
+one error is the rounding of S, the problem's own conditioning in x.
 
 The leading-order solution analytically continued off the real axis has double
 poles at x = +-i pi/(2 gamma), +-3 i pi/(2 gamma), ...; evaluation guards
@@ -17,10 +19,6 @@ from .series import SechPolynomial, SeriesTable
 
 #: evaluation refuses points with |cosh(gamma x)| below this
 POLE_THRESHOLD = 1e-8
-
-#: beyond ~900 bits the numerator/denominator ratio leaves double range and
-#: coefficients are converted through a mantissa * 2^exponent split instead
-_PLAIN_CONVERT_BITS = 900
 
 
 class PoleProximityError(Exception):
@@ -56,15 +54,6 @@ def singularity(gamma) -> complex:
     return 1j * math.pi / (2 * float(Fraction(gamma)))
 
 
-def _coeff_scaled(a: Fraction) -> tuple[float, int]:
-    """Exact rational -> (mantissa, exp2) with value = mantissa * 2**exp2."""
-    shift = a.numerator.bit_length() - a.denominator.bit_length()
-    if abs(shift) < _PLAIN_CONVERT_BITS:
-        return a.numerator / a.denominator, 0
-    scaled = a / Fraction(2) ** shift
-    return scaled.numerator / scaled.denominator, shift
-
-
 def sech_squared(x: complex, gamma) -> complex:
     ch = cmath.cosh(float(Fraction(gamma)) * complex(x))
     if abs(ch) < POLE_THRESHOLD:
@@ -72,17 +61,27 @@ def sech_squared(x: complex, gamma) -> complex:
     return 1.0 / (ch * ch)
 
 
-def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
-    """Evaluate sum a_m S^m at S = sech^2(gamma x) in complex arithmetic."""
+def _exact(p: SechPolynomial, x: complex) -> tuple[int, int, int]:
+    """Integers (re, im, den) with sum a_m S^m = (re + i im) / den exactly at
+    the double S = sech_squared(x, gamma)."""
     S = sech_squared(x, p.gamma)
-    acc = 0.0 + 0.0j
-    for m, a in p.terms():
-        mant, exp2 = _coeff_scaled(a)
-        term = mant * S**m
-        if exp2:
-            term = complex(math.ldexp(term.real, exp2), math.ldexp(term.imag, exp2))
-        acc += term
-    return acc
+    (sr, dr), (si, di) = S.real.as_integer_ratio(), S.imag.as_integer_ratio()
+    t = max(dr, di)  # both powers of two: S = (sr + i si) / t
+    sr, si = sr * (t // dr), si * (t // di)
+    nums, den = p.int_form
+    # homogeneous Horner: acc = sum_m a_m s^m t^(D - m), the value acc / t^D
+    re, im, tp = nums[-1], 0, 1
+    for a in reversed(nums[:-1]):
+        tp *= t
+        re, im = re * sr - im * si + a * tp, re * si + im * sr
+    return re, im, den * tp
+
+
+def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
+    """sum a_m S^m at S = sech^2(gamma x), exact at the double S and rounded
+    once; raises OverflowError if the value itself leaves double range."""
+    re, im, den = _exact(p, x)
+    return complex(re / den, im / den)
 
 
 def optimal_N(x: complex, epsilon: float, gamma) -> int:
@@ -101,13 +100,13 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
         raise ValueError(f"N = {N} exceeds available orders (n_max = {table.n_max})")
     value = 0.0 + 0.0j
     mags = []
-    eps2 = point.epsilon * point.epsilon
-    w = 1.0
+    e, d = point.epsilon.as_integer_ratio()
     for n in range(N):
-        term = w * eval_coefficient(table.u[n], point.x)
+        re, im, den = _exact(table.u[n], point.x)
+        w, wd = e ** (2 * n), d ** (2 * n) * den
+        term = complex(re * w / wd, im * w / wd)
         value += term
         mags.append(abs(term))
-        w *= eps2
     return PartialSum(value, N, tuple(mags))
 
 

@@ -12,6 +12,9 @@ as x -> sigma. Per-order estimates of Lam therefore come in two flavours,
 the raw alternating sequence and the sign-aligned one; only the latter is a
 convergent sequence suitable for Richardson acceleration. Its limit here is
 -19.969, matching the quoted inner-problem value of about -19.97.
+
+Both are exact rationals; Richardson acceleration runs on them exactly and
+rounds once, as in doubles the close nodes 1/n lose every digit of deep tables.
 """
 
 from __future__ import annotations
@@ -20,13 +23,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluation import eval_coefficient, singularity
+from .evaluation import _exact, singularity
 from .series import SeriesTable
 
 
 class InsufficientDataError(ValueError):
     """Not enough sequence entries or measurements for the requested
     operation."""
+
+
+def _lambda_exact(table: SeriesTable) -> list[Fraction]:
+    """The raw per-order prefactor estimates of lambda_sequence, exactly."""
+    if table.n_max < 5:
+        raise InsufficientDataError("need a table built to n_max >= 5")
+    g = table.gamma
+    return [(-1) ** (n + 1) * table.top_coefficient(n)
+            / (g ** (2 * n + 2) * math.factorial(2 * n + 1))
+            for n in range(table.n_max + 1)]
 
 
 def lambda_sequence(table: SeriesTable) -> list[float]:
@@ -37,29 +50,30 @@ def lambda_sequence(table: SeriesTable) -> list[float]:
     so consecutive entries alternate in sign. See lambda_constant_sequence
     for the convergent form.
     """
-    if table.n_max < 5:
-        raise InsufficientDataError("need a table built to n_max >= 5")
-    out = []
-    g = table.gamma
-    for n in range(table.n_max + 1):
-        top = table.top_coefficient(n)
-        exact = Fraction((-1) ** (n + 1)) * top / (g ** (2 * n + 2) * math.factorial(2 * n + 1))
-        out.append(float(exact))
-    return out
+    return [float(v) for v in _lambda_exact(table)]
 
 
 def lambda_constant_sequence(table: SeriesTable) -> list[float]:
     """Sign-aligned per-order estimates of the constant Lam; converges ~ Lam + O(1/n)."""
-    return [(-1) ** n * v for n, v in enumerate(lambda_sequence(table))]
+    return [float((-1) ** n * v) for n, v in enumerate(_lambda_exact(table))]
 
 
-def _neville_at_zero(hs: list[float], ys: list[float]) -> float:
-    # polynomial through (h_i, y_i) evaluated at h = 0
-    t = list(ys)
-    for k in range(1, len(t)):
-        for i in range(len(t) - k):
-            t[i] = (hs[i] * t[i + 1] - hs[i + k] * t[i]) / (hs[i] - hs[i + k])
-    return t[0]
+def _extrapolants(seq, max_order: int) -> list[Fraction]:
+    """richardson_table before rounding: exact Neville on the nodes h = 1/n,
+    where entry i of level k is the polynomial in h through entries i..i+k
+    at h = 0. Float inputs convert exactly."""
+    if len(seq) <= max_order:
+        raise InsufficientDataError(
+            f"need more than {max_order} entries, got {len(seq)}")
+    t = [Fraction(v) for v in seq[-(max_order + 1):]]
+    ns = range(len(seq) - max_order, len(seq) + 1)
+    out = [t[-1]]
+    for k in range(1, max_order + 1):
+        for i in range(max_order + 1 - k):
+            # (h_i t_{i+1} - h_{i+k} t_i) / (h_i - h_{i+k}) with h = 1/n
+            t[i] = (ns[i + k] * t[i + 1] - ns[i] * t[i]) / k
+        out.append(t[max_order - k])
+    return out
 
 
 def richardson_table(seq: list[float], max_order: int) -> list[float]:
@@ -68,26 +82,18 @@ def richardson_table(seq: list[float], max_order: int) -> list[float]:
     seq[i] is read as the value at n = i + 1; order k eliminates the
     corrections 1/n, ..., 1/n^k through the last k+1 entries.
     """
-    if len(seq) <= max_order:
-        raise InsufficientDataError(
-            f"need more than {max_order} entries, got {len(seq)}")
-    out = []
-    for k in range(max_order + 1):
-        ns = range(len(seq) - k, len(seq) + 1)
-        hs = [1.0 / n for n in ns]
-        out.append(_neville_at_zero(hs, seq[-(k + 1):]))
-    return out
+    return [float(v) for v in _extrapolants(seq, max_order)]
 
 
 def richardson_extrapolate(seq: list[float], order: int) -> tuple[float, float]:
     """(estimate, error bound) after eliminating 1/n powers up to the order.
 
-    The error bound is the difference of the last two extrapolants.
+    The error bound is the exact difference of the last two extrapolants.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    tab = richardson_table(seq, order)
-    return tab[-1], abs(tab[-1] - tab[-2])
+    tab = _extrapolants(seq, order)
+    return float(tab[-1]), float(abs(tab[-1] - tab[-2]))
 
 
 def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
@@ -109,20 +115,11 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
         # Gamma factors are divided out of the ratio below; keep the phase
         return (-1) ** n * 2.0 * (chi ** -(2 * n + 2)).real * abs(chi) ** (2 * n + 2)
 
-    if x == 0.0:
-        # S = 1 exactly: sum the coefficients and divide in exact arithmetic,
-        # because in floats the huge alternating a_m cancel down ~11 digits
-        # by n ~ 27, and u_n(0) itself passes the float range at n ~ 93
-        exact = [sum(p.coeffs.values()) for p in table.u]
-        ratios = [float(exact[n + 1] / exact[n]) if exact[n] else None
-                  for n in range(table.n_max)]
-    else:
-        u_at_x = [eval_coefficient(p, complex(x)).real for p in table.u]
-        ratios = []
-        for n in range(table.n_max):
-            un, un1 = u_at_x[n], u_at_x[n + 1]
-            usable = un != 0.0 and math.isfinite(un) and math.isfinite(un1)
-            ratios.append(un1 / un if usable else None)
+    # u_n(x) = re / den exactly (im = 0 on the real axis); in doubles the a_m
+    # cancel down n/2 digits and u_n(0) overflows near n = 93
+    u = [_exact(p, x) for p in table.u]
+    ratios = [(re1 * den) / (den1 * re) if re else None
+              for (re, _, den), (re1, _, den1) in zip(u, u[1:])]
     out = []
     r2 = abs(chi) ** 2
     for n, measured in enumerate(ratios):
@@ -207,20 +204,19 @@ def singulant_report(table: SeriesTable, order: int = 3) -> SingulantReport:
     sequence is reported alongside.
     """
     check_report_data(table.n_max, order)
-    raw = lambda_sequence(table)
-    aligned = lambda_constant_sequence(table)
-    extrap = richardson_table(aligned[1:], order)
-    final, err = richardson_extrapolate(aligned[1:], order)
+    raw = _lambda_exact(table)
+    aligned = [(-1) ** n * v for n, v in enumerate(raw)]
+    extrap = _extrapolants(aligned[1:], order)
     beta_sel, slopes = fit_divergence_exponent(table)
     return SingulantReport(
         sigma=singularity(table.gamma),
         chi_prime=+1,
         beta_exponent=2,
-        lambda_sequence=tuple(raw),
-        lambda_aligned=tuple(aligned),
-        lambda_extrapolants=tuple(extrap),
-        lambda_final=final,
-        lambda_error=err,
+        lambda_sequence=tuple(map(float, raw)),
+        lambda_aligned=tuple(map(float, aligned)),
+        lambda_extrapolants=tuple(map(float, extrap)),
+        lambda_final=float(extrap[-1]),
+        lambda_error=float(abs(extrap[-1] - extrap[-2])),
         beta_selected=beta_sel,
         beta_slopes=slopes,
     )

@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
@@ -96,6 +97,17 @@ class SechPolynomial:
         """(power, coefficient) pairs in ascending power order."""
         return sorted(self.coeffs.items())
 
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer form, computed once: numerators indexed by the power of S
+        (index 0, the constant term, is 0) over one positive common
+        denominator."""
+        den = math.lcm(*(a.denominator for a in self.coeffs.values()))
+        nums = [0] * (self.degree + 1)
+        for m, a in self.coeffs.items():
+            nums[m] = a.numerator * (den // a.denominator)
+        return tuple(nums), den
+
     def __eq__(self, other):
         if not isinstance(other, SechPolynomial):
             return NotImplemented
@@ -103,16 +115,7 @@ class SechPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# integer form: a polynomial as integer numerators indexed by the power of S
-# over one positive common denominator (index 0, the constant term, is 0)
-
-def _ints(p: SechPolynomial) -> tuple[list[int], int]:
-    den = math.lcm(*(a.denominator for a in p.coeffs.values()))
-    nums = [0] * (p.degree + 1)
-    for m, a in p.coeffs.items():
-        nums[m] = a.numerator * (den // a.denominator)
-    return nums, den
-
+# arithmetic on integer forms (SechPolynomial.int_form)
 
 def _poly(nums: list[int], den: int, gamma: Fraction) -> SechPolynomial:
     return SechPolynomial({m: Fraction(x, den) for m, x in enumerate(nums) if x}, gamma)
@@ -159,7 +162,7 @@ def _cauchy(u, n: int, lo: int) -> tuple[list[int], int]:
 def second_derivative(p: SechPolynomial) -> SechPolynomial:
     """Exact d^2/dx^2 in the S basis; degree rises by exactly one."""
     g2 = p.gamma * p.gamma
-    nums, den = _ints(p)
+    nums, den = p.int_form
     return _poly([g2.numerator * x for x in _d2(nums)], den * g2.denominator, p.gamma)
 
 
@@ -219,7 +222,7 @@ def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
     the complete Cauchy products of 3u^2 and c u. A correctly solved table
     returns the zero polynomial for every n <= n_max.
     """
-    u = [_ints(p) for p in table.u[:n + 1]]
+    u = [p.int_form for p in table.u[:n + 1]]
     return _poly(*_residual(u, table.c, table.gamma, n), table.gamma)
 
 
@@ -303,7 +306,7 @@ def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
         u.append(u_n)
         c.append(c_n)
     table = _rescaled(u, c, g)
-    exact = [_ints(p) for p in table.u]
+    exact = [p.int_form for p in table.u]
     for n in range(n_max + 1):
         if any(_residual(exact, table.c, g, n)[0]):
             raise RecurrenceError(f"nonzero exact residual at order {n}")

@@ -119,6 +119,15 @@ def test_compare_beyond_domain_is_validation_failure(tmp_path, capsys):
     assert "beyond" in stderr
 
 
+def test_compare_term_beyond_double_range_is_math_failure(tmp_path, capsys):
+    # eps^2 = 1e160 takes eps^4 u_2 past 1.8e308: exit 1, no traceback
+    code, _, stderr = run(capsys, "compare", "--epsilon", "1e80", "--n-max", "5",
+                          "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "math failure" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_reports_optimal_N(tmp_path, capsys):
     out = tmp_path / "cmp.json"
     code, stdout, _ = run(capsys, "compare", "--epsilon", "0.1", "--x", "0",

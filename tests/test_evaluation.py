@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from fkdv import (
     EvalPoint,
     PoleProximityError,
+    SechPolynomial,
+    SeriesTable,
     build_series,
     empirical_optimum,
     eval_coefficient,
     optimal_N,
     partial_sum,
+    sech_squared,
     singularity,
 )
 
@@ -110,12 +113,34 @@ def test_epsilon_must_be_positive():
 
 
 def test_huge_coefficient_conversion():
-    # scaling-by-exponent path: value representable though the coefficient
-    # alone is not
-    from fkdv.evaluation import _coeff_scaled
+    # u_n(x) = 10^(100 n) S^(n+1) passes the double range from n = 4, while
+    # eps^(2n) u_n stays near 1e-20n: every term is finite and the smallest
+    # is the last
+    n_max = 8
+    u = [SechPolynomial({n + 1: Fraction(10) ** (100 * n)}) for n in range(n_max + 1)]
+    table = SeriesTable(Fraction(1), u, [Fraction(0)] * (n_max + 1))
+    for x in (0.0, 0.5):
+        point = EvalPoint(x, 1e-60)
+        ps = partial_sum(table, point, n_max + 1)
+        log_s = math.log(abs(sech_squared(x, 1)))
+        for n, mag in enumerate(ps.term_magnitudes):
+            log_term = (2 * n * math.log(1e-60) + 100 * n * math.log(10.0)
+                        + (n + 1) * log_s)
+            assert math.log(mag) == pytest.approx(log_term, rel=1e-12)
+        assert empirical_optimum(table, point) == n_max
 
-    q = Fraction(10) ** 400
-    mant, exp2 = _coeff_scaled(q)
-    assert exp2 != 0 and mant > 0
-    log_val = math.log(mant) + exp2 * math.log(2.0)
-    assert log_val == pytest.approx(400 * math.log(10.0), rel=1e-12)
+
+def test_eval_coefficient_matches_mpmath_through_n40():
+    # the a_m alternate and grow factorially: summed in doubles, u_40(0)
+    # came out with relative error 1.8e3
+    import mpmath
+
+    table = build_series(40)
+    with mpmath.workdps(50):
+        for x in (0.0, 1.0, 0.3 + 0.4j):
+            S = mpmath.sech(mpmath.mpc(x)) ** 2
+            for p in table.u:
+                ref = mpmath.fsum(mpmath.mpf(a.numerator) / a.denominator * S ** m
+                                  for m, a in p.terms())
+                got = eval_coefficient(p, x)
+                assert abs(got - complex(ref)) <= 1e-12 * abs(complex(ref))

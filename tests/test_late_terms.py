@@ -65,6 +65,16 @@ def test_richardson_exact_on_model(L, b1, b2):
     assert est == pytest.approx(L, abs=1e-7 * (1 + abs(L) + abs(b1) + abs(b2)))
 
 
+def test_richardson_exact_on_tenth_order_model():
+    # closely spaced nodes 1/n: in doubles order 10 came out 8.6 off
+    L = Fraction(-19968947358760961, 10 ** 15)
+    bs = [Fraction((-1) ** k * 7 * k, k + 3) for k in range(1, 11)]
+    seq = [L + sum(b / Fraction(n) ** k for k, b in enumerate(bs, 1))
+           for n in range(1, 102)]
+    assert richardson_extrapolate(seq, 10)[0] == float(L)
+    assert richardson_extrapolate(seq, 8)[0] == pytest.approx(float(L), abs=1e-9)
+
+
 def test_richardson_insufficient():
     with pytest.raises(InsufficientDataError):
         richardson_extrapolate([1.0, 2.0], 3)
@@ -97,6 +107,14 @@ def test_ratio_at_origin_beyond_float_range():
     rows = ratio_test(table, 0.0)
     assert [n for n, _, _ in rows] == list(range(8))
     assert all(m == 1e100 for _, m, _ in rows)
+
+
+def test_ratio_off_axis_follows_model_to_n_max():
+    # in doubles the ratio at x = 1 was off by a factor of 717 by n = 59
+    rows = ratio_test(build_series(60), 1.0)
+    devs = {n: abs(m / p - 1.0) for n, m, p in rows if n >= 20}
+    assert sorted(devs) == list(range(20, 60))
+    assert max(devs.values()) < 0.3
 
 
 def test_chi_squared_recovery(table30):
