@@ -52,7 +52,6 @@ from .stokes import (
     QuadratureError,
     StokesFrame,
     StokesProfile,
-    ValidityWedgeError,
     erf_profile,
     exp_tail,
     frame_for,

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .late_terms import InsufficientDataError
 from .stokes import DEFAULT_LAMBDA, tail_amplitude
@@ -90,6 +89,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
@@ -200,6 +201,7 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
     the target raises NonConvergenceError; a failed or non-finite banded solve
     raises IllConditionedError.
     """
+    from scipy.linalg import solve_banded  # lazy: most of import fkdv's time
     M = config.n_cells
     x = np.arange(M + 1) * config.grid_spacing
     u = initial_guess(config) if initial is None else np.asarray(initial, float).copy()

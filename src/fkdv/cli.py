@@ -39,9 +39,8 @@ from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
                          optimal_N, partial_sum)
 from .late_terms import (InsufficientDataError, check_report_data,
                          lambda_csv_rows, report_to_json, singulant_report)
-from .stokes import (DEFAULT_LAMBDA, QuadratureError, StokesFrame,
-                     ValidityWedgeError, frame_for, integrate_multiplier,
-                     profile_csv_rows)
+from .stokes import (DEFAULT_LAMBDA, QuadratureError, StokesFrame, frame_for,
+                     integrate_multiplier, profile_csv_rows)
 from .bvp import (FitQualityError, IllConditionedError, NonConvergenceError,
                   ResolutionError, SolverConfig, WindowContaminatedError,
                   fit_exponent, predicted_amplitude, solve, sweep)
@@ -51,8 +50,8 @@ EXIT_MATH = 1
 EXIT_VALIDATION = 2
 
 _MATH_ERRORS = (RecurrenceError, PoleProximityError, QuadratureError,
-                ValidityWedgeError, NonConvergenceError, IllConditionedError,
-                FitQualityError, OverflowError)
+                NonConvergenceError, IllConditionedError, FitQualityError,
+                OverflowError)
 _VALIDATION_ERRORS = (ResourceLimitError, InsufficientDataError,
                       ResolutionError, WindowContaminatedError, ValueError)
 

@@ -51,6 +51,8 @@ class PartialSum:
 
 def singularity(gamma) -> complex:
     """Upper dominant singularity sigma = i pi / (2 gamma)."""
+    if not Fraction(gamma) > 0:
+        raise ValueError("gamma must be positive")
     return 1j * math.pi / (2 * float(Fraction(gamma)))
 
 
@@ -111,7 +113,13 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
 
 
 def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:
-    """Index n of the smallest term magnitude over all available orders."""
-    ps = partial_sum(table, point, table.n_max + 1)
-    mags = ps.term_magnitudes
-    return min(range(len(mags)), key=mags.__getitem__)
+    """Index n of the smallest term over all orders, compared exactly."""
+    e, d = point.epsilon.as_integer_ratio()
+    b, a_b, D_b = 0, None, None
+    for n, p in enumerate(table.u):
+        re, im, den = _exact(p, point.x)
+        a, D = re * re + im * im, den * den  # |u_n(x)|^2 = a / D
+        k = 4 * (n - b)  # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied
+        if a_b is None or a * D_b * e ** k < a_b * D * d ** k:
+            b, a_b, D_b = n, a, D
+    return b

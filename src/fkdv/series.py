@@ -142,12 +142,12 @@ def _combine(terms) -> tuple[list[int], int]:
     return out, den
 
 
-def _cauchy(u, n: int, lo: int) -> tuple[list[int], int]:
-    """sum_{k=lo..n-lo} u_k u_{n-k} over integer forms u; each pair k < n - k
+def _cauchy(u, n: int) -> tuple[list[int], int]:
+    """sum_{k=0..n} u_k u_{n-k} over integer forms u; each pair k < n - k
     is multiplied once and counted twice, the middle term k = n/2 once."""
-    ks = range(lo, n // 2 + 1)
+    ks = range(n // 2 + 1)
     den = math.lcm(*(u[k][1] * u[n - k][1] for k in ks))
-    acc = [0] * max((len(u[k][0]) + len(u[n - k][0]) - 1 for k in ks), default=1)
+    acc = [0] * max(len(u[k][0]) + len(u[n - k][0]) - 1 for k in ks)
     for k in ks:
         (a, da), (b, db) = u[k], u[n - k]
         f = den // (da * db) * (1 if 2 * k == n else 2)
@@ -202,7 +202,7 @@ def _residual(u, c, gamma: Fraction, n: int) -> tuple[list[int], int]:
     """order_residual over the integer forms u of orders 0..n."""
     g2 = gamma * gamma
     nums, den = u[n]
-    terms = [(g2.numerator, _d2(nums), den * g2.denominator), (3, *_cauchy(u, n, 0))]
+    terms = [(g2.numerator, _d2(nums), den * g2.denominator), (3, *_cauchy(u, n))]
     if n >= 1:
         prev, dprev = u[n - 1]
         terms.append((g2.numerator ** 2, _d2(_d2(prev)), dprev * g2.denominator ** 2))
@@ -241,12 +241,10 @@ def _solve_order(u, c, n: int) -> tuple[tuple[list[int], int], Fraction]:
     roots m >= 1), so u_n has the denominator R * prod(sub-diagonal) before
     reduction, R the denominator of the right-hand side.
     """
-    # rhs of L u_n = c_n u_0 + F with F collecting all known lower orders
-    prev, dprev = u[n - 1]
-    terms = [(-1, _d2(_d2(prev)), dprev), (-3, *_cauchy(u, n, 1))]
-    terms += [(ck.numerator, u[n - k][0], ck.denominator * u[n - k][1])
-              for k, ck in enumerate(c[1:n], 1) if ck]
-    F, R = _combine(terms)  # rows S^0 .. S^{n+2}
+    # rhs of L u_n = c_n u_0 + F: F collects all known lower orders, and is
+    # minus the full residual at u_n = 0, c_n = 0
+    F, R = _residual([*u, ([0], 1)], [*c, Fraction(0)], Fraction(1), n)
+    F = [-x for x in F]  # rows S^0 .. S^{n+2}
 
     # solvability at the S^1 row: 2 c_n + F_1 / R = 0, as u_0 = 2 S
     c_n = Fraction(-F[1], 2 * R)

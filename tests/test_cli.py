@@ -149,6 +149,16 @@ def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, gri
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["stokes-profile", "tails"])
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_nonpositive_gamma_is_validation_failure(tmp_path, capsys, command, gamma):
+    code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--gamma", gamma,
+                          "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "gamma must be positive" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--n-max", "2"],
     ["lambda", "--n-max", "14"],

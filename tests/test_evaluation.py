@@ -130,6 +130,15 @@ def test_huge_coefficient_conversion():
         assert empirical_optimum(table, point) == n_max
 
 
+def test_empirical_optimum_past_double_range():
+    # at x = 0, eps = 1 the terms are 10^(20 n) up to n = 34 (past 1.8e308
+    # from n = 16), then 10^-400: the argmin is found without rounding a term
+    u = [SechPolynomial({n + 1: Fraction(10) ** (20 * n if n < 35 else -400)})
+         for n in range(41)]
+    table = SeriesTable(Fraction(1), u, [Fraction(0)] * 41)
+    assert empirical_optimum(table, EvalPoint(0, 1.0)) == 35
+
+
 def test_eval_coefficient_matches_mpmath_through_n40():
     # the a_m alternate and grow factorially: summed in doubles, u_40(0)
     # came out with relative error 1.8e3

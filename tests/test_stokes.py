@@ -1,10 +1,13 @@
 import cmath
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkdv import stokes
 from fkdv import (
     QuadratureError,
     StokesFrame,
@@ -112,7 +115,7 @@ def test_erf_profile_limits():
 def test_profile_matches_closed_jump():
     p = integrate_multiplier(frame(0.05, rho=0.292))
     assert abs(p.jump_numeric / p.jump_closed_form - 1.0) < 1e-2
-    assert p.pre_stokes_constant == 0
+    assert p.samples[0][1] == 0
 
 
 def test_profile_flat_for_zero_lambda():
@@ -181,11 +184,34 @@ def test_span_must_contain_line():
         integrate_multiplier(frame(0.05), integrand="bogus")
 
 
-def test_quadrature_nonconvergence_reports_interval():
+def test_quadrature_nonconvergence_reports_interval(monkeypatch):
+    monkeypatch.setattr(stokes, "RTOL", 1e-16)
+    monkeypatch.setattr(stokes, "MAX_REFINEMENTS", 1)
     with pytest.raises(QuadratureError) as err:
-        integrate_multiplier(frame(0.05), steps=1000, rtol=1e-16,
-                             max_refinements=1)
+        integrate_multiplier(frame(0.05), steps=1000)
     assert err.value.worst_interval is not None
+
+
+@pytest.mark.parametrize("rhs", [multiplier_rhs, smoothing_rhs])
+def test_rhs_on_array_matches_scalar_calls(rhs):
+    f = frame(0.05, rho=0.3)
+    th = np.linspace(LINE - 1.5, LINE + 1.5, 3001)
+    vec = rhs(f, th)
+    assert vec.shape == th.shape
+    assert all(v == rhs(f, float(t)) for v, t in zip(vec.tolist(), th))
+
+
+@pytest.mark.parametrize("integrand, eps, digest", [
+    ("smoothing", 0.1, "6f75ad2fb39c890c248a80e2a77aa701e52c89c8d6f0f4191c2d70fc4cef652d"),
+    ("smoothing", 0.025, "ffcf4a2aecd421938de9e181602c98ebcb25339d831b19ea38bb778fac3404c8"),
+    ("late_term", 0.1, "93f9a7200763a96aecd9a97e52aa5cc6406efc73a68f25747b90d9a58070e0c1"),
+    ("late_term", 0.025, "6dbbe17bdc442a711ea406e59acb0dc5c3b04df47071be8a297885ded040317d"),
+])
+def test_profile_samples_pinned(integrand, eps, digest):
+    # taken when the forcing was summed one math/cmath call per node; the
+    # array forcing must reproduce those samples bit for bit
+    p = integrate_multiplier(frame_for(eps), integrand=integrand)
+    assert hashlib.sha256(repr(p.samples).encode()).hexdigest() == digest
 
 
 # --- the assembled tail
