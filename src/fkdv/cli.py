@@ -188,11 +188,11 @@ def cmd_compare(args) -> list[Path]:
     if abs(args.x) > cfg.half_length:
         raise ValueError(f"x = {args.x} lies beyond the domain [0, {cfg.half_length}]")
 
+    sol = solve(cfg)  # milliseconds; a failed solve then wastes no build
     table = build_series(args.n_max, gamma)
     point = EvalPoint(complex(args.x), eps)
     n_opt = optimal_N(args.x, eps, gamma)
     n_emp = empirical_optimum(table, point)
-    sol = solve(cfg)
     u_bvp = float(np.interp(abs(args.x), sol.nodes, sol.u))
 
     scale = predicted_amplitude(cfg, DEFAULT_LAMBDA)

@@ -2,6 +2,10 @@
 integers at the double S = sech^2(gamma x), each output rounded once, so the
 one error is the rounding of S, the problem's own conditioning in x.
 
+Every denominator met here other than a table's own is a power of two: a
+double's `as_integer_ratio()` always gives one, for eps and for both parts of
+S. So every scaling by one of them is done as a shift, never a multiply.
+
 The leading-order solution analytically continued off the real axis has double
 poles at x = +-i pi/(2 gamma), +-3 i pi/(2 gamma), ...; evaluation guards
 against landing too close to one. Partial sums record per-term magnitudes so
@@ -68,15 +72,15 @@ def _exact(p: SechPolynomial, x: complex) -> tuple[int, int, int]:
     the double S = sech_squared(x, gamma)."""
     S = sech_squared(x, p.gamma)
     (sr, dr), (si, di) = S.real.as_integer_ratio(), S.imag.as_integer_ratio()
-    t = max(dr, di)  # both powers of two: S = (sr + i si) / t
-    sr, si = sr * (t // dr), si * (t // di)
+    q = max(dr, di).bit_length() - 1  # S = (sr + i si) / 2^q
+    sr, si = sr << (q + 1 - dr.bit_length()), si << (q + 1 - di.bit_length())
     nums, den = p.int_form
-    # homogeneous Horner: acc = sum_m a_m s^m t^(D - m), the value acc / t^D
-    re, im, tp = nums[-1], 0, 1
+    # homogeneous Horner: acc = sum_m a_m s^m 2^(q (D - m)), the value acc / 2^(q D)
+    re, im, sh = nums[-1], 0, 0
     for a in reversed(nums[:-1]):
-        tp *= t
-        re, im = re * sr - im * si + a * tp, re * si + im * sr
-    return re, im, den * tp
+        sh += q
+        re, im = re * sr - im * si + (a << sh), re * si + im * sr
+    return re, im, den << sh
 
 
 def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
@@ -103,23 +107,43 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
     value = 0.0 + 0.0j
     mags = []
     e, d = point.epsilon.as_integer_ratio()
+    p2, e2 = 2 * (d.bit_length() - 1), e * e  # eps^2 = e^2 / 2^p2
+    w = 1  # e^(2n)
     for n in range(N):
         re, im, den = _exact(table.u[n], point.x)
-        w, wd = e ** (2 * n), d ** (2 * n) * den
+        wd = den << (p2 * n)
         term = complex(re * w / wd, im * w / wd)
         value += term
         mags.append(abs(term))
+        w *= e2
     return PartialSum(value, N, tuple(mags))
 
 
 def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:
-    """Index n of the smallest term over all orders, compared exactly."""
+    """Index n of the smallest term over all orders, compared exactly; ties
+    keep the first index."""
     e, d = point.epsilon.as_integer_ratio()
-    b, a_b, D_b = 0, None, None
+    p4, e4 = 4 * (d.bit_length() - 1), e ** 4  # eps^4 = e^4 / 2^p4
+    b, a_b, D_b, ek = 0, None, None, 1  # ek = e^(4 (n - b))
     for n, p in enumerate(table.u):
         re, im, den = _exact(p, point.x)
         a, D = re * re + im * im, den * den  # |u_n(x)|^2 = a / D
-        k = 4 * (n - b)  # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied
-        if a_b is None or a * D_b * e ** k < a_b * D * d ** k:
+        if a_b is None:
             b, a_b, D_b = n, a, D
+            continue
+        ek *= e4
+        # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied: L < R with
+        # L = a D_b ek and R = a_b D 2^(p4 (n - b)). A product of nonzero x, y
+        # has bit length bl x + bl y - 1 or bl x + bl y, so L has nl - 2 to nl
+        # bits and R has nr - 1 to nr; only nr - 1 <= nl <= nr + 2 needs them.
+        # A zero term has no such lower bound and takes the exact comparison.
+        sh = p4 * (n - b)
+        nl = a.bit_length() + D_b.bit_length() + ek.bit_length()
+        nr = a_b.bit_length() + D.bit_length() + sh
+        if a and a_b and not nr - 1 <= nl <= nr + 2:
+            smaller = nl < nr
+        else:
+            smaller = a * D_b * ek < (a_b * D) << sh
+        if smaller:
+            b, a_b, D_b, ek = n, a, D, 1
     return b

@@ -29,6 +29,10 @@ quadrature level. Every exp and cos goes through numpy's complex exp, which
 calls libm like `cmath` does; numpy's float exp has SIMD loops that differ in
 the last bit and by CPU. The exponent's real part -(r/eps)(1 + sin theta)
 is never positive, so no theta needs a guard.
+
+The constants of `erf_profile`, its prefactor and sqrt(r), are computed once
+per `StokesFrame` (the frame is frozen, so they cannot go stale), and the
+profile samples are converted to Python numbers in one pass per array.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +62,9 @@ BETA = 2
 #: quadrature tolerance (relative change between doublings) and doubling cap
 RTOL = 1e-8
 MAX_REFINEMENTS = 14
+_SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,16 @@ class StokesFrame:
             raise ValueError("epsilon must be positive")
         if abs(self.rho) > 1.0 + 1e-12:
             raise ValueError("|rho| must not exceed 1")
+
+    @cached_property
+    def _erf_prefactor(self) -> complex:
+        """Lam sqrt(pi) e^{i pi (beta+1)/2} / (sqrt(2) eps^beta)."""
+        return (self.lambda_const * _SQRT_PI
+                / (_SQRT2 * self.epsilon ** BETA)) * 1j ** (BETA + 1)
+
+    @cached_property
+    def _sqrt_r(self) -> float:
+        return math.sqrt(self.r)
 
 
 def frame_for(epsilon: float, gamma=1,
@@ -192,7 +210,7 @@ def integrate_multiplier(frame: StokesFrame,
     stride = n // steps
     th_out = np.linspace(lo, hi, n + 1)[::stride]
     S_out = cum[::stride]
-    samples = [(float(t), complex(s)) for t, s in zip(th_out, S_out)]
+    samples = list(zip(th_out.tolist(), S_out.tolist()))
     return StokesProfile(
         samples=samples,
         jump_numeric=complex(cum[-1]),
@@ -211,11 +229,8 @@ def erf_profile(eta: float, frame: StokesFrame) -> complex:
     Tends to 0 as eta -> -inf and to the full closed-form jump as
     eta -> +inf; eta = 0 sits exactly halfway.
     """
-    pref = (frame.lambda_const * math.sqrt(math.pi)
-            / (math.sqrt(2.0) * frame.epsilon ** BETA)) * 1j ** (BETA + 1)
-    integral = math.sqrt(math.pi / 2.0) * (1.0 + math.erf(
-        math.sqrt(frame.r) * eta / math.sqrt(2.0)))
-    return pref * integral
+    integral = _SQRT_HALF_PI * (1.0 + math.erf(frame._sqrt_r * eta / _SQRT2))
+    return frame._erf_prefactor * integral
 
 
 def one_sided_remainder(x: float, epsilon: float, gamma=1,

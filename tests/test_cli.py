@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fkdv import cli
 from fkdv.cli import main
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -128,6 +133,17 @@ def test_compare_term_beyond_double_range_is_math_failure(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_compare_solves_before_building_the_series(tmp_path, capsys, monkeypatch):
+    # Newton fails at eps = 1; the series build it would have wasted never runs
+    calls = []
+    monkeypatch.setattr(cli, "build_series", lambda *a: calls.append(a))
+    code, _, stderr = run(capsys, "compare", "--epsilon", "1",
+                          "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "math failure" in stderr
+    assert calls == []
+
+
 def test_compare_reports_optimal_N(tmp_path, capsys):
     out = tmp_path / "cmp.json"
     code, stdout, _ = run(capsys, "compare", "--epsilon", "0.1", "--x", "0",
@@ -173,3 +189,22 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
     assert len(manifests) == 1
     outputs = json.loads(manifests[0].read_text())["outputs"]
     assert outputs and all(Path(p).exists() for p in outputs)
+
+
+def test_startup_never_imports_scipy(tmp_path):
+    # only the BVP needs scipy; importing it costs about 0.3 s of every command
+    script = f"""
+import sys
+import fkdv
+from fkdv import cli
+out = {str(tmp_path)!r}
+for argv in (["series", "--n-max", "8"], ["lambda", "--n-max", "16"],
+             ["stokes-profile", "--epsilon", "0.1"]):
+    assert cli.main(argv + ["--out-dir", out]) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 3

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fkdv import (
@@ -19,6 +19,7 @@ from fkdv import (
     sech_squared,
     singularity,
 )
+from fkdv.evaluation import _exact
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +154,57 @@ def test_eval_coefficient_matches_mpmath_through_n40():
                                   for m, a in p.terms())
                 got = eval_coefficient(p, x)
                 assert abs(got - complex(ref)) <= 1e-12 * abs(complex(ref))
+
+
+@st.composite
+def small_tables(draw):
+    """(table, eps): small hand-made orders, some zero, some exact ties and
+    some near ties. An order that repeats an earlier one j divided by
+    eps^(2 (n - j)) has the same term magnitude at every x; scaled by
+    +-2^s (1 + t) it lands within a few bits of it, above or below."""
+    eps = draw(st.one_of(st.floats(0.01, 10.0), st.floats(1e-20, 1e20),
+                         st.integers(-70, 70).map(lambda k: 2.0 ** k)))
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+    u = []
+    for n in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["copy"] * 6 + ["random"] * 3 + ["zero"] if u
+                                    else ["random"] * 3 + ["zero"]))
+        if kind == "zero":
+            u.append(SechPolynomial({}))
+        elif kind == "random":
+            u.append(SechPolynomial(draw(st.dictionaries(st.integers(1, 4), coeffs,
+                                                         min_size=1, max_size=4))))
+        else:
+            j = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+            s = draw(st.one_of(st.just(0), st.integers(-3, 3)))
+            t = draw(st.one_of(st.just(0), st.integers(-15, 15)))
+            f = (draw(st.sampled_from([1, -1])) * Fraction(2) ** s
+                 * (1 + Fraction(t, 16)) / Fraction(eps) ** (2 * (n - j)))
+            u.append(SechPolynomial({m: f * a for m, a in u[j].coeffs.items()}))
+    return SeriesTable(Fraction(1), u, [Fraction(0)] * len(u)), eps
+
+
+@given(small_tables(),
+       st.one_of(st.floats(-3, 3).map(complex),
+                 st.complex_numbers(max_magnitude=2.5, allow_nan=False,
+                                    allow_infinity=False)))
+@example((SeriesTable(Fraction(1), [SechPolynomial({1: 2, 2: 5}),
+                                    SechPolynomial({1: Fraction(32, 5)})],
+                      [Fraction(0)] * 2), 1.0), 0j)
+@example((SeriesTable(Fraction(1), [SechPolynomial({1: Fraction(5, 7), 2: Fraction(8, 3)}),
+                                    SechPolynomial({1: 5})],
+                      [Fraction(0)] * 2), 0.75), 0.5 + 0j)
+@settings(max_examples=150, deadline=None)
+def test_empirical_optimum_is_first_exact_argmin(table_eps, x):
+    # brute force: |eps^{2n} u_n(x)|^2 as Fractions, first index on ties.
+    # The two examples sit on the edges of the bit-length window, where only
+    # the products can decide: the bit-length sums of the two sides differ by
+    # 2 with the new term smaller, and by -1 with it larger.
+    table, eps = table_eps
+    assume(abs(cmath.cosh(x)) > 1e-6)
+    e4 = Fraction(eps) ** 4
+    mags = []
+    for n, p in enumerate(table.u):
+        re, im, den = _exact(p, x)
+        mags.append(Fraction(re * re + im * im, den * den) * e4 ** n)
+    assert empirical_optimum(table, EvalPoint(x, eps)) == mags.index(min(mags))

@@ -212,6 +212,19 @@ def test_profile_samples_pinned(integrand, eps, digest):
     # array forcing must reproduce those samples bit for bit
     p = integrate_multiplier(frame_for(eps), integrand=integrand)
     assert hashlib.sha256(repr(p.samples).encode()).hexdigest() == digest
+    assert all(type(t) is float and type(s) is complex for t, s in p.samples)
+
+
+@pytest.mark.parametrize("eps, digest", [
+    (0.1, "8242b64b0ba419297fcd51dd694092d4ed3b25cf0932f66e928febd1acba5585"),
+    (0.025, "85f8e20a05f7a1de92adb58a4244e5e122f27b142c5c84050bdf848c446ef1ec"),
+])
+def test_profile_csv_rows_pinned(eps, digest):
+    # taken when erf_profile rebuilt its constants on every call; computing
+    # them once per frame must keep every row bit for bit
+    f = frame_for(eps)
+    rows = stokes.profile_csv_rows(integrate_multiplier(f), f)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 # --- the assembled tail
