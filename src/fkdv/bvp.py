@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .late_terms import InsufficientDataError
-from .stokes import DEFAULT_LAMBDA, tail_amplitude
+from .stokes import tail_amplitude
 
 
 class ResolutionError(ValueError):
@@ -87,8 +87,8 @@ class SolverConfig:
     c_value: float = field(init=False)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
@@ -252,22 +252,20 @@ def _refine_extremum(xs: np.ndarray, us: np.ndarray, k: int) -> float:
     return abs(y1 - 0.125 * (y2 - y0) ** 2 / denom)
 
 
-def predicted_amplitude(config: SolverConfig,
-                        lambda_const: float = DEFAULT_LAMBDA) -> float:
+def predicted_amplitude(config: SolverConfig) -> float:
     """Symmetric-member tail amplitude |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}:
     half the one-sided switching amplitude."""
-    return 0.5 * tail_amplitude(config.epsilon, config.gamma, lambda_const)
+    return 0.5 * tail_amplitude(config.epsilon, config.gamma)
 
 
-def check_window(config: SolverConfig,
-                 lambda_const: float = DEFAULT_LAMBDA) -> float:
+def check_window(config: SolverConfig) -> float:
     """Core-influence precheck for the measurement window; returns its start.
 
     The sech^2 core evaluated at the window start must sit below 10% of the
     predicted tail amplitude, otherwise the window is contaminated.
     """
     eps, g = config.epsilon, config.gamma
-    predicted = predicted_amplitude(config, lambda_const)
+    predicted = predicted_amplitude(config)
     window_start = config.half_length - 2.0 * (2.0 * math.pi * eps)
     core_at_window = 2.0 * g * g / math.cosh(g * window_start) ** 2
     if core_at_window >= 0.1 * predicted:
@@ -277,8 +275,7 @@ def check_window(config: SolverConfig,
     return window_start
 
 
-def measure_tail(sol: GridSolution, config: SolverConfig,
-                 lambda_const: float = DEFAULT_LAMBDA) -> TailMeasurement:
+def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
     """Amplitude and wavelength over the last two oscillations before L.
 
     Requires the window to be free of core influence: the sech^2 core at the
@@ -287,8 +284,8 @@ def measure_tail(sol: GridSolution, config: SolverConfig,
     sinusoid is measured exactly; wavelength comes from zero crossings.
     """
     eps = config.epsilon
-    predicted = predicted_amplitude(config, lambda_const)
-    window_start = check_window(config, lambda_const)
+    predicted = predicted_amplitude(config)
+    window_start = check_window(config)
 
     mask = sol.nodes >= window_start - 1e-12
     xs, us = sol.nodes[mask], sol.u[mask]
@@ -345,8 +342,7 @@ def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
 
 
 def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
-          lambda_const: float = DEFAULT_LAMBDA, half_length: float | None = None,
-          grid_spacing: float | None = None):
+          half_length: float | None = None, grid_spacing: float | None = None):
     """Solve and measure for each epsilon, largest first.
 
     The grid spacing is eps / h_factor unless grid_spacing is given; a
@@ -361,7 +357,7 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
         config = SolverConfig(
             epsilon=eps, gamma=gamma, half_length=half_length,
             grid_spacing=eps / h_factor if grid_spacing is None else grid_spacing)
-        check_window(config, lambda_const)
+        check_window(config)
         configs.append(config)
     results = []
     prev: GridSolution | None = None
@@ -371,7 +367,7 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
             x_new = np.arange(config.n_cells + 1) * config.grid_spacing
             guess = np.interp(x_new, prev.nodes, prev.u, right=0.0)
         sol = solve(config, guess)
-        meas = measure_tail(sol, config, lambda_const)
+        meas = measure_tail(sol, config)
         results.append((config, sol, meas))
         prev = sol
     results.sort(key=lambda t: t[0].epsilon)

@@ -39,7 +39,7 @@ from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
                          optimal_N, partial_sum)
 from .late_terms import (InsufficientDataError, check_report_data,
                          lambda_csv_rows, report_to_json, singulant_report)
-from .stokes import (DEFAULT_LAMBDA, QuadratureError, StokesFrame, frame_for,
+from .stokes import (QuadratureError, StokesFrame, frame_for,
                      integrate_multiplier, profile_csv_rows)
 from .bvp import (FitQualityError, IllConditionedError, NonConvergenceError,
                   ResolutionError, SolverConfig, WindowContaminatedError,
@@ -119,16 +119,8 @@ def cmd_stokes_profile(args) -> list[Path]:
     gamma = Fraction(args.gamma)
     outputs = []
     for eps in args.epsilon:
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
-        if args.r is not None:
-            frame = StokesFrame(r=args.r, epsilon=eps, rho=args.rho or 0.0,
-                                lambda_const=args.lambda_const)
-        else:
-            frame = frame_for(eps, gamma, args.lambda_const)
-            if args.rho is not None:
-                frame = StokesFrame(r=frame.r, epsilon=eps, rho=args.rho,
-                                    lambda_const=args.lambda_const)
+        frame = (frame_for(eps, gamma) if args.r is None
+                 else StokesFrame(r=args.r, epsilon=eps))
         span = (-math.pi / 2 - args.width, -math.pi / 2 + args.width)
         profile = integrate_multiplier(frame, span, steps=args.steps)
         rows = profile_csv_rows(profile, frame)
@@ -145,8 +137,8 @@ def cmd_stokes_profile(args) -> list[Path]:
 
 def cmd_tails(args) -> list[Path]:
     gamma = float(Fraction(args.gamma))
-    results = sweep(set(args.epsilon), gamma, lambda_const=args.lambda_const,
-                    half_length=args.domain_length, grid_spacing=args.grid_h)
+    results = sweep(set(args.epsilon), gamma, half_length=args.domain_length,
+                    grid_spacing=args.grid_h)
     solution_files = []
     for cfg, sol, meas in reversed(results):
         if args.dump_solutions:
@@ -195,7 +187,7 @@ def cmd_compare(args) -> list[Path]:
     n_emp = empirical_optimum(table, point)
     u_bvp = float(np.interp(abs(args.x), sol.nodes, sol.u))
 
-    scale = predicted_amplitude(cfg, DEFAULT_LAMBDA)
+    scale = predicted_amplitude(cfg)
     n_hi = min(14, table.n_max + 1)
     errors = []
     for N in range(2, n_hi + 1):
@@ -255,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
     p.add_argument("--r", type=float, default=None,
                    help="singulant modulus (default pi/(2 gamma))")
-    p.add_argument("--rho", type=float, default=None,
-                   help="truncation offset (default from optimal_N)")
-    p.add_argument("--lambda-const", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--width", type=float, default=1.0,
                    help="half-width of the theta span around -pi/2")
@@ -271,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half length L (default 10 + 20 pi eps)")
     p.add_argument("--grid-h", type=float, default=None,
                    help="grid spacing (default eps/20)")
-    p.add_argument("--lambda-const", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--out", default=None, help="measurement JSONL path")
     p.add_argument("--dump-solutions", action="store_true",
                    help="also write one (x, u) CSV per epsilon")

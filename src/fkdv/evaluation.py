@@ -37,8 +37,8 @@ class EvalPoint:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         object.__setattr__(self, "x", complex(self.x))
 
 
@@ -92,8 +92,8 @@ def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
 
 def optimal_N(x: complex, epsilon: float, gamma) -> int:
     """Truncation index N = round(r / 2 eps), r = |x - sigma|, at least 1."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     r = abs(complex(x) - singularity(gamma))
     return max(1, round(r / (2.0 * epsilon)))
 

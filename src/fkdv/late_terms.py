@@ -27,6 +27,11 @@ from .evaluation import _exact, singularity
 from .series import SeriesTable
 
 
+#: candidate power shifts and the first order of the beta fit's window
+BETAS = (0, 1, 2, 3, 4)
+N_LO = 10
+
+
 class InsufficientDataError(ValueError):
     """Not enough sequence entries or measurements for the requested
     operation."""
@@ -133,29 +138,28 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     return out
 
 
-def chi_squared_estimate(table: SeriesTable, n: int, x: float = 0.0) -> float:
+def chi_squared_estimate(table: SeriesTable, n: int) -> float:
     """Invert the x = 0 ratio model for chi^2; converges to -(pi/2 gamma)^2."""
-    ratios = dict((k, m) for k, m, _ in ratio_test(table, x))
+    ratios = dict((k, m) for k, m, _ in ratio_test(table, 0.0))
     if n not in ratios:
         raise InsufficientDataError(f"no usable ratio at n = {n}")
     return -(2 * n + 2) * (2 * n + 3) / ratios[n]
 
 
-def fit_divergence_exponent(table: SeriesTable, betas=(0, 1, 2, 3, 4),
-                            n_lo: int = 10) -> tuple[int, dict[int, float]]:
+def fit_divergence_exponent(table: SeriesTable) -> tuple[int, dict[int, float]]:
     """Select the power shift beta by constancy of a_{n,n+1}/Gamma(2n+beta).
 
-    For each candidate, fits the slope of
+    For each candidate in BETAS, fits the slope of
     log|a_{n,n+1} g^-(2n+2)| - log Gamma(2n+beta) against log n over
-    n in [n_lo, n_max]; the true exponent gives a near-zero slope while an
+    n in [N_LO, n_max]; the true exponent gives a near-zero slope while an
     offset of d leaks a slope of about -d. Returns (best beta, slopes).
     """
-    if table.n_max < n_lo + 4:
-        raise InsufficientDataError(f"need n_max >= {n_lo + 4}")
-    ns = range(n_lo, table.n_max + 1)
+    if table.n_max < N_LO + 4:
+        raise InsufficientDataError(f"need n_max >= {N_LO + 4}")
+    ns = range(N_LO, table.n_max + 1)
     g = table.gamma
     slopes = {}
-    for beta in betas:
+    for beta in BETAS:
         ys = []
         for n in ns:
             a = abs(table.top_coefficient(n) / g ** (2 * n + 2))
@@ -186,10 +190,10 @@ class SingulantReport:
 
 def check_report_data(n_max: int, order: int) -> None:
     """singulant_report's data rule, checkable before a table is built:
-    Richardson order >= 1 for an error bar, and n_max >= max(14, order + 1)
-    for order + 1 aligned entries from n = 1 and for the default beta fit
-    (n_lo + 4 = 14 orders)."""
-    need = max(14, order + 1)
+    Richardson order >= 1 for an error bar, and n_max >= max(N_LO + 4,
+    order + 1) for order + 1 aligned entries from n = 1 and for the beta
+    fit."""
+    need = max(N_LO + 4, order + 1)
     if order < 1 or n_max < need:
         raise InsufficientDataError(
             f"insufficient data: the report needs order >= 1 and n_max >= "

@@ -31,8 +31,9 @@ the last bit and by CPU. The exponent's real part -(r/eps)(1 + sin theta)
 is never positive, so no theta needs a guard.
 
 The constants of `erf_profile`, its prefactor and sqrt(r), are computed once
-per `StokesFrame` (the frame is frozen, so they cannot go stale), and the
-profile samples are converted to Python numbers in one pass per array.
+per `StokesFrame` (the frame is frozen; the prefactor takes the Lam in force
+at its first use), and the profile samples are converted to Python numbers in
+one pass per array.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class QuadratureError(Exception):
         self.worst_interval = worst_interval
 
 
+#: the late-term constant Lam of the inner problem; every formula below
+#: (jump, forcing, erf profile, tail) reads this one Lam at call time
 DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
 #: late-term power shift, forced by the double pole of u_0
@@ -78,20 +81,19 @@ class StokesFrame:
     r: float
     epsilon: float
     rho: float = 0.0
-    lambda_const: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("r must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if abs(self.rho) > 1.0 + 1e-12:
             raise ValueError("|rho| must not exceed 1")
 
     @cached_property
     def _erf_prefactor(self) -> complex:
         """Lam sqrt(pi) e^{i pi (beta+1)/2} / (sqrt(2) eps^beta)."""
-        return (self.lambda_const * _SQRT_PI
+        return (DEFAULT_LAMBDA * _SQRT_PI
                 / (_SQRT2 * self.epsilon ** BETA)) * 1j ** (BETA + 1)
 
     @cached_property
@@ -99,17 +101,15 @@ class StokesFrame:
         return math.sqrt(self.r)
 
 
-def frame_for(epsilon: float, gamma=1,
-              lambda_const: float = DEFAULT_LAMBDA) -> StokesFrame:
+def frame_for(epsilon: float, gamma=1) -> StokesFrame:
     """Frame at the optimal truncation for the point x = 0."""
     r = abs(singularity(gamma))
     N = optimal_N(0.0, epsilon, gamma)
-    return StokesFrame(r=r, epsilon=epsilon, rho=N - r / (2 * epsilon),
-                       lambda_const=lambda_const)
+    return StokesFrame(r=r, epsilon=epsilon, rho=N - r / (2 * epsilon))
 
 
 def _prefactor(frame: StokesFrame) -> float:
-    return (frame.lambda_const * math.sqrt(frame.r * math.pi)
+    return (DEFAULT_LAMBDA * math.sqrt(frame.r * math.pi)
             / (math.sqrt(2.0) * frame.epsilon ** (BETA + 0.5)))
 
 
@@ -143,15 +143,15 @@ class StokesProfile:
     refinements: int = 0
 
 
-def stokes_jump(epsilon: float, lambda_const: float) -> complex:
+def stokes_jump(epsilon: float) -> complex:
     """Closed-form multiplier jump Lam pi e^{i pi (beta+1)/2} / eps^beta.
 
     For beta = 2 the phase is e^{3 i pi/2} = -i, so a negative Lam gives a
     positive multiple of +i.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return lambda_const * math.pi * 1j ** (BETA + 1) / epsilon ** BETA
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    return DEFAULT_LAMBDA * math.pi * 1j ** (BETA + 1) / epsilon ** BETA
 
 
 def integrate_multiplier(frame: StokesFrame,
@@ -214,7 +214,7 @@ def integrate_multiplier(frame: StokesFrame,
     return StokesProfile(
         samples=samples,
         jump_numeric=complex(cum[-1]),
-        jump_closed_form=stokes_jump(frame.epsilon, frame.lambda_const),
+        jump_closed_form=stokes_jump(frame.epsilon),
         integrand=integrand,
         refinements=refinements,
     )
@@ -233,30 +233,26 @@ def erf_profile(eta: float, frame: StokesFrame) -> complex:
     return frame._erf_prefactor * integral
 
 
-def one_sided_remainder(x: float, epsilon: float, gamma=1,
-                        lambda_const: float = DEFAULT_LAMBDA) -> complex:
+def one_sided_remainder(x: float, epsilon: float, gamma=1) -> complex:
     """Remainder switched on past the upper Stokes line: [S] e^{-i(x-sigma)/eps}."""
     sigma = singularity(gamma)
-    return (stokes_jump(epsilon, lambda_const)
+    return (stokes_jump(epsilon)
             * cmath.exp(-1j * (complex(x) - sigma) / epsilon))
 
 
-def exp_tail(x: float, epsilon: float, gamma=1,
-             lambda_const: float = DEFAULT_LAMBDA) -> float:
+def exp_tail(x: float, epsilon: float, gamma=1) -> float:
     """Real tail from the conjugate pair of crossings:
     -(2 Lam pi / eps^2) e^{-pi/(2 gamma eps)} sin(x/eps)."""
-    amp = math.copysign(tail_amplitude(epsilon, gamma, lambda_const),
-                        -lambda_const)
+    amp = math.copysign(tail_amplitude(epsilon, gamma), -DEFAULT_LAMBDA)
     return amp * math.sin(x / epsilon)
 
 
-def tail_amplitude(epsilon: float, gamma=1,
-                   lambda_const: float = DEFAULT_LAMBDA) -> float:
+def tail_amplitude(epsilon: float, gamma=1) -> float:
     """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     g = float(gamma)
-    return (2.0 * abs(lambda_const) * math.pi / epsilon ** 2
+    return (2.0 * abs(DEFAULT_LAMBDA) * math.pi / epsilon ** 2
             * math.exp(-math.pi / (2.0 * g * epsilon)))
 
 

@@ -51,7 +51,7 @@ def test_criterion_01_exact_early_orders():
 def test_criterion_02_divergence_exponent():
     t0 = time.perf_counter()
     table = build_series(30)
-    best, slopes = fit_divergence_exponent(table, n_lo=10)
+    best, slopes = fit_divergence_exponent(table)
     elapsed = time.perf_counter() - t0
     ok = best == 2 and elapsed < 30.0
     _check(2, ok, f"beta fit over n in [10, 30] selects beta = {best} "

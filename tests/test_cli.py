@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from fkdv import cli
+from fkdv import (SolverConfig, StokesFrame, cli, integrate_multiplier,
+                  predicted_amplitude, stokes)
 from fkdv.cli import main
+from fkdv.stokes import profile_csv_rows
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -86,12 +88,14 @@ def test_stokes_profile_sweep(tmp_path, capsys):
     assert header == "eta,re_S,im_S,re_S_closed,im_S_closed"
 
 
-def test_stokes_profile_flat_for_zero_lambda(tmp_path, capsys):
-    code, _, _ = run(capsys, "stokes-profile", "--epsilon", "0.1",
-                     "--lambda-const", "0", "--out-dir", str(tmp_path))
+def test_stokes_profile_at_given_r(tmp_path, capsys):
+    code, _, _ = run(capsys, "stokes-profile", "--epsilon", "0.1", "--r", "1.2",
+                     "--out-dir", str(tmp_path))
     assert code == 0
-    rows = (tmp_path / "stokes_profile_eps0.1.csv").read_text().splitlines()[1:]
-    assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+    lines = (tmp_path / "stokes_profile_eps0.1.csv").read_text().splitlines()[1:]
+    frame = StokesFrame(r=1.2, epsilon=0.1)
+    rows = profile_csv_rows(integrate_multiplier(frame), frame)
+    assert [tuple(map(float, line.split(","))) for line in lines] == rows
 
 
 def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
@@ -108,6 +112,18 @@ def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
     assert dump.read_text().splitlines()[0] == "x,u"
     manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
     assert str(dump) in manifest["outputs"]
+
+
+def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
+    out = tmp_path / "m.jsonl"
+    code, stdout, _ = run(capsys, "tails", "--out", str(out))
+    assert code == 0
+    assert "fit: slope =" in stdout
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 4
+    for rec in records:
+        assert rec["amplitude_predicted"] == predicted_amplitude(
+            SolverConfig(epsilon=rec["epsilon"]))
 
 
 def test_tails_contaminated_window_rejected(tmp_path, capsys):
@@ -153,6 +169,26 @@ def test_compare_reports_optimal_N(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["optimal_N"] == 8
     assert len(doc["errors"]) == 13
+
+
+def test_compare_tail_scale_reads_the_one_lambda(tmp_path, capsys, monkeypatch):
+    def tail_scale():
+        out = tmp_path / "cmp.json"
+        assert run(capsys, "compare", "--epsilon", "0.1", "--out", str(out))[0] == 0
+        return json.loads(out.read_text())["tail_scale"]
+
+    before = tail_scale()
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", 2 * stokes.DEFAULT_LAMBDA)
+    assert tail_scale() == 2 * before
+
+
+@pytest.mark.parametrize("command", ["stokes-profile", "tails", "compare"])
+def test_infinite_epsilon_is_validation_failure(tmp_path, capsys, command):
+    code, _, stderr = run(capsys, command, "--epsilon", "inf",
+                          "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "epsilon must be positive and finite" in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["tails", "compare"])

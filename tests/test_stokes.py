@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkdv import stokes
+from fkdv import bvp, stokes
 from fkdv import (
+    EvalPoint,
     QuadratureError,
+    SolverConfig,
     StokesFrame,
     erf_profile,
     exp_tail,
@@ -17,6 +19,7 @@ from fkdv import (
     integrate_multiplier,
     multiplier_rhs,
     one_sided_remainder,
+    optimal_N,
     smoothing_rhs,
     stokes_jump,
     tail_amplitude,
@@ -26,8 +29,8 @@ R = math.pi / 2
 LINE = -math.pi / 2
 
 
-def frame(eps, rho=0.0, lam=-19.97):
-    return StokesFrame(r=R, epsilon=eps, rho=rho, lambda_const=lam)
+def frame(eps, rho=0.0):
+    return StokesFrame(r=R, epsilon=eps, rho=rho)
 
 
 # --- the forcing term
@@ -35,7 +38,7 @@ def frame(eps, rho=0.0, lam=-19.97):
 def test_rhs_peak_magnitude():
     f = frame(0.05)
     v = multiplier_rhs(f, LINE)
-    expected = abs(f.lambda_const) * math.sqrt(R * math.pi) / (
+    expected = abs(stokes.DEFAULT_LAMBDA) * math.sqrt(R * math.pi) / (
         math.sqrt(2.0) * f.epsilon ** 2.5)
     assert abs(v) == pytest.approx(expected, rel=1e-12)
     # phase e^{3 i pi/2} at the line with lambda < 0: positive imaginary
@@ -51,10 +54,13 @@ def test_rhs_offline_damping():
         assert abs(multiplier_rhs(f, LINE + s)) == pytest.approx(expected, rel=1e-10)
 
 
-def test_rhs_linear_in_lambda():
-    assert multiplier_rhs(frame(0.05, lam=0.0), LINE - 0.2) == 0
-    v1 = multiplier_rhs(frame(0.05, lam=-10.0), LINE + 0.1)
-    v2 = multiplier_rhs(frame(0.05, lam=-20.0), LINE + 0.1)
+def test_rhs_linear_in_lambda(monkeypatch):
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", 0.0)
+    assert multiplier_rhs(frame(0.05), LINE - 0.2) == 0
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", -10.0)
+    v1 = multiplier_rhs(frame(0.05), LINE + 0.1)
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", -20.0)
+    v2 = multiplier_rhs(frame(0.05), LINE + 0.1)
     assert v2 == pytest.approx(2.0 * v1)
 
 
@@ -75,6 +81,25 @@ def test_frame_validation():
         StokesFrame(r=1.0, epsilon=0.1, rho=1.5)
 
 
+_EPSILON_CHECKS = {
+    "EvalPoint": lambda e: EvalPoint(0, e),
+    "optimal_N": lambda e: optimal_N(0, e, 1),
+    "StokesFrame.epsilon": lambda e: StokesFrame(1.0, e),
+    "StokesFrame.r": lambda e: StokesFrame(r=e, epsilon=0.1),
+    "stokes_jump": stokes_jump,
+    "tail_amplitude": tail_amplitude,
+    "SolverConfig": lambda e: SolverConfig(epsilon=e),
+}
+
+
+@pytest.mark.parametrize("check", _EPSILON_CHECKS)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_epsilon_must_be_positive_and_finite(check, value):
+    # eps = inf used to give N = 1, a zero jump and an all-zero tail
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        _EPSILON_CHECKS[check](value)
+
+
 def test_frame_for_rho_bounded():
     f = frame_for(0.05)
     assert f.r == pytest.approx(R)
@@ -84,27 +109,30 @@ def test_frame_for_rho_bounded():
 # --- closed-form jump
 
 def test_jump_value():
-    j = stokes_jump(0.1, -19.97)
+    j = stokes_jump(0.1)
     assert j == pytest.approx(6273.654j, rel=1e-4)
     assert j.real == 0.0 and j.imag > 0
 
 
-def test_jump_zero_lambda():
-    assert stokes_jump(0.1, 0.0) == 0
+def test_jump_zero_lambda(monkeypatch):
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", 0.0)
+    assert stokes_jump(0.1) == 0
 
 
 @given(st.floats(0.01, 0.5), st.floats(-40.0, -0.1))
 @settings(max_examples=40)
 def test_jump_scaling_law(eps, lam):
-    assert abs(stokes_jump(eps / 2, lam)) == pytest.approx(
-        4.0 * abs(stokes_jump(eps, lam)), rel=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stokes, "DEFAULT_LAMBDA", lam)
+        assert abs(stokes_jump(eps / 2)) == pytest.approx(
+            4.0 * abs(stokes_jump(eps)), rel=1e-12)
 
 
 # --- erf profile
 
 def test_erf_profile_limits():
     f = frame(0.05)
-    jump = stokes_jump(f.epsilon, f.lambda_const)
+    jump = stokes_jump(f.epsilon)
     assert erf_profile(-40.0, f) == pytest.approx(0.0, abs=1e-12 * abs(jump))
     assert erf_profile(+40.0, f) == pytest.approx(jump, rel=1e-12)
     assert erf_profile(0.0, f) == pytest.approx(jump / 2, rel=1e-12)
@@ -118,8 +146,9 @@ def test_profile_matches_closed_jump():
     assert p.samples[0][1] == 0
 
 
-def test_profile_flat_for_zero_lambda():
-    p = integrate_multiplier(frame(0.05, lam=0.0))
+def test_profile_flat_for_zero_lambda(monkeypatch):
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", 0.0)
+    p = integrate_multiplier(frame(0.05))
     assert p.jump_numeric == 0
     assert all(s == 0 for _, s in p.samples)
 
@@ -227,6 +256,23 @@ def test_profile_csv_rows_pinned(eps, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+def test_every_formula_reads_the_one_lambda(monkeypatch):
+    # doubling Lam is exact in floating point, so every prediction doubles
+    # bit for bit; a copy of the constant held anywhere else would not
+    eps, x, theta = 0.1, 0.37, LINE + 0.1
+    config = SolverConfig(epsilon=eps)
+
+    def predictions():
+        f = frame(eps, rho=0.3)  # fresh: the erf prefactor is cached per frame
+        return [stokes_jump(eps), tail_amplitude(eps), exp_tail(x, eps),
+                bvp.predicted_amplitude(config), multiplier_rhs(f, theta),
+                erf_profile(0.2, f)]
+
+    before = predictions()
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", 2 * stokes.DEFAULT_LAMBDA)
+    assert predictions() == [2 * v for v in before]
+
+
 # --- the assembled tail
 
 def test_tail_example_eps_01():
@@ -241,11 +287,12 @@ def test_tail_example_eps_005():
 
 
 @pytest.mark.parametrize("lam", [-19.97, 7.5, 0.0])
-def test_tail_is_signed_tail_amplitude(lam):
+def test_tail_is_signed_tail_amplitude(monkeypatch, lam):
     # bit-identical to the closed form -(2 Lam pi / eps^2) e^{-pi/(2 eps)}
+    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", lam)
     eps, x = 0.1, 0.37
     amp = -2.0 * lam * math.pi / eps ** 2 * math.exp(-math.pi / (2.0 * eps))
-    assert exp_tail(x, eps, lambda_const=lam) == amp * math.sin(x / eps)
+    assert exp_tail(x, eps) == amp * math.sin(x / eps)
 
 
 def test_tail_node_at_origin():
