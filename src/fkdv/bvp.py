@@ -190,7 +190,8 @@ def initial_guess(config: SolverConfig) -> np.ndarray:
     """Leading-order core 2 g^2 sech^2(g x) with g read off c = 4 g^2."""
     g = math.sqrt(config.c_value) / 2.0
     x = np.arange(config.n_cells + 1) * config.grid_spacing
-    return 2.0 * g * g / np.cosh(g * x) ** 2
+    with np.errstate(over="ignore"):  # far out cosh -> inf, so the core is 0
+        return 2.0 * g * g / np.cosh(g * x) ** 2
 
 
 def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSolution:

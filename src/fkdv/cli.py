@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .series import (RecurrenceError, ResourceLimitError, atomic_write,
                      build_series, save_table)
@@ -39,21 +37,27 @@ from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
                          optimal_N, partial_sum)
 from .late_terms import (InsufficientDataError, check_report_data,
                          lambda_csv_rows, report_to_json, singulant_report)
-from .stokes import (QuadratureError, StokesFrame, frame_for,
-                     integrate_multiplier, profile_csv_rows)
-from .bvp import (FitQualityError, IllConditionedError, NonConvergenceError,
-                  ResolutionError, SolverConfig, WindowContaminatedError,
-                  fit_exponent, predicted_amplitude, solve, sweep)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_VALIDATION = 2
 
-_MATH_ERRORS = (RecurrenceError, PoleProximityError, QuadratureError,
-                NonConvergenceError, IllConditionedError, FitQualityError,
-                OverflowError)
-_VALIDATION_ERRORS = (ResourceLimitError, InsufficientDataError,
-                      ResolutionError, WindowContaminatedError, ValueError)
+
+# `stokes` and `bvp` load numpy (and `bvp.solve` scipy), so only the commands
+# that use them import them, and `main` calls these two only once an exception
+# reaches it: a `series` or `lambda` run that succeeds never loads numpy.
+def _validation_errors() -> tuple:
+    from .bvp import ResolutionError, WindowContaminatedError
+    return (ResourceLimitError, InsufficientDataError, ResolutionError,
+            WindowContaminatedError, ValueError)
+
+
+def _math_errors() -> tuple:
+    from .bvp import FitQualityError, IllConditionedError, NonConvergenceError
+    from .stokes import QuadratureError
+    return (RecurrenceError, PoleProximityError, QuadratureError,
+            NonConvergenceError, IllConditionedError, FitQualityError,
+            OverflowError)
 
 
 @dataclass
@@ -74,6 +78,22 @@ def _out_dir(args) -> Path:
 def _out_path(args, name: str) -> Path:
     """--out if given, else name in the output directory."""
     return Path(args.out) if args.out else _out_dir(args) / name
+
+
+def _per_epsilon_paths(args, prefix: str, epsilons) -> list[Path]:
+    """<prefix><eps:g>.csv in the output directory, one per epsilon.
+
+    The name keeps six significant digits, so two epsilons can share it and
+    one file would overwrite the other; such a list is refused before any work.
+    """
+    paths = [_out_dir(args) / f"{prefix}{eps:g}.csv" for eps in epsilons]
+    first = {}
+    for eps, path in zip(epsilons, paths):
+        if path in first:
+            raise ValueError(f"epsilon {first[path]!r} and {eps!r} would both "
+                             f"write {path.name}")
+        first[path] = eps
+    return paths
 
 
 def _write_json(path: Path, obj) -> None:
@@ -116,15 +136,17 @@ def cmd_lambda(args) -> list[Path]:
 
 
 def cmd_stokes_profile(args) -> list[Path]:
+    from .stokes import (StokesFrame, frame_for, integrate_multiplier,
+                         profile_csv_rows)
     gamma = Fraction(args.gamma)
+    paths = _per_epsilon_paths(args, "stokes_profile_eps", args.epsilon)
     outputs = []
-    for eps in args.epsilon:
+    for eps, out in zip(args.epsilon, paths):
         frame = (frame_for(eps, gamma) if args.r is None
                  else StokesFrame(r=args.r, epsilon=eps))
         span = (-math.pi / 2 - args.width, -math.pi / 2 + args.width)
         profile = integrate_multiplier(frame, span, steps=args.steps)
         rows = profile_csv_rows(profile, frame)
-        out = _out_dir(args) / f"stokes_profile_eps{eps:g}.csv"
         _write_csv(out, ["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
                    rows)
         outputs.append(out)
@@ -136,13 +158,18 @@ def cmd_stokes_profile(args) -> list[Path]:
 
 
 def cmd_tails(args) -> list[Path]:
+    from .bvp import fit_exponent, sweep
     gamma = float(Fraction(args.gamma))
-    results = sweep(set(args.epsilon), gamma, half_length=args.domain_length,
+    epsilons = sorted(set(args.epsilon))
+    dumps = (dict(zip(epsilons, _per_epsilon_paths(args, "bvp_solution_eps",
+                                                   epsilons)))
+             if args.dump_solutions else {})
+    results = sweep(epsilons, gamma, half_length=args.domain_length,
                     grid_spacing=args.grid_h)
     solution_files = []
     for cfg, sol, meas in reversed(results):
         if args.dump_solutions:
-            spath = _out_dir(args) / f"bvp_solution_eps{cfg.epsilon:g}.csv"
+            spath = dumps[cfg.epsilon]
             _write_csv(spath, ["x", "u"],
                        zip(sol.nodes.tolist(), sol.u.tolist()))
             solution_files.append(spath)
@@ -172,6 +199,9 @@ def cmd_tails(args) -> list[Path]:
 
 
 def cmd_compare(args) -> list[Path]:
+    import numpy as np
+
+    from .bvp import SolverConfig, predicted_amplitude, solve
     gamma = Fraction(args.gamma)
     eps = args.epsilon
     cfg = SolverConfig(epsilon=eps, gamma=float(gamma),
@@ -291,10 +321,10 @@ def main(argv=None) -> int:
             duration_seconds=time.perf_counter() - t0)
         _write_json(Path(str(outputs[0]) + ".manifest.json"),
                     dataclasses.asdict(manifest))
-    except _VALIDATION_ERRORS as exc:
+    except _validation_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _MATH_ERRORS as exc:
+    except _math_errors() as exc:
         print(f"math failure: {exc}", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fkdv import (SolverConfig, StokesFrame, cli, integrate_multiplier,
+from fkdv import (SolverConfig, StokesFrame, bvp, cli, integrate_multiplier,
                   predicted_amplitude, stokes)
 from fkdv.cli import main
 from fkdv.stokes import profile_csv_rows
@@ -191,6 +191,26 @@ def test_infinite_epsilon_is_validation_failure(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["stokes-profile", "--epsilon", "0.1", "0.1000001"],
+    ["tails", "--epsilon", "0.15", "0.1500001", "--dump-solutions",
+     "--grid-h", "0.005"],
+], ids=lambda argv: argv[0])
+def test_colliding_output_names_are_validation_failure(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # the file names keep 6 significant digits: the second profile or solution
+    # would overwrite the first, so nothing is solved or written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the names were checked")
+
+    monkeypatch.setattr(stokes, "integrate_multiplier", no_solve)
+    monkeypatch.setattr(bvp, "solve", no_solve)
+    code, _, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "would both write" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["tails", "compare"])
 @pytest.mark.parametrize("grid_h", ["0", "-0.005"])
 def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, grid_h):
@@ -244,3 +264,23 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("*.manifest.json"))) == 3
+
+
+def test_series_end_never_imports_numpy(tmp_path):
+    # series, evaluation and late_terms are integer and Fraction code; numpy
+    # is about half of a fresh `import fkdv`
+    script = f"""
+import sys
+import fkdv
+from fkdv import cli
+out = {str(tmp_path)!r}
+assert "numpy" not in sys.modules
+for argv in (["series", "--n-max", "8"], ["lambda", "--n-max", "16"]):
+    assert cli.main(argv + ["--out-dir", out]) == 0, argv
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 2

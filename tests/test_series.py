@@ -166,6 +166,27 @@ def test_degrees_and_top_coefficients():
         assert t.top_coefficient(n) != 0
 
 
+def inner_coefficients(m_max):
+    """a_0..a_m_max of U = sum a_m z^{-(2m+2)} with U'''' + U'' + 3U^2 = 0,
+    the inner problem at the singularity, from a_0 = -2."""
+    a = [F(-2)]
+    for m in range(1, m_max + 1):
+        k = 2 * m
+        rhs = (-3 * sum(a[i] * a[m - i] for i in range(1, m))
+               - k * (k + 1) * (k + 2) * (k + 3) * a[m - 1])
+        a.append(rhs / ((k + 2) * (k + 3) - 12))
+    return a
+
+
+@pytest.mark.parametrize("n_max, g", [(40, F(3, 2)), (30, F(1)), (24, F(2, 3))])
+def test_top_coefficients_follow_the_inner_recurrence(n_max, g):
+    # a second exact check of build_series that shares no code with it
+    a = inner_coefficients(n_max)
+    t = build_series(n_max, gamma=g)
+    assert [t.top_coefficient(n) for n in range(n_max + 1)] == \
+        [(-1) ** (n + 1) * g ** (2 * n + 2) * a[n] for n in range(n_max + 1)]
+
+
 def test_exact_residual_is_zero_polynomial():
     t = build_series(10, gamma=F(2, 3))
     for n in range(11):
