@@ -34,7 +34,7 @@ class ResolutionError(ValueError):
     """Grid/domain configuration cannot resolve the solution."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(ArithmeticError):
     """Newton iteration exhausted without meeting the residual target."""
 
     def __init__(self, msg, history=None):
@@ -42,15 +42,15 @@ class NonConvergenceError(RuntimeError):
         self.history = tuple(history or ())
 
 
-class IllConditionedError(RuntimeError):
+class IllConditionedError(ArithmeticError):
     """Banded linear solve failed or produced non-finite corrections."""
 
 
-class WindowContaminatedError(RuntimeError):
+class WindowContaminatedError(ValueError):
     """Measurement window is not clean tail (core influence or bad content)."""
 
 
-class FitQualityError(RuntimeError):
+class FitQualityError(ArithmeticError):
     """Regression quality below the reliability threshold."""
 
     def __init__(self, msg, slope=None, r_squared=None):
@@ -96,6 +96,14 @@ class SolverConfig:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not self.grid_spacing > 0:
             raise ValueError("grid_spacing must be positive")
+        try:  # the stencil coefficient as `residual` computes it
+            finite = math.isfinite(self.epsilon ** 2 / self.grid_spacing ** 4)
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ResolutionError(
+                f"eps = {self.epsilon}, h = {self.grid_spacing}: the stencil "
+                "coefficient eps^2/h^4 is not a finite double")
         if self.half_length is None:
             # round up to a whole number of cells
             n = math.ceil(default_half_length(self.epsilon) / self.grid_spacing)

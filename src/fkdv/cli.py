@@ -11,8 +11,11 @@ Commands
 
 Every command writes its outputs atomically and records a run manifest
 (<first output>.manifest.json) listing parameters and produced files.
-Exit codes: 0 success, 1 math failure, 2 validation failure.
-The default output directory is $FKDV_OUT_DIR, else the working directory.
+Exit codes: 0 success, 1 math failure, 2 validation failure. Every exception
+class of the layers subclasses `ArithmeticError` (a math failure, as are
+`OverflowError` and `ZeroDivisionError`) or `ValueError` (a validation failure),
+and `main` catches only these two. The default output directory is
+$FKDV_OUT_DIR, else the working directory.
 """
 
 from __future__ import annotations
@@ -31,33 +34,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .series import (RecurrenceError, ResourceLimitError, atomic_write,
-                     build_series, save_table)
-from .evaluation import (EvalPoint, PoleProximityError, empirical_optimum,
-                         optimal_N, partial_sum)
-from .late_terms import (InsufficientDataError, check_report_data,
-                         lambda_csv_rows, report_to_json, singulant_report)
+from .series import atomic_write, build_series, save_table
+from .evaluation import EvalPoint, empirical_optimum, optimal_N, partial_sum
+from .late_terms import (check_report_data, lambda_csv_rows, report_to_json,
+                         singulant_report)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_VALIDATION = 2
-
-
-# `stokes` and `bvp` load numpy (and `bvp.solve` scipy), so only the commands
-# that use them import them, and `main` calls these two only once an exception
-# reaches it: a `series` or `lambda` run that succeeds never loads numpy.
-def _validation_errors() -> tuple:
-    from .bvp import ResolutionError, WindowContaminatedError
-    return (ResourceLimitError, InsufficientDataError, ResolutionError,
-            WindowContaminatedError, ValueError)
-
-
-def _math_errors() -> tuple:
-    from .bvp import FitQualityError, IllConditionedError, NonConvergenceError
-    from .stokes import QuadratureError
-    return (RecurrenceError, PoleProximityError, QuadratureError,
-            NonConvergenceError, IllConditionedError, FitQualityError,
-            OverflowError)
 
 
 @dataclass
@@ -96,6 +80,15 @@ def _per_epsilon_paths(args, prefix: str, epsilons) -> list[Path]:
     return paths
 
 
+def _gamma(args) -> Fraction:
+    """--gamma as an exact rational; the layers refuse a non-positive one."""
+    try:
+        return Fraction(args.gamma)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"gamma must be positive and finite, not {args.gamma}") from None
+
+
 def _write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -110,7 +103,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_series(args) -> list[Path]:
-    table = build_series(args.n_max, Fraction(args.gamma))
+    table = build_series(args.n_max, _gamma(args))
     out = _out_path(args, "series_table.json")
     save_table(table, out)
     print("c =", "[" + ", ".join(str(ci) for ci in table.c) + "]")
@@ -120,7 +113,7 @@ def cmd_series(args) -> list[Path]:
 
 def cmd_lambda(args) -> list[Path]:
     check_report_data(args.n_max, args.order)
-    table = build_series(args.n_max, Fraction(args.gamma))
+    table = build_series(args.n_max, _gamma(args))
     report = singulant_report(table, order=args.order)
     out = _out_path(args, "lambda_report.json")
     _write_json(out, report_to_json(report, table))
@@ -136,30 +129,27 @@ def cmd_lambda(args) -> list[Path]:
 
 
 def cmd_stokes_profile(args) -> list[Path]:
-    from .stokes import (StokesFrame, frame_for, integrate_multiplier,
-                         profile_csv_rows)
-    gamma = Fraction(args.gamma)
+    from .stokes import frame_for, integrate_multiplier, profile_csv_rows
+    gamma = _gamma(args)
     paths = _per_epsilon_paths(args, "stokes_profile_eps", args.epsilon)
-    outputs = []
-    for eps, out in zip(args.epsilon, paths):
-        frame = (frame_for(eps, gamma) if args.r is None
-                 else StokesFrame(r=args.r, epsilon=eps))
-        span = (-math.pi / 2 - args.width, -math.pi / 2 + args.width)
+    # every frame is checked before the first integration, as `bvp.sweep`
+    # builds every config first: a bad epsilon late in the list writes nothing
+    frames = [frame_for(eps, gamma) for eps in args.epsilon]
+    span = (-math.pi / 2 - args.width, -math.pi / 2 + args.width)
+    for frame, out in zip(frames, paths):
         profile = integrate_multiplier(frame, span, steps=args.steps)
-        rows = profile_csv_rows(profile, frame)
         _write_csv(out, ["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
-                   rows)
-        outputs.append(out)
+                   profile_csv_rows(profile, frame))
         ratio = (abs(profile.jump_numeric / profile.jump_closed_form)
                  if profile.jump_closed_form != 0 else math.nan)
-        print(f"eps = {eps:g}: jump_numeric/jump_closed = {ratio:.6f} "
+        print(f"eps = {frame.epsilon:g}: jump_numeric/jump_closed = {ratio:.6f} "
               f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
-    return outputs
+    return paths
 
 
 def cmd_tails(args) -> list[Path]:
     from .bvp import fit_exponent, sweep
-    gamma = float(Fraction(args.gamma))
+    gamma = float(_gamma(args))
     epsilons = sorted(set(args.epsilon))
     dumps = (dict(zip(epsilons, _per_epsilon_paths(args, "bvp_solution_eps",
                                                    epsilons)))
@@ -202,12 +192,12 @@ def cmd_compare(args) -> list[Path]:
     import numpy as np
 
     from .bvp import SolverConfig, predicted_amplitude, solve
-    gamma = Fraction(args.gamma)
+    gamma = _gamma(args)
     eps = args.epsilon
     cfg = SolverConfig(epsilon=eps, gamma=float(gamma),
                        grid_spacing=args.grid_h,
                        half_length=args.domain_length)
-    if abs(args.x) > cfg.half_length:
+    if not abs(args.x) <= cfg.half_length:  # a NaN x fails it too
         raise ValueError(f"x = {args.x} lies beyond the domain [0, {cfg.half_length}]")
 
     sol = solve(cfg)  # milliseconds; a failed solve then wastes no build
@@ -275,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integrate the multiplier across the Stokes line")
     common(p)
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--r", type=float, default=None,
-                   help="singulant modulus (default pi/(2 gamma))")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--width", type=float, default=1.0,
                    help="half-width of the theta span around -pi/2")
@@ -321,10 +309,10 @@ def main(argv=None) -> int:
             duration_seconds=time.perf_counter() - t0)
         _write_json(Path(str(outputs[0]) + ".manifest.json"),
                     dataclasses.asdict(manifest))
-    except _validation_errors() as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _math_errors() as exc:
+    except ArithmeticError as exc:
         print(f"math failure: {exc}", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK

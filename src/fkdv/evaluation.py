@@ -25,7 +25,7 @@ from .series import SechPolynomial, SeriesTable
 POLE_THRESHOLD = 1e-8
 
 
-class PoleProximityError(Exception):
+class PoleProximityError(ArithmeticError):
     """Evaluation point is numerically indistinguishable from a pole."""
 
 

@@ -30,7 +30,7 @@ from numbers import Rational
 from pathlib import Path
 
 
-class RecurrenceError(Exception):
+class RecurrenceError(ArithmeticError):
     """Structural failure of the order-by-order linear solve.
 
     Raised when a pivot that must be nonzero vanishes or when the exact
@@ -39,7 +39,7 @@ class RecurrenceError(Exception):
     """
 
 
-class ResourceLimitError(Exception):
+class ResourceLimitError(ValueError):
     """Requested series depth exceeds the configured limit."""
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from .evaluation import optimal_N, singularity
 
 
-class QuadratureError(Exception):
+class QuadratureError(ArithmeticError):
     """Adaptive refinement failed to reach the requested tolerance."""
 
     def __init__(self, msg, worst_interval=None):
@@ -169,8 +169,8 @@ def integrate_multiplier(frame: StokesFrame,
     from the pre-Stokes constant 0 (no oscillation before the crossing).
     """
     lo, hi = float(theta_span[0]), float(theta_span[1])
-    if not (lo < STOKES_ANGLE < hi):
-        raise ValueError("theta_span must contain -pi/2 strictly inside")
+    if not -math.inf < lo < STOKES_ANGLE < hi < math.inf:
+        raise ValueError("theta_span must be finite with -pi/2 strictly inside")
     if steps < 1000:
         raise ValueError("steps must be >= 1000")
     try:

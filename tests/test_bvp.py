@@ -58,6 +58,14 @@ def test_nonpositive_grid_or_domain_rejected(field, value):
         SolverConfig(epsilon=0.1, **{field: value})
 
 
+@pytest.mark.parametrize("epsilon, grid_spacing", [(1e80, None), (0.1, 1e-90)])
+def test_stencil_beyond_double_range_rejected(epsilon, grid_spacing):
+    # h^4 overflows past 1.8e308 or rounds to 0: eps^2/h^4 is no finite double,
+    # so the config itself refuses, before any array is built
+    with pytest.raises(ResolutionError, match=r"eps = .*, h = .*eps\^2/h\^4"):
+        SolverConfig(epsilon=epsilon, grid_spacing=grid_spacing)
+
+
 def test_sweep_checks_every_config_before_solving(monkeypatch):
     calls = []
     real_solve = bvp.solve

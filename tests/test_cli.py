@@ -6,10 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from fkdv import (SolverConfig, StokesFrame, bvp, cli, integrate_multiplier,
-                  predicted_amplitude, stokes)
+from fkdv import SolverConfig, bvp, cli, predicted_amplitude, stokes
 from fkdv.cli import main
-from fkdv.stokes import profile_csv_rows
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -88,16 +86,6 @@ def test_stokes_profile_sweep(tmp_path, capsys):
     assert header == "eta,re_S,im_S,re_S_closed,im_S_closed"
 
 
-def test_stokes_profile_at_given_r(tmp_path, capsys):
-    code, _, _ = run(capsys, "stokes-profile", "--epsilon", "0.1", "--r", "1.2",
-                     "--out-dir", str(tmp_path))
-    assert code == 0
-    lines = (tmp_path / "stokes_profile_eps0.1.csv").read_text().splitlines()[1:]
-    frame = StokesFrame(r=1.2, epsilon=0.1)
-    rows = profile_csv_rows(integrate_multiplier(frame), frame)
-    assert [tuple(map(float, line.split(","))) for line in lines] == rows
-
-
 def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     code, stdout, _ = run(capsys, "tails", "--epsilon", "0.15", "--out", str(out),
@@ -140,12 +128,31 @@ def test_compare_beyond_domain_is_validation_failure(tmp_path, capsys):
     assert "beyond" in stderr
 
 
-def test_compare_term_beyond_double_range_is_math_failure(tmp_path, capsys):
-    # eps^2 = 1e160 takes eps^4 u_2 past 1.8e308: exit 1, no traceback
+def test_compare_nan_x_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before x was checked")
+
+    monkeypatch.setattr(bvp, "solve", no_solve)
+    code, _, stderr = run(capsys, "compare", "--epsilon", "0.1", "--x", "nan",
+                          "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "x = nan lies beyond the domain" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_stencil_beyond_double_range_is_validation_failure(
+        tmp_path, capsys, monkeypatch):
+    # at eps = 1e80 the default h = eps/20 takes h^4 past 1.8e308: the solver
+    # config refuses it before any array is built, and names eps and h
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an unrepresentable stencil")
+
+    monkeypatch.setattr(bvp, "solve", no_solve)
     code, _, stderr = run(capsys, "compare", "--epsilon", "1e80", "--n-max", "5",
                           "--out-dir", str(tmp_path))
-    assert code == 1
-    assert "math failure" in stderr
+    assert code == 2
+    assert stderr == ("error: eps = 1e+80, h = 5e+78: the stencil coefficient "
+                      "eps^2/h^4 is not a finite double\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -182,12 +189,18 @@ def test_compare_tail_scale_reads_the_one_lambda(tmp_path, capsys, monkeypatch):
     assert tail_scale() == 2 * before
 
 
-@pytest.mark.parametrize("command", ["stokes-profile", "tails", "compare"])
-def test_infinite_epsilon_is_validation_failure(tmp_path, capsys, command):
-    code, _, stderr = run(capsys, command, "--epsilon", "inf",
-                          "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("command, epsilons", [
+    ("stokes-profile", ["inf"]), ("tails", ["inf"]), ("compare", ["inf"]),
+    # every frame is built before the first profile is integrated or written
+    ("stokes-profile", ["0.1", "inf"]),
+], ids=["stokes-profile", "tails", "compare", "stokes-profile-after-good"])
+def test_infinite_epsilon_is_validation_failure(tmp_path, capsys, command,
+                                                epsilons):
+    code, stdout, stderr = run(capsys, command, "--epsilon", *epsilons,
+                               "--out-dir", str(tmp_path))
     assert code == 2
     assert "epsilon must be positive and finite" in stderr
+    assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -221,11 +234,18 @@ def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, gri
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["stokes-profile", "tails"])
-@pytest.mark.parametrize("gamma", ["0", "-1"])
+#: the arguments each command needs besides --gamma
+COMMAND_ARGS = {"series": ["--n-max", "3"], "lambda": [],
+                "stokes-profile": ["--epsilon", "0.1"],
+                "tails": ["--epsilon", "0.1"], "compare": ["--epsilon", "0.1"]}
+
+
+@pytest.mark.parametrize("command", ["stokes-profile", "tails", "series",
+                                     "lambda", "compare"])
+@pytest.mark.parametrize("gamma", ["0", "-1", "1/0"])
 def test_nonpositive_gamma_is_validation_failure(tmp_path, capsys, command, gamma):
-    code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--gamma", gamma,
-                          "--out-dir", str(tmp_path))
+    code, _, stderr = run(capsys, command, *COMMAND_ARGS[command],
+                          "--gamma", gamma, "--out-dir", str(tmp_path))
     assert code == 2
     assert "gamma must be positive" in stderr
     assert list(tmp_path.iterdir()) == []
@@ -277,6 +297,11 @@ out = {str(tmp_path)!r}
 assert "numpy" not in sys.modules
 for argv in (["series", "--n-max", "8"], ["lambda", "--n-max", "16"]):
     assert cli.main(argv + ["--out-dir", out]) == 0, argv
+# a failure maps to its exit code without loading the array layers either
+for argv in (["lambda", "--n-max", "5"], ["series", "--n-max", "129"],
+             ["series", "--n-max", "3", "--gamma", "0"],
+             ["series", "--n-max", "3", "--gamma", "1/0"]):
+    assert cli.main(argv + ["--out-dir", out]) == 2, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -48,3 +48,19 @@ def test_every_public_name_is_its_submodules_object():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fkdv.no_such_name
+
+
+def test_every_exception_class_states_its_exit_code():
+    # the CLI catches only ValueError (exit 2) and ArithmeticError (exit 1),
+    # so every exception class of the package subclasses exactly one of them
+    classes = []
+    for module in [*PUBLIC, "cli"]:
+        sub = import_module(f"fkdv.{module}")
+        classes += [obj for obj in vars(sub).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == sub.__name__]
+    assert {cls.__name__ for cls in classes} >= {
+        name for names in PUBLIC.values() for name in names
+        if name.endswith("Error")}
+    for cls in classes:
+        assert issubclass(cls, ValueError) != issubclass(cls, ArithmeticError), cls

@@ -208,6 +208,8 @@ def test_span_must_contain_line():
     with pytest.raises(ValueError):
         integrate_multiplier(frame(0.05), theta_span=(-0.5, 0.5))
     with pytest.raises(ValueError):
+        integrate_multiplier(frame(0.05), theta_span=(-math.inf, math.inf))
+    with pytest.raises(ValueError):
         integrate_multiplier(frame(0.05), steps=10)
     with pytest.raises(ValueError):
         integrate_multiplier(frame(0.05), integrand="bogus")
