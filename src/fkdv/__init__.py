@@ -47,11 +47,8 @@ from .late_terms import (
     SingulantReport,
     chi_squared_estimate,
     fit_divergence_exponent,
-    lambda_constant_sequence,
-    lambda_sequence,
     ratio_test,
     richardson_extrapolate,
-    richardson_table,
     singulant_report,
 )
 
@@ -82,8 +79,7 @@ __all__ = [
     "sech_squared", "singularity",
     # late_terms
     "SingulantReport", "chi_squared_estimate", "fit_divergence_exponent",
-    "lambda_constant_sequence", "lambda_sequence", "ratio_test",
-    "richardson_extrapolate", "richardson_table", "singulant_report",
+    "ratio_test", "richardson_extrapolate", "singulant_report",
     # stokes and bvp
     *_LAZY,
 ]

@@ -4,11 +4,11 @@ and measurement of the exponentially small oscillatory tail.
 Space is discretized with centered differences (5-point fourth derivative,
 3-point second), closed at both ends by even reflection: u'(0) = u'''(0) = 0
 selects the symmetric wave and u'(L) = u'''(L) = 0 truncates the domain at a
-stationary point of the tail oscillation, picking the symmetric generalized
-solitary wave with the minimal tail. Newton's method with a banded direct
-linear solve handles the nonlinearity; c is held fixed at the exact series
-eigenvalue c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically)
-so the core matches the asymptotic solution at the chosen gamma.
+stationary point of the tail oscillation (so the tail depends on L mod pi
+eps). Newton's method with a banded direct linear solve handles the
+nonlinearity; c is held fixed at the exact series eigenvalue
+c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically) so the core
+matches the asymptotic solution at the chosen gamma.
 
 The symmetric wave carries half the one-sided switching amplitude on each
 side, so measured tails are compared against |Lam| pi eps^-2 e^{-pi/(2 g eps)}.
@@ -16,7 +16,8 @@ side, so measured tails are compared against |Lam| pi eps^-2 e^{-pi/(2 g eps)}.
 Note on tolerances: with double precision the residual sup-norm cannot drop
 below roughly macheps * (eps/h^2)^2 * |u| (cancellation in the stiff stencil),
 which exceeds the nominal 1e-12 target at practical resolutions. Convergence
-is therefore declared at max(NEWTON_TOL, estimated roundoff floor).
+is therefore declared at max(NEWTON_TOL, estimated roundoff floor), and only
+on the wave's branch u(0) >= gamma^2 (half the peak 2 gamma^2; u = 0 fails).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ResolutionError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """Newton iteration exhausted without meeting the residual target."""
+    """Newton iteration exhausted, or converged off the wave's branch."""
 
     def __init__(self, msg, history=None):
         super().__init__(msg)
@@ -94,8 +95,8 @@ class SolverConfig:
         object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
-        if not self.grid_spacing > 0:
-            raise ValueError("grid_spacing must be positive")
+        if not 0 < self.grid_spacing < math.inf:
+            raise ValueError("grid_spacing must be positive and finite")
         try:  # the stencil coefficient as `residual` computes it
             finite = math.isfinite(self.epsilon ** 2 / self.grid_spacing ** 4)
         except ArithmeticError:
@@ -107,9 +108,11 @@ class SolverConfig:
         if self.half_length is None:
             # round up to a whole number of cells
             n = math.ceil(default_half_length(self.epsilon) / self.grid_spacing)
-            object.__setattr__(self, "half_length", n * self.grid_spacing)
-        if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
+        elif 0 < self.half_length < math.inf:
+            n = round(self.half_length / self.grid_spacing)  # the solved L
+        else:
+            raise ValueError("half_length must be positive and finite")
+        object.__setattr__(self, "half_length", n * self.grid_spacing)
         slack = 1.0 + 1e-9
         if self.grid_spacing > self.epsilon / 10.0 * slack:
             raise ResolutionError(
@@ -206,8 +209,9 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
     """Newton iteration on the discrete system down to the residual target.
 
     The target is max(NEWTON_TOL, roundoff floor); quadratic convergence makes
-    the approach take a handful of steps from the sech^2 guess. Stalling above
-    the target raises NonConvergenceError; a failed or non-finite banded solve
+    the approach take a handful of steps from the sech^2 guess. Converging
+    off the wave's branch u(0) >= gamma^2, or MAX_ITERS steps short of the
+    target, raises NonConvergenceError; a failed or non-finite banded solve
     raises IllConditionedError.
     """
     from scipy.linalg import solve_banded  # lazy: most of import fkdv's time
@@ -218,24 +222,18 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
         raise ValueError("initial guess does not match the grid")
 
     history = []
-    best_u, best_rn = u, math.inf
-    stalls = 0
     for it in range(MAX_ITERS):
         F = residual(u, config)
         rn = float(np.abs(F).max())
         history.append(rn)
         target = max(NEWTON_TOL, _residual_floor(u, config))
         if rn <= target:
+            if not u[0] >= config.gamma ** 2:  # e.g. the trivial u = 0
+                raise NonConvergenceError(
+                    f"converged to u(0) = {u[0]:.3e} below the wave's branch "
+                    f"u(0) >= gamma^2 = {config.gamma ** 2:g} after "
+                    f"{len(history)} iterations", history)
             return GridSolution(x, u, rn, it, tuple(history), target)
-        if rn < 0.7 * best_rn:
-            best_u, best_rn, stalls = u.copy(), rn, 0
-        else:
-            stalls += 1
-            # roundoff plateau: residual hovers just above the 1-ulp floor
-            if stalls >= 3 and best_rn <= 8.0 * target:
-                return GridSolution(x, best_u, best_rn, it, tuple(history), target)
-            if stalls >= 6:
-                break
         ab = _jacobian_bands(u, config)
         try:
             du = solve_banded((2, 2), ab, -F)
@@ -245,9 +243,8 @@ def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSoluti
             raise IllConditionedError("non-finite Newton correction")
         u = u + du
     raise NonConvergenceError(
-        f"residual {best_rn:.3e} after {MAX_ITERS} iterations "
-        f"(target {max(NEWTON_TOL, _residual_floor(u, config)):.3e})",
-        history)
+        f"residual {rn:.3e} after {len(history)} iterations "
+        f"(target {target:.3e})", history)
 
 
 def _refine_extremum(xs: np.ndarray, us: np.ndarray, k: int) -> float:
@@ -276,7 +273,8 @@ def check_window(config: SolverConfig) -> float:
     eps, g = config.epsilon, config.gamma
     predicted = predicted_amplitude(config)
     window_start = config.half_length - 2.0 * (2.0 * math.pi * eps)
-    core_at_window = 2.0 * g * g / math.cosh(g * window_start) ** 2
+    decay = math.exp(-2.0 * g * window_start)  # cosh(g x)^2 overflows past 355
+    core_at_window = 8.0 * g * g * decay / (1.0 + decay) ** 2  # 2 g^2 sech^2
     if core_at_window >= 0.1 * predicted:
         raise WindowContaminatedError(
             f"core {core_at_window:.3e} at x = {window_start:.2f} exceeds 10% "

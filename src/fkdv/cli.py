@@ -22,35 +22,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .series import atomic_write, build_series, save_table
 from .evaluation import EvalPoint, empirical_optimum, optimal_N, partial_sum
-from .late_terms import (check_report_data, lambda_csv_rows, report_to_json,
-                         singulant_report)
+from .late_terms import check_report_data, report_to_json, singulant_report
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_VALIDATION = 2
-
-
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str
-    outputs: list[str]
-    duration_seconds: float
 
 
 def _out_dir(args) -> Path:
@@ -120,7 +108,8 @@ def cmd_lambda(args) -> list[Path]:
     outputs = [out]
     if args.emit_csv:
         csv_path = out.with_suffix(".csv")
-        _write_csv(csv_path, ["n", "lambda_n"], lambda_csv_rows(report))
+        _write_csv(csv_path, ["n", "lambda_n"],
+                   enumerate(report.lambda_sequence))
         outputs.append(csv_path)
     print(f"lambda_final = {report.lambda_final:.6f} "
           f"+/- {report.lambda_error:.2e} (order {args.order}, "
@@ -302,13 +291,11 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         outputs = args.func(args)
-        manifest = RunManifest(
-            command=args.command,
-            parameters={k: v for k, v in vars(args).items() if k != "func"},
-            version=__version__, outputs=[str(p) for p in outputs],
-            duration_seconds=time.perf_counter() - t0)
-        _write_json(Path(str(outputs[0]) + ".manifest.json"),
-                    dataclasses.asdict(manifest))
+        _write_json(Path(str(outputs[0]) + ".manifest.json"), {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+            "version": __version__, "outputs": [str(p) for p in outputs],
+            "duration_seconds": time.perf_counter() - t0})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

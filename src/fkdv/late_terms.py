@@ -38,35 +38,22 @@ class InsufficientDataError(ValueError):
 
 
 def _lambda_exact(table: SeriesTable) -> list[Fraction]:
-    """The raw per-order prefactor estimates of lambda_sequence, exactly."""
-    if table.n_max < 5:
-        raise InsufficientDataError("need a table built to n_max >= 5")
+    """Raw per-order prefactor estimates, exactly: (-1)^{n+1} a_{n,n+1}
+    g^-(2n+2) / (2n+1)! matches u_n ~ a_{n,n+1} S^{n+1} against
+    Gamma(2n+2)/chi^{2n+2} without unwinding the (-1)^n late-term factor,
+    so consecutive entries alternate in sign."""
     g = table.gamma
     return [(-1) ** (n + 1) * table.top_coefficient(n)
             / (g ** (2 * n + 2) * math.factorial(2 * n + 1))
             for n in range(table.n_max + 1)]
 
 
-def lambda_sequence(table: SeriesTable) -> list[float]:
-    """Raw per-order prefactor estimates (-1)^{n+1} a_{n,n+1} g^-(2n+2) / (2n+1)!.
-
-    Matches the local behaviour u_n ~ a_{n,n+1} S^{n+1} against
-    Gamma(2n+2)/chi^{2n+2} without unwinding the (-1)^n late-term factor,
-    so consecutive entries alternate in sign. See lambda_constant_sequence
-    for the convergent form.
-    """
-    return [float(v) for v in _lambda_exact(table)]
-
-
-def lambda_constant_sequence(table: SeriesTable) -> list[float]:
-    """Sign-aligned per-order estimates of the constant Lam; converges ~ Lam + O(1/n)."""
-    return [float((-1) ** n * v) for n, v in enumerate(_lambda_exact(table))]
-
-
 def _extrapolants(seq, max_order: int) -> list[Fraction]:
-    """richardson_table before rounding: exact Neville on the nodes h = 1/n,
-    where entry i of level k is the polynomial in h through entries i..i+k
-    at h = 0. Float inputs convert exactly."""
+    """Extrapolants of orders 0..max_order from the tail of the sequence,
+    exactly. seq[i] is read as the value at n = i + 1; order k eliminates
+    the corrections 1/n, ..., 1/n^k through the last k+1 entries by Neville
+    on the nodes h = 1/n, where entry i of level k is the polynomial in h
+    through entries i..i+k at h = 0. Float inputs convert exactly."""
     if len(seq) <= max_order:
         raise InsufficientDataError(
             f"need more than {max_order} entries, got {len(seq)}")
@@ -79,15 +66,6 @@ def _extrapolants(seq, max_order: int) -> list[Fraction]:
             t[i] = (ns[i + k] * t[i + 1] - ns[i] * t[i]) / k
         out.append(t[max_order - k])
     return out
-
-
-def richardson_table(seq: list[float], max_order: int) -> list[float]:
-    """Extrapolants of orders 0..max_order from the tail of the sequence.
-
-    seq[i] is read as the value at n = i + 1; order k eliminates the
-    corrections 1/n, ..., 1/n^k through the last k+1 entries.
-    """
-    return [float(v) for v in _extrapolants(seq, max_order)]
 
 
 def richardson_extrapolate(seq: list[float], order: int) -> tuple[float, float]:
@@ -243,7 +221,3 @@ def report_to_json(report: SingulantReport, table: SeriesTable) -> dict:
         },
         "ratio_table": [[n, m, p] for n, m, p in ratio_rows],
     }
-
-
-def lambda_csv_rows(report: SingulantReport) -> list[tuple[int, float]]:
-    return list(enumerate(report.lambda_sequence))

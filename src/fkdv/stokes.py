@@ -139,7 +139,6 @@ class StokesProfile:
     samples: list[tuple[float, complex]]
     jump_numeric: complex
     jump_closed_form: complex
-    integrand: str = "smoothing"
     refinements: int = 0
 
 
@@ -215,7 +214,6 @@ def integrate_multiplier(frame: StokesFrame,
         samples=samples,
         jump_numeric=complex(cum[-1]),
         jump_closed_form=stokes_jump(frame.epsilon),
-        integrand=integrand,
         refinements=refinements,
     )
 

@@ -7,10 +7,12 @@ import pytest
 from fkdv import (
     FitQualityError,
     GridSolution,
+    NonConvergenceError,
     ResolutionError,
     SolverConfig,
     TailMeasurement,
     WindowContaminatedError,
+    check_window,
     default_c,
     fit_exponent,
     initial_guess,
@@ -52,7 +54,7 @@ def test_too_short_domain_rejected():
 
 
 @pytest.mark.parametrize("field", ["grid_spacing", "half_length"])
-@pytest.mark.parametrize("value", [0.0, -0.005])
+@pytest.mark.parametrize("value", [0.0, -0.005, math.inf])
 def test_nonpositive_grid_or_domain_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(epsilon=0.1, **{field: value})
@@ -64,6 +66,20 @@ def test_stencil_beyond_double_range_rejected(epsilon, grid_spacing):
     # so the config itself refuses, before any array is built
     with pytest.raises(ResolutionError, match=r"eps = .*, h = .*eps\^2/h\^4"):
         SolverConfig(epsilon=epsilon, grid_spacing=grid_spacing)
+
+
+def test_recorded_half_length_is_the_solved_one():
+    # 22.003 / 0.005 rounds to 4401 cells: the grid, the record and the
+    # window check all end at 22.005
+    [(cfg, sol, _)] = sweep([0.15], grid_spacing=0.005, half_length=22.003)
+    assert cfg.half_length == sol.nodes[-1] == pytest.approx(22.005)
+    assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
+
+
+def test_check_window_accepts_long_domain():
+    # cosh(g x)^2 overflows a double past g x ~ 355; the core there is ~0
+    cfg = SolverConfig(epsilon=0.15, half_length=400.0)
+    assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
 
 
 def test_sweep_checks_every_config_before_solving(monkeypatch):
@@ -128,6 +144,24 @@ def test_newton_converges_fast_from_cold_start():
     sol = solve(cfg)
     assert sol.iterations <= 10
     assert sol.residual_norm <= sol.residual_target
+
+
+def test_newton_exhausted_states_its_iterations():
+    with pytest.raises(NonConvergenceError) as info:
+        solve(SolverConfig(epsilon=0.3))
+    assert len(info.value.history) == bvp.MAX_ITERS
+    assert f"after {bvp.MAX_ITERS} iterations" in str(info.value)
+
+
+@pytest.mark.parametrize("epsilon, gamma", [(0.6, 2.0), (1.0, 2.0), (2.0, 1.5)])
+def test_newton_refuses_the_trivial_branch(epsilon, gamma):
+    # Newton meets the residual target here on u = 0, not on the wave
+    with pytest.raises(NonConvergenceError,
+                       match=r"u\(0\) = .* below the wave's branch") as info:
+        solve(SolverConfig(epsilon=epsilon, gamma=gamma))
+    history = info.value.history
+    assert len(history) < bvp.MAX_ITERS
+    assert f"after {len(history)} iterations" in str(info.value)
 
 
 def test_newton_quadratic_phase():

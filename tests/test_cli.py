@@ -167,6 +167,16 @@ def test_compare_solves_before_building_the_series(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+def test_compare_off_the_wave_branch_is_math_failure(tmp_path, capsys):
+    # Newton converges onto u = 0 at eps = 0.6, gamma = 2: no value is reported
+    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.6",
+                               "--gamma", "2", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "below the wave's branch" in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_reports_optimal_N(tmp_path, capsys):
     out = tmp_path / "cmp.json"
     code, stdout, _ = run(capsys, "compare", "--epsilon", "0.1", "--x", "0",
@@ -225,12 +235,21 @@ def test_colliding_output_names_are_validation_failure(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["tails", "compare"])
-@pytest.mark.parametrize("grid_h", ["0", "-0.005"])
+@pytest.mark.parametrize("grid_h", ["0", "-0.005", "inf"])
 def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, grid_h):
     code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--grid-h", grid_h,
                           "--out-dir", str(tmp_path))
     assert code == 2
     assert "grid_spacing must be positive" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tails", "compare"])
+def test_infinite_domain_length_is_validation_failure(tmp_path, capsys, command):
+    code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--domain-length",
+                          "inf", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "half_length must be positive and finite" in stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,36 +11,35 @@ from fkdv import (
     build_series,
     chi_squared_estimate,
     fit_divergence_exponent,
-    lambda_constant_sequence,
-    lambda_sequence,
     ratio_test,
     richardson_extrapolate,
-    richardson_table,
     singulant_report,
 )
 from fkdv.late_terms import InsufficientDataError, report_to_json
 
 
 def test_lambda_first_entries(table30):
-    lam = lambda_sequence(table30)
+    lam = singulant_report(table30).lambda_sequence
     assert lam[0] == pytest.approx(-2.0)
     assert lam[1] == pytest.approx(5.0)  # 30 / Gamma(4)
 
 
 def test_lambda_alternates_while_aligned_sign_is_fixed(table30):
-    lam = lambda_sequence(table30)
+    report = singulant_report(table30)
+    lam = report.lambda_sequence
     assert all(lam[n] * lam[n + 1] < 0 for n in range(30))
-    aligned = lambda_constant_sequence(table30)
+    aligned = report.lambda_aligned
     assert all(v < 0 for v in aligned)
 
 
 def test_lambda_requires_depth():
     with pytest.raises(InsufficientDataError):
-        lambda_sequence(build_series(3))
+        singulant_report(build_series(3))
 
 
 def test_lambda_approaches_quoted_constant(table30):
-    est, err = richardson_extrapolate(lambda_constant_sequence(table30)[1:], 3)
+    est, err = richardson_extrapolate(
+        singulant_report(table30).lambda_aligned[1:], 3)
     assert est == pytest.approx(-19.97, abs=0.1)
     assert err < 0.05
 
@@ -81,7 +80,7 @@ def test_richardson_insufficient():
 
 
 def test_extrapolants_form_cauchy_sequence(table30):
-    tab = richardson_table(lambda_constant_sequence(table30)[1:], 5)
+    tab = singulant_report(table30, order=5).lambda_extrapolants
     gaps = [abs(tab[k + 1] - tab[k]) for k in range(5)]
     assert all(gaps[k + 1] < gaps[k] for k in range(4))
 

@@ -16,9 +16,8 @@ PUBLIC = {
                    "eval_coefficient", "optimal_N", "partial_sum",
                    "sech_squared", "singularity"],
     "late_terms": ["SingulantReport", "chi_squared_estimate",
-                   "fit_divergence_exponent", "lambda_constant_sequence",
-                   "lambda_sequence", "ratio_test", "richardson_extrapolate",
-                   "richardson_table", "singulant_report"],
+                   "fit_divergence_exponent", "ratio_test",
+                   "richardson_extrapolate", "singulant_report"],
     "stokes": ["DEFAULT_LAMBDA", "QuadratureError", "StokesFrame",
                "StokesProfile", "erf_profile", "exp_tail", "frame_for",
                "integrate_multiplier", "multiplier_rhs", "one_sided_remainder",
