@@ -48,6 +48,23 @@ def _lambda_exact(table: SeriesTable) -> list[Fraction]:
             for n in range(table.n_max + 1)]
 
 
+def inner_coefficients(m_max: int) -> list[Fraction]:
+    """a_0..a_m_max of U = sum a_m z^{-(2m+2)} with U'''' + U'' + 3U^2 = 0,
+    the inner problem at the singularity, exactly from a_0 = -2.
+
+    The a_m are rationals, not integers (a_4 = -28918350/7). They are the
+    top coefficients of the outer series, a_{n,n+1} = (-1)^{n+1} g^{2n+2} a_n,
+    from a recurrence that shares no code with build_series.
+    """
+    a = [Fraction(-2)]
+    for m in range(1, m_max + 1):
+        k = 2 * m
+        rhs = (-3 * sum(a[i] * a[m - i] for i in range(1, m))
+               - k * (k + 1) * (k + 2) * (k + 3) * a[m - 1])
+        a.append(rhs / ((k + 2) * (k + 3) - 12))
+    return a
+
+
 def _extrapolants(seq, max_order: int) -> list[Fraction]:
     """Extrapolants of orders 0..max_order from the tail of the sequence,
     exactly. seq[i] is read as the value at n = i + 1; order k eliminates

@@ -11,6 +11,15 @@ would overflow within a dozen orders. The orders are solved at g = 1, each as
 integer numerators over one common denominator, and the table is rescaled
 exactly at the end: a_{n,m}(g) = g^{2n+2} a_{n,m}(1), c_n(g) = g^{2n+2} c_n(1).
 
+Each build proves its table exact without a second pass. Every order is
+checked against its full equation as it is solved, from the right-hand side
+the solve used, in O(n) big-integer work; the rescaled table is then checked
+against the g = 1 orders by cross-multiplication. Every term of the order-n
+equation is a product of degree 2n + 4 in g under that scaling (d^2/dx^2
+carries g^2, u_k carries g^{2k+2}, c_k likewise), so the residual at g is
+g^{2n+4} times the residual at g = 1, coefficient by coefficient, and the two
+checks prove that order_residual vanishes at every order of the g table.
+
 The only calculus needed is the closed-basis identity
 
     d^2/dx^2 (S^m) = g^2 [ 4 m^2 S^m - (4 m^2 + 2 m) S^{m+1} ],
@@ -26,6 +35,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
 from pathlib import Path
 
@@ -33,8 +43,11 @@ from pathlib import Path
 class RecurrenceError(ArithmeticError):
     """Structural failure of the order-by-order linear solve.
 
-    Raised when a pivot that must be nonzero vanishes or when the exact
-    residual of a solved order is not identically zero. Either condition
+    Raised when a pivot that must be nonzero vanishes, when a solved order
+    does not have degree n + 1, when a solved order does not satisfy its
+    full equation exactly at gamma = 1, or when an order of the rescaled
+    table is not gamma^{2n+2} times that checked order. The last two name
+    the order ("nonzero exact residual at order n"). Every condition
     indicates an implementation bug, not a legitimate math case.
     """
 
@@ -44,8 +57,9 @@ class ResourceLimitError(ValueError):
 
 
 #: Orders beyond this are refused: coefficient sizes grow like O(n log n)
-#: digits, and build_series(128) takes about 28 s (Python 3.11, one core of
-#: a 2-core machine), half of it the exact check of every order.
+#: digits, and build_series(128) takes about 11-12 s (Python 3.11, one core
+#: of a 2-core machine), 96 % of it the Cauchy products of the right-hand
+#: sides; the exact checks and the rescale take about 2 %.
 N_MAX_LIMIT = 128
 
 
@@ -226,9 +240,10 @@ def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
     return _poly(*_residual(u, table.c, table.gamma, n), table.gamma)
 
 
-def _solve_order(u, c, n: int) -> tuple[tuple[list[int], int], Fraction]:
-    """Solve the order-eps^{2n} equation at gamma = 1 given the integer forms
-    u and the c of orders 0..n-1.
+def _solve_order(F: list[int], R: int, n: int) -> tuple[tuple[list[int], int], Fraction]:
+    """Solve L u_n = c_n u_0 + F / R for the integer form of u_n and for c_n,
+    at gamma = 1. F / R (rows S^0 .. S^{n+2}) collects every known lower
+    order: it is minus the full order-n residual at u_n = 0, c_n = 0.
 
     The linearized operator L = d^2/dx^2 + 6 u_0 - c_0 acts on the basis as
 
@@ -239,17 +254,10 @@ def _solve_order(u, c, n: int) -> tuple[tuple[list[int], int], Fraction]:
     The remaining rows are triangular from the top degree downward (the
     sub-diagonal entry 12 - 4m^2 - 2m = -2(2m - 3)(m + 2) has no integer
     roots m >= 1), so u_n has the denominator R * prod(sub-diagonal) before
-    reduction, R the denominator of the right-hand side.
+    reduction.
     """
-    # rhs of L u_n = c_n u_0 + F: F collects all known lower orders, and is
-    # minus the full residual at u_n = 0, c_n = 0
-    F, R = _residual([*u, ([0], 1)], [*c, Fraction(0)], Fraction(1), n)
-    F = [-x for x in F]  # rows S^0 .. S^{n+2}
-
     # solvability at the S^1 row: 2 c_n + F_1 / R = 0, as u_0 = 2 S
     c_n = Fraction(-F[1], 2 * R)
-    if F[1] + 2 * c_n * R != 0:
-        raise RecurrenceError(f"S^1 solvability row inconsistent at order {n}")
 
     # back-substitute rows p = n+2 .. 2; row p couples a_p (diagonal) and
     # a_{p-1} (sub-diagonal), and a_{n+2} = 0 by the degree invariant. a[m]
@@ -272,6 +280,19 @@ def _solve_order(u, c, n: int) -> tuple[tuple[list[int], int], Fraction]:
     return (nums, den // g), c_n
 
 
+def _order_equation(u_n, c_n: Fraction, F: list[int], R: int) -> list[int]:
+    """Numerators of L u_n - c_n u_0 - F / R at gamma = 1, with
+    L u = u'' + 12 S u - 4 u (u_0 = 2 S, c_0 = 4). This is the full order-n
+    residual: it is linear in u_n and c_n, and -F / R at u_n = c_n = 0."""
+    nums, den = u_n
+    lu = _d2(nums)
+    for m, x in enumerate(nums):
+        lu[m] -= 4 * x
+        lu[m + 1] += 12 * x
+    return _combine([(1, lu, den), (-2 * c_n.numerator, [0, 1], c_n.denominator),
+                     (-1, F, R)])[0]
+
+
 def _rescaled(u, c, gamma: Fraction) -> SeriesTable:
     """The table at gamma from the gamma = 1 orders, exactly:
     a_{n,m}(gamma) = gamma^{2n+2} a_{n,m}(1) and c_n(gamma) = gamma^{2n+2} c_n(1)."""
@@ -286,10 +307,14 @@ def _rescaled(u, c, gamma: Fraction) -> SeriesTable:
 def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
     """Build the table {u_n, c_n} for n = 0..n_max.
 
-    Every order is solved at gamma = 1 in integer form and the finished
-    table is rescaled exactly to gamma. The full equation of every order
-    (order_residual) is then checked exactly on that table, so the check
-    vouches for the rescale too; a nonzero residual raises RecurrenceError.
+    Every order is solved at gamma = 1 in integer form and checked at once
+    against its full equation (_order_equation on the solve's right-hand
+    side); the finished table is rescaled exactly to gamma, and each of its
+    orders is checked by cross-multiplication to be gamma^{2n+2} times the
+    checked gamma = 1 order. The order-n equation is homogeneous of degree
+    2n + 4 under that scaling, so the two checks prove that every order of
+    the gamma table satisfies its full equation (order_residual) exactly.
+    Either failure raises RecurrenceError naming the order.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -299,14 +324,28 @@ def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
     if g <= 0:
         raise ValueError("gamma must be positive")
     u, c = [([0, 2], 1)], [Fraction(4)]  # u_0 = 2 S, c_0 = 4 at gamma = 1
+    if any(_residual(u, c, Fraction(1), 0)[0]):
+        raise RecurrenceError("nonzero exact residual at order 0")
     for n in range(1, n_max + 1):
-        u_n, c_n = _solve_order(u, c, n)
+        # rhs of L u_n = c_n u_0 + F / R: minus the residual at u_n = c_n = 0
+        F, R = _residual([*u, ([0], 1)], [*c, Fraction(0)], Fraction(1), n)
+        F = [-x for x in F]
+        u_n, c_n = _solve_order(F, R, n)
+        if any(_order_equation(u_n, c_n, F, R)):
+            raise RecurrenceError(f"nonzero exact residual at order {n}")
         u.append(u_n)
         c.append(c_n)
     table = _rescaled(u, c, g)
-    exact = [p.int_form for p in table.u]
-    for n in range(n_max + 1):
-        if any(_residual(exact, table.c, g, n)[0]):
+    p, q = g.numerator, g.denominator
+    for n, ((nums, den), c_n) in enumerate(zip(u, c)):
+        # order n of the table must be (p/q)^{2n+2} times the gamma = 1 order
+        s_p, s_q = p ** (2 * n + 2), q ** (2 * n + 2)
+        t_nums, t_den = table.u[n].int_form
+        t_c = table.c[n]
+        if (any(x * s_q * den != y * s_p * t_den
+                for x, y in zip_longest(t_nums, nums, fillvalue=0))
+                or t_c.numerator * s_q * c_n.denominator
+                != c_n.numerator * s_p * t_c.denominator):
             raise RecurrenceError(f"nonzero exact residual at order {n}")
     return table
 

@@ -15,7 +15,7 @@ from fkdv import (
     richardson_extrapolate,
     singulant_report,
 )
-from fkdv.late_terms import InsufficientDataError, report_to_json
+from fkdv.late_terms import InsufficientDataError, inner_coefficients, report_to_json
 
 
 def test_lambda_first_entries(table30):
@@ -139,3 +139,9 @@ def test_report_assembly(table30):
     assert set(doc) >= {"lambda_sequence", "extrapolants", "lambda_final",
                         "beta_fit", "ratio_table"}
     assert doc["lambda_final"] == rep.lambda_final
+
+
+def test_inner_coefficients_first_entries():
+    # rationals from a_4 on; a_0..a_3 are the integers -2, 30, -930, 49662
+    assert inner_coefficients(5) == [-2, 30, -930, 49662, Fraction(-28918350, 7),
+                                     Fraction(3495722130, 7)]

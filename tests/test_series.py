@@ -24,6 +24,7 @@ from fkdv import (
     table_to_json,
 )
 from fkdv import series
+from fkdv.late_terms import inner_coefficients
 from fkdv.series import atomic_write
 
 F = Fraction
@@ -166,18 +167,6 @@ def test_degrees_and_top_coefficients():
         assert t.top_coefficient(n) != 0
 
 
-def inner_coefficients(m_max):
-    """a_0..a_m_max of U = sum a_m z^{-(2m+2)} with U'''' + U'' + 3U^2 = 0,
-    the inner problem at the singularity, from a_0 = -2."""
-    a = [F(-2)]
-    for m in range(1, m_max + 1):
-        k = 2 * m
-        rhs = (-3 * sum(a[i] * a[m - i] for i in range(1, m))
-               - k * (k + 1) * (k + 2) * (k + 3) * a[m - 1])
-        a.append(rhs / ((k + 2) * (k + 3) - 12))
-    return a
-
-
 @pytest.mark.parametrize("n_max, g", [(40, F(3, 2)), (30, F(1)), (24, F(2, 3))])
 def test_top_coefficients_follow_the_inner_recurrence(n_max, g):
     # a second exact check of build_series that shares no code with it
@@ -224,10 +213,14 @@ def test_determinism():
     (30, F(1), "c440800824de426d9d354261f3fea1052930a17b964caeb326a8f1634b58739a"),
     (24, F(2, 3), "dbe251cf871410a5a8a33cdb481d45f8c5acb8ffe5245d5924036136055fbec6"),
     (40, F(3, 2), "feb13a248a2246aa211d06d67a5071c97ccc364ddb4700c79757ead99ebe532f"),
+    (60, F(2, 3), "c206582c4b4e7d9ced3cb4d56d2fe4b19bda24abe9351a26cf64db4cb28012c0"),
 ])
 def test_table_json_hash_is_pinned(n_max, gamma, digest):
     # reference digests from an independent build: a per-coefficient
-    # Fraction recurrence run directly at each gamma
+    # Fraction recurrence run directly at each gamma. (60, 2/3) was computed
+    # at commit 4ddb67b, before the per-order and scale checks replaced its
+    # re-check of the finished table; it runs the scale check deep with
+    # p, q != 1
     text = json.dumps(table_to_json(build_series(n_max, gamma)), indent=1, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -264,6 +257,52 @@ def test_build_verifies_the_rescaled_table(monkeypatch, delta_u, delta_c):
     monkeypatch.setattr(series, "_rescaled", lambda u, c, g: _perturbed(
         rescaled(u, c, g), 7, delta_u, delta_c))
     with pytest.raises(RecurrenceError, match="order 7"):
+        build_series(7, gamma=F(3, 2))
+
+
+@pytest.mark.parametrize("k", range(7))
+@PERTURBATIONS
+def test_build_verifies_every_rescaled_order(monkeypatch, k, delta_u, delta_c):
+    # orders 0..6; order 7 is the test above
+    rescaled = series._rescaled
+    monkeypatch.setattr(series, "_rescaled", lambda u, c, g: _perturbed(
+        rescaled(u, c, g), k, delta_u, delta_c))
+    with pytest.raises(RecurrenceError, match=f"order {k}$"):
+        build_series(7, gamma=F(3, 2))
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_build_verifies_no_stray_power_in_the_rescaled_table(monkeypatch, k):
+    # a power above the degree invariant, S^{k+2} in u_k
+    rescaled = series._rescaled
+
+    def stray(u, c, g):
+        t = rescaled(u, c, g)
+        polys = list(t.u)
+        polys[k] = SechPolynomial({**polys[k].coeffs, k + 2: F(1, 10**30)}, g)
+        return SeriesTable(g, polys, t.c)
+
+    monkeypatch.setattr(series, "_rescaled", stray)
+    with pytest.raises(RecurrenceError, match=f"order {k}$"):
+        build_series(7, gamma=F(3, 2))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("delta_u, delta_c", [(1, 0), (0, F(1, 10**30))])
+def test_build_verifies_each_solved_order(monkeypatch, k, delta_u, delta_c):
+    # each order is checked as it is solved, outside _solve_order: a wrong
+    # u_n (top numerator off by one) or c_n it returns is caught at its order
+    solve = series._solve_order
+
+    def wrong(rhs, rhs_den, n):
+        (nums, den), c_n = solve(rhs, rhs_den, n)
+        if n == k:
+            nums = [*nums[:-1], nums[-1] + delta_u]
+            c_n += delta_c
+        return (nums, den), c_n
+
+    monkeypatch.setattr(series, "_solve_order", wrong)
+    with pytest.raises(RecurrenceError, match=f"order {k}$"):
         build_series(7, gamma=F(3, 2))
 
 
