@@ -8,7 +8,9 @@ stationary point of the tail oscillation (so the tail depends on L mod pi
 eps). Newton's method with a banded direct linear solve handles the
 nonlinearity; c is held fixed at the exact series eigenvalue
 c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically) so the core
-matches the asymptotic solution at the chosen gamma.
+matches the asymptotic solution at the chosen gamma. Every solve starts from
+the outer series to the same order, u_0 + eps^2 u_1: a result depends only
+on its own eps, gamma, L and h.
 
 The symmetric wave carries half the one-sided switching amplitude on each
 side, so measured tails are compared against |Lam| pi eps^-2 e^{-pi/(2 g eps)}.
@@ -198,28 +200,28 @@ def _residual_floor(u: np.ndarray, config: SolverConfig) -> float:
 
 
 def initial_guess(config: SolverConfig) -> np.ndarray:
-    """Leading-order core 2 g^2 sech^2(g x) with g read off c = 4 g^2."""
-    g = math.sqrt(config.c_value) / 2.0
+    """The outer series through u_1, as c_value is through c_1:
+    2 g^2 S + eps^2 g^4 (30 S^2 - 20 S) with S = sech^2(g x)."""
+    g, eps = config.gamma, config.epsilon
     x = np.arange(config.n_cells + 1) * config.grid_spacing
     with np.errstate(over="ignore"):  # far out cosh -> inf, so the core is 0
-        return 2.0 * g * g / np.cosh(g * x) ** 2
+        S = 1.0 / np.cosh(g * x) ** 2
+    return 2.0 * g * g * S + eps * eps * g ** 4 * (30.0 * S * S - 20.0 * S)
 
 
-def solve(config: SolverConfig, initial: np.ndarray | None = None) -> GridSolution:
-    """Newton iteration on the discrete system down to the residual target.
+def solve(config: SolverConfig) -> GridSolution:
+    """Newton iteration from initial_guess down to the residual target, so
+    the result depends only on the configuration.
 
     The target is max(NEWTON_TOL, roundoff floor); quadratic convergence makes
-    the approach take a handful of steps from the sech^2 guess. Converging
-    off the wave's branch u(0) >= gamma^2, or MAX_ITERS steps short of the
-    target, raises NonConvergenceError; a failed or non-finite banded solve
-    raises IllConditionedError.
+    the approach take a handful of steps. Converging off the wave's branch
+    u(0) >= gamma^2, or MAX_ITERS steps short of the target, raises
+    NonConvergenceError; a failed or non-finite banded solve raises
+    IllConditionedError.
     """
     from scipy.linalg import solve_banded  # lazy: most of import fkdv's time
-    M = config.n_cells
-    x = np.arange(M + 1) * config.grid_spacing
-    u = initial_guess(config) if initial is None else np.asarray(initial, float).copy()
-    if len(u) != M + 1:
-        raise ValueError("initial guess does not match the grid")
+    x = np.arange(config.n_cells + 1) * config.grid_spacing
+    u = initial_guess(config)
 
     history = []
     for it in range(MAX_ITERS):
@@ -350,32 +352,24 @@ def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
 
 def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
           half_length: float | None = None, grid_spacing: float | None = None):
-    """Solve and measure for each epsilon, largest first.
+    """Solve and measure for each epsilon, in ascending order.
 
     The grid spacing is eps / h_factor unless grid_spacing is given; a
     half_length of None takes the default domain. Every configuration is
     built and checked (resolution and measurement window) before the first
-    solve. The previous solution (interpolated onto the new grid) seeds every
-    solve after the first, so the solves are strictly sequential.
+    solve. Each solve starts from its own initial_guess, so a row does not
+    depend on the other epsilons in the list.
     Returns a list of (config, solution, measurement), ascending in epsilon.
     """
     configs = []
-    for eps in sorted(epsilons, reverse=True):
+    for eps in sorted(epsilons):
         config = SolverConfig(
             epsilon=eps, gamma=gamma, half_length=half_length,
             grid_spacing=eps / h_factor if grid_spacing is None else grid_spacing)
         check_window(config)
         configs.append(config)
     results = []
-    prev: GridSolution | None = None
     for config in configs:
-        guess = None
-        if prev is not None:
-            x_new = np.arange(config.n_cells + 1) * config.grid_spacing
-            guess = np.interp(x_new, prev.nodes, prev.u, right=0.0)
-        sol = solve(config, guess)
-        meas = measure_tail(sol, config)
-        results.append((config, sol, meas))
-        prev = sol
-    results.sort(key=lambda t: t[0].epsilon)
+        sol = solve(config)
+        results.append((config, sol, measure_tail(sol, config)))
     return results

@@ -69,12 +69,15 @@ def _per_epsilon_paths(args, prefix: str, epsilons) -> list[Path]:
 
 
 def _gamma(args) -> Fraction:
-    """--gamma as an exact rational; the layers refuse a non-positive one."""
+    """--gamma as an exact rational, refused before any work unless its double
+    is positive and finite (float raises OverflowError past the double range)."""
     try:
-        return Fraction(args.gamma)
-    except ZeroDivisionError:
-        raise ValueError(
-            f"gamma must be positive and finite, not {args.gamma}") from None
+        gamma = Fraction(args.gamma)
+        if float(gamma) > 0:
+            return gamma
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"gamma must be positive and finite as a double, not {args.gamma}")
 
 
 def _write_json(path: Path, obj) -> None:

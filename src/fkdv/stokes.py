@@ -56,8 +56,9 @@ class QuadratureError(ArithmeticError):
         self.worst_interval = worst_interval
 
 
-#: the late-term constant Lam of the inner problem; every formula below
-#: (jump, forcing, erf profile, tail) reads this one Lam at call time
+#: the late-term constant Lam of the inner problem; every formula below reads
+#: this one Lam, the jump, forcing and tail at call time, the erf profile once
+#: per frame (the cached StokesFrame._erf_prefactor)
 DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
 #: late-term power shift, forced by the double pole of u_0

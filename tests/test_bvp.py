@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from fkdv import (
     SolverConfig,
     TailMeasurement,
     WindowContaminatedError,
+    build_series,
     check_window,
     default_c,
+    eval_coefficient,
     fit_exponent,
     initial_guess,
     measure_tail,
@@ -82,6 +85,30 @@ def test_check_window_accepts_long_domain():
     assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
 
 
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(3, 2)])
+def test_initial_guess_is_the_outer_series_through_u1(gamma):
+    # u_0 + eps^2 u_1 of the exact table, as c_value is c_0 + eps^2 c_1
+    table = build_series(1, gamma)
+    cfg = SolverConfig(epsilon=0.1, gamma=float(gamma))
+    u = initial_guess(cfg)
+    for k in range(0, cfg.n_cells + 1, 5):
+        x = k * cfg.grid_spacing
+        exact = (eval_coefficient(table.u[0], x)
+                 + cfg.epsilon ** 2 * eval_coefficient(table.u[1], x)).real
+        assert abs(u[k] - exact) <= 8 * math.ulp(exact), x
+
+
+@pytest.mark.parametrize("sweep_fixture", ["tail_sweep", "tail_sweep_half"])
+def test_sweep_row_depends_only_on_its_own_epsilon(request, sweep_fixture):
+    results = request.getfixturevalue(sweep_fixture)
+    for cfg, sol, meas in results:
+        [(cfg1, sol1, meas1)] = sweep([cfg.epsilon],
+                                      grid_spacing=cfg.grid_spacing)
+        assert cfg1 == cfg
+        assert np.array_equal(sol1.u, sol.u)
+        assert meas1 == meas
+
+
 def test_sweep_checks_every_config_before_solving(monkeypatch):
     calls = []
     real_solve = bvp.solve
@@ -146,14 +173,15 @@ def test_newton_converges_fast_from_cold_start():
     assert sol.residual_norm <= sol.residual_target
 
 
-def test_newton_exhausted_states_its_iterations():
+@pytest.mark.parametrize("epsilon, gamma", [(0.3, 1.0), (1.0, 2.0), (2.0, 1.5)])
+def test_newton_exhausted_states_its_iterations(epsilon, gamma):
     with pytest.raises(NonConvergenceError) as info:
-        solve(SolverConfig(epsilon=0.3))
+        solve(SolverConfig(epsilon=epsilon, gamma=gamma))
     assert len(info.value.history) == bvp.MAX_ITERS
     assert f"after {bvp.MAX_ITERS} iterations" in str(info.value)
 
 
-@pytest.mark.parametrize("epsilon, gamma", [(0.6, 2.0), (1.0, 2.0), (2.0, 1.5)])
+@pytest.mark.parametrize("epsilon, gamma", [(0.6, 2.0), (1.0, 1.0)])
 def test_newton_refuses_the_trivial_branch(epsilon, gamma):
     # Newton meets the residual target here on u = 0, not on the wave
     with pytest.raises(NonConvergenceError,

@@ -114,6 +114,17 @@ def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
             SolverConfig(epsilon=rec["epsilon"]))
 
 
+def test_tails_row_does_not_depend_on_the_other_epsilons(tmp_path, capsys):
+    rows = {}
+    for name, argv in (("default", []), ("single", ["--epsilon", "0.1"])):
+        out = tmp_path / f"{name}.jsonl"
+        assert run(capsys, "tails", *argv, "--out", str(out))[0] == 0
+        rows[name] = [line for line in out.read_text().splitlines()
+                      if json.loads(line)["epsilon"] == 0.1]
+    assert len(rows["single"]) == 1
+    assert rows["default"] == rows["single"]
+
+
 def test_tails_contaminated_window_rejected(tmp_path, capsys):
     code, _, stderr = run(capsys, "tails", "--epsilon", "0.03",
                           "--out", str(tmp_path / "m.jsonl"))
@@ -261,7 +272,7 @@ COMMAND_ARGS = {"series": ["--n-max", "3"], "lambda": [],
 
 @pytest.mark.parametrize("command", ["stokes-profile", "tails", "series",
                                      "lambda", "compare"])
-@pytest.mark.parametrize("gamma", ["0", "-1", "1/0"])
+@pytest.mark.parametrize("gamma", ["0", "-1", "1/0", "1e400", "1e-400"])
 def test_nonpositive_gamma_is_validation_failure(tmp_path, capsys, command, gamma):
     code, _, stderr = run(capsys, command, *COMMAND_ARGS[command],
                           "--gamma", gamma, "--out-dir", str(tmp_path))
