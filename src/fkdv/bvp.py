@@ -5,8 +5,9 @@ Space is discretized with centered differences (5-point fourth derivative,
 3-point second), closed at both ends by even reflection: u'(0) = u'''(0) = 0
 selects the symmetric wave and u'(L) = u'''(L) = 0 truncates the domain at a
 stationary point of the tail oscillation (so the tail depends on L mod pi
-eps). Newton's method with a banded direct linear solve handles the
-nonlinearity; c is held fixed at the exact series eigenvalue
+eps). Newton's method handles the nonlinearity, each step one LAPACK gbsv
+call (banded LU with partial pivoting) on the Jacobian built in gbsv's band
+storage; c is held fixed at the exact series eigenvalue
 c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically) so the core
 matches the asymptotic solution at the chosen gamma. Every solve starts from
 the outer series to the same order, u_0 + eps^2 u_1: a result depends only
@@ -46,7 +47,7 @@ class NonConvergenceError(ArithmeticError):
 
 
 class IllConditionedError(ArithmeticError):
-    """Banded linear solve failed or produced non-finite corrections."""
+    """Non-finite residual, singular Newton matrix or non-finite correction."""
 
 
 class WindowContaminatedError(ValueError):
@@ -81,7 +82,10 @@ MAX_ITERS = 50
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid and domain for one solve, checked at construction; h defaults
-    to eps/20, L to default_half_length and c is always default_c."""
+    to eps/20, L to default_half_length and c is always default_c, which
+    must be a finite double. L must reach 10 max(1, 1/gamma) + 20 pi eps
+    (ten core widths and ten tail wavelengths), default_half_length for
+    gamma >= 1; the default L is not widened for gamma < 1."""
 
     epsilon: float
     gamma: float = 1.0
@@ -94,7 +98,15 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
+        try:
+            c = default_c(self.gamma, self.epsilon)
+        except OverflowError:  # g ** 4 raises past the double range
+            c = math.inf
+        if not math.isfinite(c):
+            raise ResolutionError(
+                f"gamma = {self.gamma}, eps = {self.epsilon}: the eigenvalue "
+                "c = 4 g^2 + 16 g^4 eps^2 is not a finite double")
+        object.__setattr__(self, "c_value", c)
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not 0 < self.grid_spacing < math.inf:
@@ -120,10 +132,12 @@ class SolverConfig:
             raise ResolutionError(
                 f"h = {self.grid_spacing} too coarse: need h <= eps/10 = "
                 f"{self.epsilon / 10.0} to resolve the 2 pi eps wavelength")
-        if self.half_length * slack < default_half_length(self.epsilon):
+        need = (default_half_length(self.epsilon)  # bit for bit at gamma >= 1
+                + 10.0 * (max(1.0, 1.0 / self.gamma) - 1.0))
+        if self.half_length * slack < need:
             raise ResolutionError(
-                f"L = {self.half_length} too short: need L >= "
-                f"{default_half_length(self.epsilon)}")
+                f"L = {self.half_length} too short at gamma = {self.gamma}: "
+                f"need L >= {need} = 10 max(1, 1/gamma) + 20 pi eps")
 
     @property
     def n_cells(self) -> int:
@@ -168,6 +182,10 @@ def residual(u: np.ndarray, config: SolverConfig) -> np.ndarray:
 
 
 def _jacobian_bands(u: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """The Newton matrix in LAPACK gbsv band storage with kl = ku = 2:
+    ab[4 + i - j, j] = J[i, j], so rows 2-6 hold the five bands (main
+    diagonal in row 4) and rows 0-1 are zero room for the LU's pivot fill-in.
+    Fortran order, so gbsv factors it in place without a copy."""
     h = config.grid_spacing
     M = len(u) - 1
     a4 = config.epsilon ** 2 / h ** 4
@@ -175,19 +193,19 @@ def _jacobian_bands(u: np.ndarray, config: SolverConfig) -> np.ndarray:
     off2 = a4
     off1 = -4.0 * a4 + a2
     diag = 6.0 * a4 - 2.0 * a2 + 6.0 * u - config.c_value
-    ab = np.zeros((5, M + 1))
-    ab[0, 2:] = off2
-    ab[1, 1:] = off1
-    ab[2, :] = diag
-    ab[3, :-1] = off1
-    ab[4, :-2] = off2
+    ab = np.zeros((7, M + 1), order="F")
+    ab[2, 2:] = off2
+    ab[3, 1:] = off1
+    ab[4, :] = diag
+    ab[5, :-1] = off1
+    ab[6, :-2] = off2
     # fold ghost columns back inside (even reflection)
-    ab[1, 1] += off1      # row 0: ghost -1 -> node 1
-    ab[0, 2] += off2      # row 0: ghost -2 -> node 2
-    ab[2, 1] += off2      # row 1: ghost -1 -> node 1
-    ab[3, M - 1] += off1  # row M: ghost M+1 -> node M-1
-    ab[4, M - 2] += off2  # row M: ghost M+2 -> node M-2
-    ab[2, M - 1] += off2  # row M-1: ghost M+1 -> node M-1
+    ab[3, 1] += off1      # row 0: ghost -1 -> node 1
+    ab[2, 2] += off2      # row 0: ghost -2 -> node 2
+    ab[4, 1] += off2      # row 1: ghost -1 -> node 1
+    ab[5, M - 1] += off1  # row M: ghost M+1 -> node M-1
+    ab[6, M - 2] += off2  # row M: ghost M+2 -> node M-2
+    ab[4, M - 1] += off2  # row M-1: ghost M+1 -> node M-1
     return ab
 
 
@@ -209,6 +227,20 @@ def initial_guess(config: SolverConfig) -> np.ndarray:
     return 2.0 * g * g * S + eps * eps * g ** 4 * (30.0 * S * S - 20.0 * S)
 
 
+def _newton_step(u: np.ndarray, F: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """The Newton correction du = -J(u)^{-1} F by one LAPACK gbsv call, which
+    factors the fresh bands and overwrites -F with du, both in place."""
+    # lazy: only tails and compare pay scipy.linalg's ~140 ms import
+    from scipy.linalg.lapack import dgbsv
+    _, _, du, info = dgbsv(2, 2, _jacobian_bands(u, config), -F,
+                           overwrite_ab=1, overwrite_b=1)
+    if info != 0:  # > 0: exactly zero pivot U[info-1, info-1]; < 0: bad argument
+        raise IllConditionedError(f"banded LU failed: gbsv info = {info}")
+    if not np.all(np.isfinite(du)):
+        raise IllConditionedError("non-finite Newton correction")
+    return du
+
+
 def solve(config: SolverConfig) -> GridSolution:
     """Newton iteration from initial_guess down to the residual target, so
     the result depends only on the configuration.
@@ -216,10 +248,10 @@ def solve(config: SolverConfig) -> GridSolution:
     The target is max(NEWTON_TOL, roundoff floor); quadratic convergence makes
     the approach take a handful of steps. Converging off the wave's branch
     u(0) >= gamma^2, or MAX_ITERS steps short of the target, raises
-    NonConvergenceError; a failed or non-finite banded solve raises
-    IllConditionedError.
+    NonConvergenceError. IllConditionedError is raised for a non-finite
+    residual (before any LAPACK call), a nonzero gbsv info (an exactly
+    singular Newton matrix) or a non-finite Newton correction.
     """
-    from scipy.linalg import solve_banded  # lazy: most of import fkdv's time
     x = np.arange(config.n_cells + 1) * config.grid_spacing
     u = initial_guess(config)
 
@@ -228,6 +260,9 @@ def solve(config: SolverConfig) -> GridSolution:
         F = residual(u, config)
         rn = float(np.abs(F).max())
         history.append(rn)
+        if not math.isfinite(rn):
+            raise IllConditionedError(
+                f"non-finite residual after {it} Newton steps")
         target = max(NEWTON_TOL, _residual_floor(u, config))
         if rn <= target:
             if not u[0] >= config.gamma ** 2:  # e.g. the trivial u = 0
@@ -236,14 +271,7 @@ def solve(config: SolverConfig) -> GridSolution:
                     f"u(0) >= gamma^2 = {config.gamma ** 2:g} after "
                     f"{len(history)} iterations", history)
             return GridSolution(x, u, rn, it, tuple(history), target)
-        ab = _jacobian_bands(u, config)
-        try:
-            du = solve_banded((2, 2), ab, -F)
-        except Exception as exc:
-            raise IllConditionedError(f"banded solve failed: {exc}") from exc
-        if not np.all(np.isfinite(du)):
-            raise IllConditionedError("non-finite Newton correction")
-        u = u + du
+        u = u + _newton_step(u, F, config)
     raise NonConvergenceError(
         f"residual {rn:.3e} after {len(history)} iterations "
         f"(target {target:.3e})", history)

@@ -224,6 +224,10 @@ def cmd_compare(args) -> list[Path]:
     return [out]
 
 
+DOMAIN_LENGTH_HELP = ("half length L (default 10 + 20 pi eps; at least "
+                      "10 max(1, 1/gamma) + 20 pi eps)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fkdv",
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, nargs="+",
                    default=[0.08, 0.10, 0.12, 0.15])
     p.add_argument("--domain-length", type=float, default=None,
-                   help="half length L (default 10 + 20 pi eps)")
+                   help=DOMAIN_LENGTH_HELP)
     p.add_argument("--grid-h", type=float, default=None,
                    help="grid spacing (default eps/20)")
     p.add_argument("--out", default=None, help="measurement JSONL path")
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--domain-length", type=float, default=None)
+    p.add_argument("--domain-length", type=float, default=None,
+                   help=DOMAIN_LENGTH_HELP)
     p.add_argument("--grid-h", type=float, default=None)
     p.add_argument("--out", default=None, help="comparison JSON path")
     p.set_defaults(func=cmd_compare)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fkdv import (
     FitQualityError,
     GridSolution,
+    IllConditionedError,
     NonConvergenceError,
     ResolutionError,
     SolverConfig,
@@ -61,6 +63,33 @@ def test_too_short_domain_rejected():
 def test_nonpositive_grid_or_domain_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(epsilon=0.1, **{field: value})
+
+
+@pytest.mark.parametrize("gamma, need", [(0.5, 20.0), (0.1, 100.0)])
+def test_domain_must_hold_ten_core_widths(gamma, need):
+    # the sech^2(gamma x) core is 1/gamma wide: L >= 10 max(1, 1/gamma) + 20 pi eps
+    L = need + 20.0 * math.pi * 0.1
+    with pytest.raises(ResolutionError, match=rf"gamma = {gamma}: need L >= "):
+        SolverConfig(epsilon=0.1, gamma=gamma)  # the default L is 10 + 20 pi eps
+    with pytest.raises(ResolutionError, match="too short"):
+        SolverConfig(epsilon=0.1, gamma=gamma, half_length=0.99 * L)
+    assert SolverConfig(epsilon=0.1, gamma=gamma, half_length=L).half_length >= L
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 10.0])
+def test_wide_gamma_keeps_the_default_domain(gamma):
+    cfg = SolverConfig(epsilon=0.1, gamma=gamma)
+    assert cfg.half_length == SolverConfig(epsilon=0.1).half_length
+    with pytest.raises(ResolutionError, match="too short"):
+        SolverConfig(epsilon=0.1, gamma=gamma, half_length=0.99 * cfg.half_length)
+
+
+@pytest.mark.parametrize("epsilon, gamma", [(0.1, 1e300), (0.1, 1e100), (1e80, 1e60)])
+def test_eigenvalue_beyond_double_range_rejected(epsilon, gamma):
+    # g ** 4 overflows (raising) or 16 g^4 eps^2 rounds to inf
+    with pytest.raises(ResolutionError, match=re.escape(
+            f"gamma = {gamma}, eps = {epsilon}: ") + ".* not a finite double"):
+        SolverConfig(epsilon=epsilon, gamma=gamma)
 
 
 @pytest.mark.parametrize("epsilon, grid_spacing", [(1e80, None), (0.1, 1e-90)])
@@ -190,6 +219,82 @@ def test_newton_refuses_the_trivial_branch(epsilon, gamma):
     history = info.value.history
     assert len(history) < bvp.MAX_ITERS
     assert f"after {len(history)} iterations" in str(info.value)
+
+
+def test_jacobian_bands_apply_the_residual_derivative():
+    # residual is quadratic in u, so J(u) v = (residual(u + v) - residual(u - v))/2
+    # exactly in real arithmetic; the folded boundary rows are included
+    cfg = SolverConfig(epsilon=0.5, grid_spacing=0.05)
+    rng = np.random.default_rng(3)
+    u = initial_guess(cfg) + 0.1 * rng.standard_normal(cfg.n_cells + 1)
+    v = rng.standard_normal(cfg.n_cells + 1)
+    ab = bvp._jacobian_bands(u, cfg)
+    assert ab.shape == (7, len(u)) and ab.flags.f_contiguous
+    assert not ab[:2].any()  # the rows gbsv fills with the LU's pivot growth
+    n = len(u)
+    J = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 3)):
+            J[i, j] = ab[4 + i - j, j]
+    expected = (residual(u + v, cfg) - residual(u - v, cfg)) / 2.0
+    scale = 16.0 * cfg.epsilon ** 2 / cfg.grid_spacing ** 4 * np.abs(v).max()
+    assert np.abs(J @ v - expected).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("h_factor", [20.0, 40.0])
+def test_newton_step_equals_solve_banded_bit_for_bit(h_factor):
+    from scipy.linalg import solve_banded
+    cfg = SolverConfig(epsilon=0.1, grid_spacing=0.1 / h_factor)
+    u = initial_guess(cfg)
+    F = residual(u, cfg)
+    expected = solve_banded((2, 2), bvp._jacobian_bands(u, cfg)[2:], -F)
+    du = bvp._newton_step(u, F, cfg)
+    assert np.array_equal(du, expected)
+    assert np.array_equal(F, residual(u, cfg))  # the step solved on a copy of -F
+
+
+def test_solve_calls_gbsv_once_per_newton_step(monkeypatch):
+    from scipy.linalg import lapack
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return dgbsv(*args, **kwargs)
+
+    dgbsv = lapack.dgbsv
+    monkeypatch.setattr(lapack, "dgbsv", counted)
+    sol = solve(SolverConfig(epsilon=0.12))
+    assert sol.iterations == 3
+    assert calls == [(2, 2)] * sol.iterations
+
+
+def test_singular_newton_matrix_names_gbsv_info(monkeypatch):
+    bands = bvp._jacobian_bands
+    monkeypatch.setattr(bvp, "_jacobian_bands",
+                        lambda u, config: np.zeros_like(bands(u, config)))
+    with pytest.raises(IllConditionedError, match=r"gbsv info = 1\b"):
+        solve(SolverConfig(epsilon=0.1))
+
+
+def test_non_finite_start_is_refused_before_lapack(monkeypatch):
+    import scipy.linalg._flapack as flapack
+    from scipy.linalg import lapack
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite residual")
+
+    for module in (lapack, flapack):
+        monkeypatch.setattr(module, "dgbsv", no_lapack)
+    start = initial_guess
+
+    def nan_start(config):
+        u = start(config)
+        u[7] = math.nan
+        return u
+
+    monkeypatch.setattr(bvp, "initial_guess", nan_start)
+    with pytest.raises(IllConditionedError, match="non-finite residual"):
+        solve(SolverConfig(epsilon=0.1))
 
 
 def test_newton_quadratic_phase():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fkdv import SolverConfig, bvp, cli, predicted_amplitude, stokes
@@ -186,6 +187,49 @@ def test_compare_off_the_wave_branch_is_math_failure(tmp_path, capsys):
     assert "below the wave's branch" in stderr
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_singular_newton_matrix_is_math_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    bands = bvp._jacobian_bands
+    monkeypatch.setattr(bvp, "_jacobian_bands",
+                        lambda u, config: np.zeros_like(bands(u, config)))
+    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.1",
+                               "--out-dir", str(tmp_path))
+    assert code == 1
+    assert stderr.startswith("math failure: banded")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # gamma^2 underflows, so u = 0 would pass the branch check: the core is
+    # 1e300 wide and no L holds it
+    (["compare", "--epsilon", "0.1", "--gamma", "1e-300"],
+     "L = 16.285 too short at gamma = 1e-300: need L >= "),
+    # the core is 10 wide: the default L = 16.285 cut it off
+    (["compare", "--epsilon", "0.1", "--gamma", "0.1"],
+     "L = 16.285 too short at gamma = 0.1: need L >= 106.28"),
+    # g ** 4 overflows in c
+    (["tails", "--epsilon", "0.1", "--gamma", "1e300"],
+     "gamma = 1e+300, eps = 0.1: the eigenvalue c"),
+], ids=["compare-tiny-gamma", "compare-narrow-gamma", "tails-huge-gamma"])
+def test_gamma_the_bvp_cannot_hold_is_validation_failure(tmp_path, capsys,
+                                                         argv, message):
+    code, stdout, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr.startswith("error: " + message)
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_narrow_gamma_solves_on_a_long_enough_domain(tmp_path, capsys):
+    out = tmp_path / "cmp.json"
+    code, stdout, _ = run(capsys, "compare", "--epsilon", "0.1", "--gamma", "0.1",
+                          "--domain-length", "120", "--out", str(out))
+    assert code == 0
+    assert "u_bvp(0.0) = 0.0200100000" in stdout  # 2 g^2 + 10 g^4 eps^2 + ...
+    assert max(e for _, e in json.loads(out.read_text())["errors"]) < 1e-8
 
 
 def test_compare_reports_optimal_N(tmp_path, capsys):
