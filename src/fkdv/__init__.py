@@ -9,7 +9,8 @@ ties them into reproducible experiments.
 The series end (`series`, `evaluation`, `late_terms`) is integer and
 `Fraction` code and is imported with the package. The two array layers,
 `stokes` and `bvp`, are imported on first access to one of their names, so
-`import fkdv` and the series end never load numpy; `bvp.solve` loads scipy.
+`import fkdv` and the series end never load numpy; numpy is the only
+third-party dependency.
 """
 
 from importlib import import_module

@@ -181,8 +181,6 @@ def cmd_tails(args) -> list[Path]:
 
 
 def cmd_compare(args) -> list[Path]:
-    import numpy as np
-
     from .bvp import SolverConfig, predicted_amplitude, solve
     gamma = _gamma(args)
     eps = args.epsilon
@@ -197,7 +195,7 @@ def cmd_compare(args) -> list[Path]:
     point = EvalPoint(complex(args.x), eps)
     n_opt = optimal_N(args.x, eps, gamma)
     n_emp = empirical_optimum(table, point)
-    u_bvp = float(np.interp(abs(args.x), sol.nodes, sol.u))
+    u_bvp = float(sol.evaluate(abs(args.x)))
 
     scale = predicted_amplitude(cfg)
     n_hi = min(14, table.n_max + 1)
@@ -226,6 +224,8 @@ def cmd_compare(args) -> list[Path]:
 
 DOMAIN_LENGTH_HELP = ("half length L (default 10 + 20 pi eps; at least "
                       "10 max(1, 1/gamma) + 20 pi eps)")
+GRID_H_HELP = ("sampling step h of the BVP solution (default eps/20, at most "
+               "eps/10); L is rounded to a whole number of steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.08, 0.10, 0.12, 0.15])
     p.add_argument("--domain-length", type=float, default=None,
                    help=DOMAIN_LENGTH_HELP)
-    p.add_argument("--grid-h", type=float, default=None,
-                   help="grid spacing (default eps/20)")
+    p.add_argument("--grid-h", type=float, default=None, help=GRID_H_HELP)
     p.add_argument("--out", default=None, help="measurement JSONL path")
     p.add_argument("--dump-solutions", action="store_true",
                    help="also write one (x, u) CSV per epsilon")
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--domain-length", type=float, default=None,
                    help=DOMAIN_LENGTH_HELP)
-    p.add_argument("--grid-h", type=float, default=None)
+    p.add_argument("--grid-h", type=float, default=None, help=GRID_H_HELP)
     p.add_argument("--out", default=None, help="comparison JSON path")
     p.set_defaults(func=cmd_compare)
     return parser

@@ -1,6 +1,6 @@
 import pytest
 
-from fkdv import SolverConfig, build_series, measure_tail, solve, sweep
+from fkdv import build_series, bvp, sweep
 
 SWEEP_EPSILONS = [0.08, 0.10, 0.12, 0.15]
 
@@ -18,5 +18,14 @@ def tail_sweep():
 
 @pytest.fixture(scope="session")
 def tail_sweep_half():
-    """Same sweep at h = eps/40, for discretization-error estimates."""
+    """Same sweep sampled at h = eps/40."""
     return sweep(SWEEP_EPSILONS, h_factor=40.0)
+
+
+@pytest.fixture(scope="session")
+def tail_sweep_more_modes():
+    """Same sweep at h = eps/20 on 1.25 times the cosine modes, for
+    discretization-error estimates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bvp, "MODES_PER_GAMMA", 1.25 * bvp.MODES_PER_GAMMA)
+        return sweep(SWEEP_EPSILONS, h_factor=20.0)

@@ -164,11 +164,11 @@ def test_criterion_09b_optimal_truncation_error(table30):
                   f"u_bvp(0) = {u_bvp:.8f}")
 
 
-def test_criterion_10_tail_is_resolved(tail_sweep, tail_sweep_half):
+def test_criterion_10_tail_is_resolved(tail_sweep, tail_sweep_more_modes):
     margins = []
     ok = True
-    for (cfg, _, m), (_, _, m_half) in zip(tail_sweep, tail_sweep_half):
-        disc = abs(m.amplitude_measured - m_half.amplitude_measured)
+    for (cfg, _, m), (_, _, m_more) in zip(tail_sweep, tail_sweep_more_modes):
+        disc = abs(m.amplitude_measured - m_more.amplitude_measured)
         margin = m.amplitude_measured / max(disc, 1e-300)
         margins.append((cfg.epsilon, margin))
         ok = ok and m.amplitude_measured > 0 and margin >= 10.0

@@ -28,7 +28,7 @@ from fkdv import (
     tail_amplitude,
 )
 from fkdv import bvp, late_terms
-from fkdv.bvp import InsufficientDataError, residual
+from fkdv.bvp import InsufficientDataError, collocation_points, cosine_coefficients
 
 
 def test_default_c_includes_exact_correction():
@@ -94,10 +94,21 @@ def test_eigenvalue_beyond_double_range_rejected(epsilon, gamma):
 
 @pytest.mark.parametrize("epsilon, grid_spacing", [(1e80, None), (0.1, 1e-90)])
 def test_stencil_beyond_double_range_rejected(epsilon, grid_spacing):
-    # h^4 overflows past 1.8e308 or rounds to 0: eps^2/h^4 is no finite double,
-    # so the config itself refuses, before any array is built
-    with pytest.raises(ResolutionError, match=r"eps = .*, h = .*eps\^2/h\^4"):
+    # L = 6.3e81 asks for 4.8e82 modes, h = 1e-90 for 1.6e91 samples: the
+    # config itself refuses, before any array is built
+    with pytest.raises(ResolutionError, match=r"(modes|samples) exceed the cap"):
         SolverConfig(epsilon=epsilon, grid_spacing=grid_spacing)
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    (dict(epsilon=0.1, gamma=1000.0), "1.244e+05 cosine modes"),
+    (dict(epsilon=0.1, half_length=1e6), "7.639e+06 cosine modes"),
+    (dict(epsilon=0.1, half_length=500.0), "3820 cosine modes"),  # gamma L > 402.1
+    (dict(epsilon=1e-6), "2e+08 samples"),  # M = 77, but N = L/h = 2e8
+])
+def test_modes_and_samples_are_capped_before_allocating(kwargs, what):
+    with pytest.raises(ResolutionError, match=re.escape(what) + " exceed the cap"):
+        SolverConfig(**kwargs)
 
 
 def test_recorded_half_length_is_the_solved_one():
@@ -120,11 +131,10 @@ def test_initial_guess_is_the_outer_series_through_u1(gamma):
     table = build_series(1, gamma)
     cfg = SolverConfig(epsilon=0.1, gamma=float(gamma))
     u = initial_guess(cfg)
-    for k in range(0, cfg.n_cells + 1, 5):
-        x = k * cfg.grid_spacing
+    for x, uj in zip(collocation_points(cfg), u):
         exact = (eval_coefficient(table.u[0], x)
                  + cfg.epsilon ** 2 * eval_coefficient(table.u[1], x)).real
-        assert abs(u[k] - exact) <= 8 * math.ulp(exact), x
+        assert abs(uj - exact) <= 8 * math.ulp(exact), x
 
 
 @pytest.mark.parametrize("sweep_fixture", ["tail_sweep", "tail_sweep_half"])
@@ -159,18 +169,31 @@ def test_predicted_amplitude_is_half_the_one_sided_tail():
 
 def test_zero_solution_satisfies_closed_system():
     cfg = SolverConfig(epsilon=0.1)
-    F = residual(np.zeros(cfg.n_cells + 1), cfg)
+    _, F = bvp._Collocation(cfg).residual(np.zeros(cfg.n_modes + 1))
     assert np.all(F == 0.0)
 
 
-def test_symmetric_guess_has_zero_odd_derivatives_at_origin():
+def test_cosine_coefficients_interpolate_the_guess():
+    # one rfft of the even extension is the DCT-I: both the cosine sum and
+    # C a return the collocated values
     cfg = SolverConfig(epsilon=0.1)
     u = initial_guess(cfg)
-    h = cfg.grid_spacing
-    # ghosts by reflection make the odd-derivative stencils vanish exactly
-    du = (u[1] - u[1]) / (2 * h)
-    d3u = (u[2] - 2 * u[1] + 2 * u[1] - u[2]) / (2 * h**3)
-    assert du == 0.0 and d3u == 0.0
+    a = cosine_coefficients(u)
+    x = collocation_points(cfg)
+    sol = GridSolution(x, u, 0.0, 0, coefficients=a)
+    assert np.abs(sol.evaluate(x) - u).max() <= 1e-14 * np.abs(u).max()
+    assert np.abs(bvp._Collocation(cfg).C @ a - u).max() <= 1e-14 * np.abs(u).max()
+
+
+def test_symmetric_guess_has_zero_odd_derivatives_at_origin():
+    # every cosine mode is even about 0 and about L: u' = u''' = 0 at both ends
+    cfg = SolverConfig(epsilon=0.1)
+    a = cosine_coefficients(initial_guess(cfg))
+    L = cfg.half_length
+    sol = GridSolution(np.array([0.0, L]), np.zeros(2), 0.0, 0, coefficients=a)
+    t = np.linspace(0.0, 0.5, 11)
+    assert np.array_equal(sol.evaluate(-t), sol.evaluate(t))
+    assert np.abs(sol.evaluate(L - t) - sol.evaluate(L + t)).max() <= 1e-14
 
 
 def test_sine_tail_even_about_L_iff_stationary():
@@ -210,7 +233,7 @@ def test_newton_exhausted_states_its_iterations(epsilon, gamma):
     assert f"after {bvp.MAX_ITERS} iterations" in str(info.value)
 
 
-@pytest.mark.parametrize("epsilon, gamma", [(0.6, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize("epsilon, gamma", [(0.4, 2.0), (1.0, 1.0)])
 def test_newton_refuses_the_trivial_branch(epsilon, gamma):
     # Newton meets the residual target here on u = 0, not on the wave
     with pytest.raises(NonConvergenceError,
@@ -221,70 +244,34 @@ def test_newton_refuses_the_trivial_branch(epsilon, gamma):
     assert f"after {len(history)} iterations" in str(info.value)
 
 
-def test_jacobian_bands_apply_the_residual_derivative():
-    # residual is quadratic in u, so J(u) v = (residual(u + v) - residual(u - v))/2
-    # exactly in real arithmetic; the folded boundary rows are included
-    cfg = SolverConfig(epsilon=0.5, grid_spacing=0.05)
+def test_collocation_jacobian_applies_the_residual_derivative():
+    # the residual is quadratic in a, so J(u) v = (F(a + v) - F(a - v))/2
+    # exactly in real arithmetic; the bound is rounding on the largest row
+    cfg = SolverConfig(epsilon=0.5, gamma=1.0)
+    col = bvp._Collocation(cfg)
     rng = np.random.default_rng(3)
-    u = initial_guess(cfg) + 0.1 * rng.standard_normal(cfg.n_cells + 1)
-    v = rng.standard_normal(cfg.n_cells + 1)
-    ab = bvp._jacobian_bands(u, cfg)
-    assert ab.shape == (7, len(u)) and ab.flags.f_contiguous
-    assert not ab[:2].any()  # the rows gbsv fills with the LU's pivot growth
-    n = len(u)
-    J = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - 2), min(n, i + 3)):
-            J[i, j] = ab[4 + i - j, j]
-    expected = (residual(u + v, cfg) - residual(u - v, cfg)) / 2.0
-    scale = 16.0 * cfg.epsilon ** 2 / cfg.grid_spacing ** 4 * np.abs(v).max()
-    assert np.abs(J @ v - expected).max() <= 1e-14 * scale
+    a = cosine_coefficients(initial_guess(cfg))
+    a += 0.01 * rng.standard_normal(len(a))
+    v = rng.standard_normal(len(a))
+    u, _ = col.residual(a)
+    expected = (col.residual(a + v)[1] - col.residual(a - v)[1]) / 2.0
+    scale = np.abs(col.C * col.s).sum(axis=1).max() * np.abs(v).max()
+    assert np.abs(col.jacobian(u) @ v - expected).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("h_factor", [20.0, 40.0])
-def test_newton_step_equals_solve_banded_bit_for_bit(h_factor):
-    from scipy.linalg import solve_banded
-    cfg = SolverConfig(epsilon=0.1, grid_spacing=0.1 / h_factor)
-    u = initial_guess(cfg)
-    F = residual(u, cfg)
-    expected = solve_banded((2, 2), bvp._jacobian_bands(u, cfg)[2:], -F)
-    du = bvp._newton_step(u, F, cfg)
-    assert np.array_equal(du, expected)
-    assert np.array_equal(F, residual(u, cfg))  # the step solved on a copy of -F
-
-
-def test_solve_calls_gbsv_once_per_newton_step(monkeypatch):
-    from scipy.linalg import lapack
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return dgbsv(*args, **kwargs)
-
-    dgbsv = lapack.dgbsv
-    monkeypatch.setattr(lapack, "dgbsv", counted)
-    sol = solve(SolverConfig(epsilon=0.12))
-    assert sol.iterations == 3
-    assert calls == [(2, 2)] * sol.iterations
-
-
-def test_singular_newton_matrix_names_gbsv_info(monkeypatch):
-    bands = bvp._jacobian_bands
-    monkeypatch.setattr(bvp, "_jacobian_bands",
-                        lambda u, config: np.zeros_like(bands(u, config)))
-    with pytest.raises(IllConditionedError, match=r"gbsv info = 1\b"):
+def test_singular_newton_matrix_is_ill_conditioned(monkeypatch):
+    # numpy's LinAlgError is a ValueError: it must not leave solve as one
+    monkeypatch.setattr(bvp._Collocation, "jacobian",
+                        lambda self, u: np.zeros((len(u), len(u))))
+    with pytest.raises(IllConditionedError, match="Newton matrix: Singular matrix"):
         solve(SolverConfig(epsilon=0.1))
 
 
 def test_non_finite_start_is_refused_before_lapack(monkeypatch):
-    import scipy.linalg._flapack as flapack
-    from scipy.linalg import lapack
+    def no_jacobian(self, u):
+        raise AssertionError("Newton matrix built on a non-finite residual")
 
-    def no_lapack(*args, **kwargs):
-        raise AssertionError("LAPACK called on a non-finite residual")
-
-    for module in (lapack, flapack):
-        monkeypatch.setattr(module, "dgbsv", no_lapack)
+    monkeypatch.setattr(bvp._Collocation, "jacobian", no_jacobian)
     start = initial_guess
 
     def nan_start(config):
@@ -297,6 +284,33 @@ def test_non_finite_start_is_refused_before_lapack(monkeypatch):
         solve(SolverConfig(epsilon=0.1))
 
 
+def test_too_few_modes_fail_the_resolution_check(monkeypatch):
+    # half the modes leave the top fiftieth of the spectrum near 1e-6 max|u|
+    monkeypatch.setattr(bvp, "MODES_PER_GAMMA", bvp.MODES_PER_GAMMA / 2)
+    with pytest.raises(ResolutionError, match="top fiftieth of the spectrum"):
+        solve(SolverConfig(epsilon=0.1))
+
+
+@pytest.mark.parametrize("epsilon", np.round(np.arange(0.05, 0.151, 0.01), 2))
+def test_resolution_check_passes_across_the_paper_range(epsilon):
+    # the tail's harmonics n k lie inside k_max for some eps of the range
+    # (3k = 22.3 at eps = 0.14); the checked band sits at least ten times
+    # below the bound on the default domain
+    sol = solve(SolverConfig(epsilon=epsilon))
+    a = sol.coefficients
+    M = len(a) - 1
+    top = np.abs(a[M - M // 50:]).max()
+    assert top <= 0.1 * bvp.SPECTRUM_TOL * np.abs(sol.u).max()
+
+
+def test_samples_are_the_cosine_interpolant(tail_sweep):
+    # the zero-padded irfft and the direct cosine sum agree at every sample
+    for cfg, sol, _ in tail_sweep:
+        assert len(sol.nodes) - 1 >= cfg.n_cells
+        assert sol.nodes[-1] == cfg.half_length
+        assert np.abs(sol.evaluate(sol.nodes) - sol.u).max() <= 1e-13
+
+
 def test_newton_quadratic_phase():
     sol = solve(SolverConfig(epsilon=0.1))
     h = sol.residual_history
@@ -305,20 +319,19 @@ def test_newton_quadratic_phase():
     assert all(r < 10.0 for r in ratios)
 
 
-def test_discretization_second_order(tail_sweep, tail_sweep_half):
-    cfg, sol, _ = tail_sweep[1]  # eps = 0.10
-    cfg2, sol2, _ = tail_sweep_half[1]
-    cfg4 = SolverConfig(epsilon=cfg.epsilon, grid_spacing=cfg.grid_spacing / 4,
-                        half_length=cfg.half_length)
-    sol4 = solve(cfg4)
-    d1 = abs(sol.u[0] - sol2.u[0])
-    d2 = abs(sol2.u[0] - sol4.u[0])
-    assert d1 / d2 == pytest.approx(4.0, abs=1.5)
+def test_more_modes_leave_u0_and_the_tail_unchanged(tail_sweep,
+                                                   tail_sweep_more_modes):
+    # no grid error: 1.25 times the modes move u(0) and A by rounding only
+    for (cfg, sol, m), (_, sol5, m5) in zip(tail_sweep, tail_sweep_more_modes):
+        assert len(sol5.coefficients) > len(sol.coefficients)
+        assert sol5.u[0] == pytest.approx(sol.u[0], rel=1e-10), cfg.epsilon
+        assert m5.amplitude_measured == pytest.approx(m.amplitude_measured,
+                                                      rel=1e-10), cfg.epsilon
 
 
 def test_interior_residual_small(tail_sweep):
     cfg, sol, _ = tail_sweep[0]
-    F = residual(sol.u, cfg)
+    _, F = bvp._Collocation(cfg).residual(sol.coefficients)
     assert np.abs(F).max() <= sol.residual_target
 
 
@@ -356,8 +369,7 @@ def test_window_contamination_detected():
     # at eps = 0.03 the predicted tail is ~1e-18, far below the sech^2 core
     # at the window start: the measurement window cannot be trusted
     cfg = SolverConfig(epsilon=0.03)
-    x = np.arange(cfg.n_cells + 1) * cfg.grid_spacing
-    sol = GridSolution(x, initial_guess(cfg), 0.0, 0)
+    sol = GridSolution(collocation_points(cfg), initial_guess(cfg), 0.0, 0)
     with pytest.raises(WindowContaminatedError):
         measure_tail(sol, cfg)
 

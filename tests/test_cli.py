@@ -154,17 +154,17 @@ def test_compare_nan_x_is_refused_before_the_solve(tmp_path, capsys, monkeypatch
 
 def test_compare_stencil_beyond_double_range_is_validation_failure(
         tmp_path, capsys, monkeypatch):
-    # at eps = 1e80 the default h = eps/20 takes h^4 past 1.8e308: the solver
-    # config refuses it before any array is built, and names eps and h
+    # at eps = 1e80 the default L = 10 + 20 pi eps asks for 4.8e82 cosine
+    # modes: the solver config refuses it before any array is built
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved an unrepresentable stencil")
+        raise AssertionError("solved past the mode cap")
 
     monkeypatch.setattr(bvp, "solve", no_solve)
     code, _, stderr = run(capsys, "compare", "--epsilon", "1e80", "--n-max", "5",
                           "--out-dir", str(tmp_path))
     assert code == 2
-    assert stderr == ("error: eps = 1e+80, h = 5e+78: the stencil coefficient "
-                      "eps^2/h^4 is not a finite double\n")
+    assert stderr == ("error: gamma = 1.0, L = 6.285e+81: 4.801e+82 cosine "
+                      "modes exceed the cap of 3072\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -180,8 +180,8 @@ def test_compare_solves_before_building_the_series(tmp_path, capsys, monkeypatch
 
 
 def test_compare_off_the_wave_branch_is_math_failure(tmp_path, capsys):
-    # Newton converges onto u = 0 at eps = 0.6, gamma = 2: no value is reported
-    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.6",
+    # Newton converges onto u = 0 at eps = 0.4, gamma = 2: no value is reported
+    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.4",
                                "--gamma", "2", "--out-dir", str(tmp_path))
     assert code == 1
     assert "below the wave's branch" in stderr
@@ -191,13 +191,13 @@ def test_compare_off_the_wave_branch_is_math_failure(tmp_path, capsys):
 
 def test_compare_singular_newton_matrix_is_math_failure(tmp_path, capsys,
                                                         monkeypatch):
-    bands = bvp._jacobian_bands
-    monkeypatch.setattr(bvp, "_jacobian_bands",
-                        lambda u, config: np.zeros_like(bands(u, config)))
+    # numpy's LinAlgError is a ValueError, which main would report as exit 2
+    monkeypatch.setattr(bvp._Collocation, "jacobian",
+                        lambda self, u: np.zeros((len(u), len(u))))
     code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.1",
                                "--out-dir", str(tmp_path))
     assert code == 1
-    assert stderr.startswith("math failure: banded")
+    assert stderr.startswith("math failure: Newton matrix: Singular matrix")
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -228,8 +228,44 @@ def test_narrow_gamma_solves_on_a_long_enough_domain(tmp_path, capsys):
     code, stdout, _ = run(capsys, "compare", "--epsilon", "0.1", "--gamma", "0.1",
                           "--domain-length", "120", "--out", str(out))
     assert code == 0
-    assert "u_bvp(0.0) = 0.0200100000" in stdout  # 2 g^2 + 10 g^4 eps^2 + ...
+    # 2 g^2 + 10 g^4 eps^2 + 60 g^6 eps^4 + ... = 0.020010006
+    assert "u_bvp(0.0) = 0.0200100060" in stdout
     assert max(e for _, e in json.loads(out.read_text())["errors"]) < 1e-8
+
+
+def _compare(capsys, tmp_path, *argv):
+    out = tmp_path / "cmp.json"
+    assert run(capsys, "compare", *argv, "--out", str(out))[0] == 0
+    return json.loads(out.read_text())
+
+
+def test_compare_u_bvp_does_not_depend_on_the_sampling_step(tmp_path, capsys):
+    # h = eps/160 once stopped Newton after one step, 1.08e-4 off in u(0).
+    # --domain-length holds L: the default L is rounded to a whole number of h
+    fine = _compare(capsys, tmp_path, "--epsilon", "0.1", "--grid-h", "0.000625",
+                    "--domain-length", "16.285")
+    default = _compare(capsys, tmp_path, "--epsilon", "0.1")
+    assert fine["u_bvp"] == pytest.approx(default["u_bvp"], abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["compare", "tails"])
+@pytest.mark.parametrize("epsilon", ["0.09", "0.14"])
+def test_tail_harmonics_below_k_max_pass_the_resolution_check(
+        tmp_path, capsys, command, epsilon):
+    # the tail's second (eps = 0.09) and third (0.14) harmonic lie in the top
+    # tenth of the spectrum, resolved; the solve is accepted
+    code, _, stderr = run(capsys, command, "--epsilon", epsilon,
+                          "--out-dir", str(tmp_path))
+    assert (code, stderr) == (0, "")
+
+
+def test_compare_reads_the_interpolant_between_samples(tmp_path, capsys):
+    # x = 0.4 is a sample, 0.40125 lies half a step away; linear interpolation
+    # between samples raised that error floor 4.6-fold
+    floors = [min(e for _, e in _compare(capsys, tmp_path, "--epsilon", "0.05",
+                                         "--n-max", "40", "--x", x)["errors"])
+              for x in ("0.4", "0.40125")]
+    assert max(floors) <= 2.0 * min(floors)
 
 
 def test_compare_reports_optimal_N(tmp_path, capsys):
@@ -342,22 +378,24 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
 
 
 def test_startup_never_imports_scipy(tmp_path):
-    # only the BVP needs scipy; importing it costs about 0.3 s of every command
+    # fkdv needs numpy only; importing scipy would cost about 0.3 s a command
     script = f"""
 import sys
 import fkdv
 from fkdv import cli
 out = {str(tmp_path)!r}
 for argv in (["series", "--n-max", "8"], ["lambda", "--n-max", "16"],
-             ["stokes-profile", "--epsilon", "0.1"]):
+             ["stokes-profile", "--epsilon", "0.1"], ["tails"],
+             ["compare", "--epsilon", "0.1"]):
     assert cli.main(argv + ["--out-dir", out]) == 0, argv
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.glob("*.manifest.json"))) == 3
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 5
 
 
 def test_series_end_never_imports_numpy(tmp_path):

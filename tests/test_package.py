@@ -1,4 +1,5 @@
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +64,12 @@ def test_every_exception_class_states_its_exit_code():
         if name.endswith("Error")}
     for cls in classes:
         assert issubclass(cls, ValueError) != issubclass(cls, ArithmeticError), cls
+
+
+def test_pyproject_lists_no_scipy_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(fkdv.__file__).resolve().parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    requirements = [*project["dependencies"],
+                    *(r for rs in project["optional-dependencies"].values() for r in rs)]
+    assert not [r for r in requirements if r.lower().startswith("scipy")]
