@@ -153,18 +153,18 @@ def fit_divergence_exponent(table: SeriesTable) -> tuple[int, dict[int, float]]:
         raise InsufficientDataError(f"need n_max >= {N_LO + 4}")
     ns = range(N_LO, table.n_max + 1)
     g = table.gamma
+    logs = []  # log|a_{n,n+1} g^-(2n+2)|
+    for n in ns:
+        a = abs(table.top_coefficient(n) / g ** (2 * n + 2))
+        logs.append(math.log(a.numerator) - math.log(a.denominator))
+    xs = [math.log(n) for n in ns]
+    mx = sum(xs) / len(xs)
+    sxx = sum((xv - mx) ** 2 for xv in xs)
     slopes = {}
     for beta in BETAS:
-        ys = []
-        for n in ns:
-            a = abs(table.top_coefficient(n) / g ** (2 * n + 2))
-            ys.append(math.log(a.numerator) - math.log(a.denominator)
-                      - math.lgamma(2 * n + beta))
-        xs = [math.log(n) for n in ns]
-        mx = sum(xs) / len(xs)
+        ys = [la - math.lgamma(2 * n + beta) for n, la in zip(ns, logs)]
         my = sum(ys) / len(ys)
-        slopes[beta] = (sum((xv - mx) * (yv - my) for xv, yv in zip(xs, ys))
-                        / sum((xv - mx) ** 2 for xv in xs))
+        slopes[beta] = sum((xv - mx) * (yv - my) for xv, yv in zip(xs, ys)) / sxx
     best = min(slopes, key=lambda b: abs(slopes[b]))
     return best, slopes
 

@@ -10,6 +10,8 @@ All arithmetic is exact; coefficients grow factorially, so fixed-width numbers
 would overflow within a dozen orders. The orders are solved at g = 1, each as
 integer numerators over one common denominator, and the table is rescaled
 exactly at the end: a_{n,m}(g) = g^{2n+2} a_{n,m}(1), c_n(g) = g^{2n+2} c_n(1).
+A SechPolynomial stores that integer form in lowest terms, as built, saved and
+loaded; a Fraction per coefficient is made only if `coeffs` is read.
 
 Each build proves its table exact without a second pass. Every order is
 checked against its full equation as it is solved, from the right-hand side
@@ -73,66 +75,75 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SechPolynomial:
     """Polynomial sum_m a_m S^m, S = sech^2(gamma x), exact coefficients.
 
     Powers start at m = 1 so every represented function decays at infinity.
-    The zero polynomial is the empty coefficient map.
+    The storage is the canonical integer form `int_form`, (nums, den): a_m =
+    nums[m] / den, with nums[0] = 0 for the absent constant term, den > 0,
+    gcd(den, *nums) = 1 and no trailing zero numerator, so the zero
+    polynomial is ((0,), 1). Equal polynomials have equal forms, and
+    equality compares (int_form, gamma). `coeffs`, the {power: Fraction} map
+    of the nonzero coefficients, is built only when first read.
     """
 
-    coeffs: dict[int, Fraction]
-    gamma: Fraction = Fraction(1)
+    int_form: tuple[tuple[int, ...], int]
+    gamma: Fraction
 
-    def __post_init__(self):
-        clean = {}
-        for m, a in self.coeffs.items():
+    def __init__(self, coeffs, gamma=Fraction(1)):
+        coeffs = {m: _rat(a) for m, a in coeffs.items()}
+        for m in coeffs:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"powers must be integers >= 1, got {m!r}")
-            a = _rat(a)
-            if a != 0:
-                clean[m] = a
-        object.__setattr__(self, "coeffs", clean)
-        g = _rat(self.gamma)
+        g = _rat(gamma)
         if g <= 0:
             raise ValueError("gamma must be positive")
-        object.__setattr__(self, "gamma", g)
+        den = math.lcm(*(a.denominator for a in coeffs.values()))
+        nums = [0] * (max(coeffs, default=0) + 1)
+        for m, a in coeffs.items():
+            nums[m] = a.numerator * (den // a.denominator)
+        _store(self, nums, den, g)
+
+    @cached_property
+    def coeffs(self) -> dict[int, Fraction]:
+        nums, den = self.int_form
+        return {m: Fraction(x, den) for m, x in enumerate(nums) if x}
 
     @property
     def degree(self) -> int:
         """Highest power of S present; 0 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else 0
+        return len(self.int_form[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.int_form[0])
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """(power, coefficient) pairs in ascending power order."""
         return sorted(self.coeffs.items())
 
-    @cached_property
-    def int_form(self) -> tuple[tuple[int, ...], int]:
-        """Integer form, computed once: numerators indexed by the power of S
-        (index 0, the constant term, is 0) over one positive common
-        denominator."""
-        den = math.lcm(*(a.denominator for a in self.coeffs.values()))
-        nums = [0] * (self.degree + 1)
-        for m, a in self.coeffs.items():
-            nums[m] = a.numerator * (den // a.denominator)
-        return tuple(nums), den
 
-    def __eq__(self, other):
-        if not isinstance(other, SechPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.gamma == other.gamma
+def _store(p: SechPolynomial, nums, den: int, gamma: Fraction) -> SechPolynomial:
+    """Store sum nums[m] S^m / den in p in canonical form: one gcd for the
+    whole polynomial, the sign on the numerators, trailing zeros dropped."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    top = len(nums) - 1
+    while top > 0 and not nums[top]:
+        top -= 1
+    object.__setattr__(p, "int_form", (tuple(x // g for x in nums[:top + 1]), den // g))
+    object.__setattr__(p, "gamma", gamma)
+    return p
 
 
 # ---------------------------------------------------------------------------
 # arithmetic on integer forms (SechPolynomial.int_form)
 
 def _poly(nums: list[int], den: int, gamma: Fraction) -> SechPolynomial:
-    return SechPolynomial({m: Fraction(x, den) for m, x in enumerate(nums) if x}, gamma)
+    """The polynomial sum nums[m] S^m / den at a gamma already checked > 0."""
+    return _store(object.__new__(SechPolynomial), nums, den, gamma)
 
 
 def _d2(nums: list[int]) -> list[int]:
@@ -209,7 +220,8 @@ class SeriesTable:
 
     def top_coefficient(self, n: int) -> Fraction:
         """Coefficient of S^{n+1} in u_n (the degree invariant pins it)."""
-        return self.u[n].coeffs[n + 1]
+        nums, den = self.u[n].int_form
+        return Fraction(nums[n + 1], den)
 
 
 def _residual(u, c, gamma: Fraction, n: int) -> tuple[list[int], int]:
@@ -351,23 +363,68 @@ def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
 
 
 # ---------------------------------------------------------------------------
-# serialization: rationals as decimal strings so nothing is rounded
+# serialization: rationals as decimal strings so nothing is rounded, each
+# coefficient in lowest terms as str(Fraction) writes it
+
+def _ratio_str(x: int, den: int) -> str:
+    """x / den in lowest terms, as str(Fraction(x, den)) writes it."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
 
 def table_to_json(table: SeriesTable) -> dict:
-    return {
-        "gamma": str(table.gamma),
-        "c": [str(ci) for ci in table.c],
-        "u": [[[str(m), str(a)] for m, a in p.terms()] for p in table.u],
-    }
+    u = []
+    for p in table.u:
+        nums, den = p.int_form
+        u.append([[str(m), _ratio_str(x, den)] for m, x in enumerate(nums) if x])
+    return {"gamma": str(table.gamma), "c": [str(ci) for ci in table.c], "u": u}
+
+
+def _parse_ratio(s) -> tuple[int, int]:
+    """(p, q) from "p" or "p/q", the grammar stated in load_table."""
+    if isinstance(s, str) and s.isascii():
+        p, slash, q = s.partition("/")
+        if p.removeprefix("-").isdigit() and (not slash or q.isdigit()):
+            q = int(q) if slash else 1
+            if q:
+                return int(p), q
+    raise ValueError(f"expected an integer or an integer over a positive "
+                     f"integer, got {s!r}")
+
+
+def _parse_power(s) -> int:
+    if isinstance(s, str) and s.isascii() and s.isdigit() and int(s) >= 1:
+        return int(s)
+    raise ValueError(f"expected a power >= 1, got {s!r}")
+
+
+def _load_fraction(s, where: str) -> Fraction:
+    try:
+        return Fraction(*_parse_ratio(s))
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def table_from_json(doc: dict) -> SeriesTable:
-    gamma = Fraction(doc["gamma"])
-    c = tuple(Fraction(s) for s in doc["c"])
-    u = tuple(
-        SechPolynomial({int(m): Fraction(a) for m, a in entry}, gamma)
-        for entry in doc["u"]
-    )
+    """The table saved by table_to_json; load_table states the grammar."""
+    gamma = _load_fraction(doc["gamma"], "gamma")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    c = [_load_fraction(s, f"c at order {n}") for n, s in enumerate(doc["c"])]
+    u = []
+    for n, entry in enumerate(doc["u"]):
+        terms = []
+        for m, a in entry:
+            try:
+                terms.append((_parse_power(m), *_parse_ratio(a)))
+            except ValueError as e:
+                raise ValueError(f"order {n}, power {m}: {e}") from None
+        # a_m = p / q over the lcm of the q, reduced once by _poly
+        den = math.lcm(*(q for _, _, q in terms))
+        nums = [0] * (max((m for m, _, _ in terms), default=0) + 1)
+        for m, p, q in terms:
+            nums[m] = p * (den // q)
+        u.append(_poly(nums, den, gamma))
     return SeriesTable(gamma, u, c)
 
 
@@ -396,5 +453,14 @@ def save_table(table: SeriesTable, path) -> None:
 
 
 def load_table(path) -> SeriesTable:
+    """Read a table written by save_table.
+
+    Every rational (gamma, each c_n and each coefficient a_{n,m}) must be a
+    string holding an integer, or an integer, a slash and a positive integer,
+    in ASCII digits with an optional minus on the first integer: exactly what
+    save_table writes. Each power must be a string holding an integer >= 1.
+    An unreduced ratio such as "2/4" loads as its lowest terms; anything else
+    ("1/0", "1.5", "") raises ValueError naming the order and the power.
+    """
     with open(path) as fh:
         return table_from_json(json.load(fh))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,22 @@ def test_lambda_report(tmp_path, capsys):
     csv_lines = out.with_suffix(".csv").read_text().splitlines()
     assert csv_lines[0] == "n,lambda_n"
     assert len(csv_lines) == 32
+
+
+def test_lambda_report_bytes_are_pinned(tmp_path, capsys):
+    # digests of the report and CSV written before the series tables were
+    # stored as integer forms; the top coefficients, the beta fit and every
+    # float of the report must come out bit for bit the same
+    out = tmp_path / "lambda_report.json"
+    code, _, _ = run(capsys, "lambda", "--n-max", "40", "--gamma", "3/2",
+                     "--emit-csv", "--out", str(out))
+    assert code == 0
+    digests = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out, out.with_suffix(".csv"))}
+    assert digests == {
+        ".json": "e4031ee6e002a08f19a869a84066d22b2f0e5e141d2ef5f01bd02db28af3f2fc",
+        ".csv": "8c03bcffad149185dda337613c60f8ebaeed10771c88e81fc9db57985687660f",
+    }
 
 
 def test_lambda_insufficient_data_is_validation_failure(tmp_path, capsys,

@@ -20,11 +20,12 @@ from fkdv import (
     order_residual,
     save_table,
     second_derivative,
+    singulant_report,
     table_from_json,
     table_to_json,
 )
 from fkdv import series
-from fkdv.late_terms import inner_coefficients
+from fkdv.late_terms import inner_coefficients, report_to_json
 from fkdv.series import atomic_write
 
 F = Fraction
@@ -368,3 +369,81 @@ def test_json_roundtrip_exact(n_max, g):
     assert back.gamma == t.gamma
     assert back.c == t.c
     assert back.u == t.u
+
+
+def _load_doc(tmp_path, doc):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    return load_table(path)
+
+
+def test_load_reduces_an_unreduced_ratio(tmp_path):
+    t = _load_doc(tmp_path, {"gamma": "6/4", "c": ["18/2"],
+                             "u": [[["1", "2/4"], ["2", "0/7"]]]})
+    assert t.gamma == F(3, 2) and t.c == (9,)
+    assert t.u[0] == SechPolynomial({1: F(1, 2)}, F(3, 2))
+    assert t.u[0].int_form == ((0, 1), 2)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1.5", "", "+1", " 1", "1 ", "1_0",
+                                 "--1", "1/-2", "1/2/3", "0x1", "\uff11", 1])
+def test_load_refuses_what_save_never_writes(tmp_path, bad):
+    # order 1, power 2 of the table build_series(1)
+    doc = table_to_json(build_series(1))
+    doc["u"][1][1][1] = bad
+    with pytest.raises(ValueError, match="^order 1, power 2: "):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("field, bad, where", [("gamma", "1.5", "gamma"),
+                                               ("gamma", "0", "gamma"),
+                                               ("c", ["4", "1/0"], "c at order 1")])
+def test_load_refuses_a_bad_gamma_or_c(tmp_path, field, bad, where):
+    doc = {**table_to_json(build_series(1)), field: bad}
+    with pytest.raises(ValueError, match=f"^{where}"):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("power", ["0", "-1", "1.0", ""])
+def test_load_refuses_a_bad_power(tmp_path, power):
+    doc = table_to_json(build_series(1))
+    doc["u"][1][0][0] = power
+    with pytest.raises(ValueError, match="^order 1, power "):
+        _load_doc(tmp_path, doc)
+
+
+COEFF_MAPS = st.dictionaries(st.integers(1, 6),
+                             st.fractions(min_value=-50, max_value=50, max_denominator=20),
+                             max_size=5)
+
+
+def _assert_canonical(p):
+    nums, den = p.int_form
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert nums[0] == 0 and (nums[-1] != 0 or nums == (0,))
+    assert p.degree == len(nums) - 1 and p.is_zero == (nums == (0,))
+
+
+@given(COEFF_MAPS, COEFF_MAPS, st.sampled_from([F(1), F(3, 2), F(2, 3)]),
+       st.integers(-30, 30).filter(bool), st.integers(0, 3))
+def test_integer_form_is_canonical(a, b, g, k, z):
+    p, q = SechPolynomial(a, g), SechPolynomial(b, g)
+    for r in (p, q, second_derivative(p)):
+        _assert_canonical(r)
+    assert SechPolynomial(p.coeffs, g) == p
+    assert (p == q) == (p.coeffs == q.coeffs)
+    # the same polynomial from a scaled form with trailing zeros
+    nums, den = p.int_form
+    same = series._poly([k * x for x in nums] + [0] * z, k * den, g)
+    assert same == p and same.int_form == p.int_form
+    assert SechPolynomial({**a, 7: 0}, g) == p
+
+
+def test_build_save_load_and_report_never_make_coefficient_fractions(tmp_path):
+    # the design: the series tables live as integer forms, and the report
+    # reads top coefficients and evaluations off them directly
+    t = build_series(40, F(3, 2))
+    save_table(t, tmp_path / "table.json")
+    loaded = load_table(tmp_path / "table.json")
+    report_to_json(singulant_report(loaded), loaded)
+    assert not [p for p in (*t.u, *loaded.u) if "coeffs" in vars(p)]
