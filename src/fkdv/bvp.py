@@ -21,21 +21,18 @@ vouches for it: the top fiftieth of its spectrum, where the series is cut,
 must sit below SPECTRUM_TOL max|u|, else ResolutionError. It guards against
 too few modes (half of them put it near 1e-6); it does not estimate a change
 of 1e-10 that more modes make to u. The grid spacing h sets only where the
-solution is sampled, for output and for measure_tail, and the whole number
-of steps h to which L is rounded.
-
-The symmetric wave carries half the one-sided switching amplitude on each
-side, so measured tails are compared against |Lam| pi eps^-2 e^{-pi/(2 g eps)}.
+solution is sampled, for output and for measure_tail: the solve, L included,
+does not read it.
 
 Note on tolerances: an iterate is accepted when the Newton step that reached
-it moved u by at most STEP_TOL max(1, |u|) and its collocation residual is at
-most NEWTON_TOL max(1, |u|)^2; quadratic convergence then leaves it about
-STEP_TOL^2 from the discrete solution. The residual's roundoff floor,
-read off Newton steps past convergence, is 1e-15 to 1e-14 at gamma = 1 (eps
-= 0.05 to 0.15) and 2e-11 to 7e-11 at gamma = 10 (eps = 0.01, |u| = 200):
-it grows with |u|^2, as the target does, and stays far below it. Only the
-wave's branch u(0) >= gamma^2 (half the peak 2 gamma^2; u = 0 fails) is
-accepted.
+it moved u by at most STEP_TOL s and its collocation residual is at most
+NEWTON_TOL s^2, s = max(gamma^2, |u|) (under u = gamma^2 U the gamma = 1
+floor of 1); quadratic convergence then leaves it about STEP_TOL^2 from the
+discrete solution. The residual's roundoff floor, read off Newton steps past
+convergence, is 1e-15 to 1e-14 at gamma = 1 (eps = 0.05 to 0.15) and 2e-11
+to 7e-11 at gamma = 10 (eps = 0.01, |u| = 200): it grows with |u|^2, as the
+target does, and stays far below it. Only the wave's branch u(0) >= gamma^2
+(half the peak 2 gamma^2; u = 0 fails) is accepted.
 """
 
 from __future__ import annotations
@@ -85,15 +82,20 @@ def default_c(gamma: float, epsilon: float) -> float:
 
 
 def default_half_length(epsilon: float) -> float:
-    """Core decay plus at least ten tail oscillations."""
-    return 10.0 + 10.0 * (2.0 * math.pi * epsilon)
+    """Core decay plus ten tail oscillations, 10 + 20 pi eps, rounded up to a
+    whole number of eps/20."""
+    step = epsilon / 20.0
+    return math.ceil((10.0 + 10.0 * (2.0 * math.pi * epsilon)) / step) * step
 
 
-#: residual target relative to max(1, |u|)^2
+#: residual target relative to max(gamma^2, |u|)^2
 NEWTON_TOL = 1e-12
-#: Newton step target relative to max(1, |u|)
+#: Newton step target relative to max(gamma^2, |u|)
 STEP_TOL = 1e-6
 MAX_ITERS = 50
+#: steps without a new smallest residual before Newton gives up (7 seen in a
+#: solve that converged: eps = 0.16, gamma = 3/2)
+STALL_ITERS = 10
 #: k_max / gamma: M = ceil(MODES_PER_GAMMA gamma L / pi), read at call time
 MODES_PER_GAMMA = 24.0
 #: bound on max |a_m| over the top fiftieth of the modes, relative to max |u|
@@ -109,13 +111,12 @@ MAX_SAMPLES = 2 ** 20
 @dataclass(frozen=True)
 class SolverConfig:
     """Domain, sampling step and eigenvalue for one solve, checked at
-    construction; h (the output sampling step) defaults to eps/20, L to
-    default_half_length and c is always default_c, which must be a finite
-    double. L is rounded to a whole number of steps h. L must reach
-    10 max(1, 1/gamma) + 20 pi eps (ten core widths and ten tail
-    wavelengths), default_half_length for gamma >= 1; the default L is not
-    widened for gamma < 1. The mode count and the sample count are capped by
-    MAX_MODES and MAX_SAMPLES before anything is allocated."""
+    construction. L is half_length as given, else default_half_length, and
+    must reach 10 max(1, 1/gamma) + 20 pi eps (ten core widths and ten tail
+    wavelengths; the default is not widened for gamma < 1). The output
+    sampling step h <= eps/10 (default eps/20) sets only the sample count
+    round(L/h), never L. c is default_c, a finite double. Modes and samples
+    are capped by MAX_MODES and MAX_SAMPLES before anything is allocated."""
 
     epsilon: float
     gamma: float = 1.0
@@ -142,20 +143,16 @@ class SolverConfig:
         if not 0 < self.grid_spacing < math.inf:
             raise ValueError("grid_spacing must be positive and finite")
         if self.half_length is None:
-            # round up to a whole number of cells
-            n = math.ceil(default_half_length(self.epsilon) / self.grid_spacing)
-        elif 0 < self.half_length < math.inf:
-            n = round(self.half_length / self.grid_spacing)  # the solved L
-        else:
+            object.__setattr__(self, "half_length",
+                               default_half_length(self.epsilon))
+        elif not 0 < self.half_length < math.inf:
             raise ValueError("half_length must be positive and finite")
-        object.__setattr__(self, "half_length", n * self.grid_spacing)
         slack = 1.0 + 1e-9
         if self.grid_spacing > self.epsilon / 10.0 * slack:
             raise ResolutionError(
                 f"h = {self.grid_spacing} too coarse: need h <= eps/10 = "
                 f"{self.epsilon / 10.0} to sample the 2 pi eps wavelength")
-        need = (default_half_length(self.epsilon)  # bit for bit at gamma >= 1
-                + 10.0 * (max(1.0, 1.0 / self.gamma) - 1.0))
+        need = 10.0 * max(1.0, 1.0 / self.gamma) + 20.0 * math.pi * self.epsilon
         if self.half_length * slack < need:
             raise ResolutionError(
                 f"L = {self.half_length} too short at gamma = {self.gamma}: "
@@ -290,8 +287,9 @@ def solve(config: SolverConfig) -> GridSolution:
     the step and the residual both meet their targets (module docstring), so
     the result depends only on the configuration.
 
-    Converging off the wave's branch u(0) >= gamma^2, or MAX_ITERS steps
-    short of the targets, raises NonConvergenceError. IllConditionedError is
+    Converging off the wave's branch u(0) >= gamma^2, STALL_ITERS steps
+    without a new smallest residual, or MAX_ITERS steps short of the
+    targets, raises NonConvergenceError. IllConditionedError is
     raised for a non-finite residual, a singular Newton matrix or a
     non-finite Newton correction; ResolutionError when the top fiftieth of
     the spectrum exceeds SPECTRUM_TOL max|u|.
@@ -307,7 +305,7 @@ def solve(config: SolverConfig) -> GridSolution:
         if not math.isfinite(rn):
             raise IllConditionedError(
                 f"non-finite residual after {it} Newton steps")
-        scale = max(1.0, float(np.abs(u).max()))
+        scale = max(config.gamma ** 2, float(np.abs(u).max()))
         target = NEWTON_TOL * scale * scale
         if rn <= target and step <= STEP_TOL * scale:
             if not u[0] >= config.gamma ** 2:  # e.g. the trivial u = 0
@@ -319,6 +317,8 @@ def solve(config: SolverConfig) -> GridSolution:
             nodes, samples = _sample(a, config)
             return GridSolution(nodes, samples, rn, it, tuple(history),
                                 target, a)
+        if len(history) - 1 - int(np.argmin(history)) >= STALL_ITERS:
+            break
         try:
             da = np.linalg.solve(col.jacobian(u), -F)
         except np.linalg.LinAlgError as exc:  # a ValueError: not exit 2
@@ -329,7 +329,7 @@ def solve(config: SolverConfig) -> GridSolution:
         a = a + da
     raise NonConvergenceError(
         f"residual {rn:.3e} after {len(history)} iterations "
-        f"(target {target:.3e})", history)
+        f"(smallest {min(history):.3e}, target {target:.3e})", history)
 
 
 def _check_spectrum(a: np.ndarray, u: np.ndarray, config: SolverConfig) -> None:
@@ -383,13 +383,10 @@ def check_window(config: SolverConfig) -> float:
 
 
 def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
-    """Amplitude and wavelength over the last two oscillations before L.
-
-    Requires the window to be free of core influence: the sech^2 core at the
-    window start must sit below 10% of the predicted tail amplitude.
-    Amplitude uses parabolic refinement at the extremal sample so a pure
-    sinusoid is measured exactly; wavelength comes from zero crossings.
-    """
+    """Amplitude and wavelength over the last two oscillations before L, a
+    window check_window must pass. Amplitude uses parabolic refinement at the
+    extremal sample so a pure sinusoid is measured exactly; wavelength comes
+    from zero crossings."""
     eps = config.epsilon
     predicted = predicted_amplitude(config)
     window_start = check_window(config)
@@ -452,11 +449,11 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
           half_length: float | None = None, grid_spacing: float | None = None):
     """Solve and measure for each epsilon, in ascending order.
 
-    The grid spacing is eps / h_factor unless grid_spacing is given; a
-    half_length of None takes the default domain. Every configuration is
-    built and checked (resolution and measurement window) before the first
-    solve. Each solve starts from its own initial_guess, so a row does not
-    depend on the other epsilons in the list.
+    The sampling step is eps / h_factor unless grid_spacing is given; it
+    does not move L or the solve. A half_length of None takes the default
+    domain. Every configuration and its measurement window are checked
+    before the first solve. Each solve starts from its own initial_guess, so
+    a row does not depend on the other epsilons in the list.
     Returns a list of (config, solution, measurement), ascending in epsilon.
     """
     configs = []

@@ -1,13 +1,6 @@
 """Command-line harness: reproducible experiments over the series engine,
-late-term analysis, Stokes smoothing, and the direct BVP solve.
-
-Commands
-
-    series          exact table {u_n, c_n} -> JSON
-    lambda          late-term report (Lam extrapolation, beta fit) -> JSON/CSV
-    stokes-profile  multiplier profile(s) across the Stokes line -> CSV
-    tails           BVP sweep, tail measurements -> JSON lines, exponent fit
-    compare         optimal truncation vs the BVP value at a point
+late-term analysis, Stokes smoothing, and the direct BVP solve; `fkdv --help`
+lists the commands.
 
 Every command writes its outputs atomically and records a run manifest
 (<first output>.manifest.json) listing parameters and produced files.
@@ -68,16 +61,24 @@ def _per_epsilon_paths(args, prefix: str, epsilons) -> list[Path]:
     return paths
 
 
+#: bound on p and q of --gamma = p/q. The table is the gamma = 1 table, whose
+#: largest integer has 843 digits at n = N_MAX_LIMIT = 128, times (p/q)^258 at
+#: most: 2486 digits more, about 3330 in all, within the 4300 that str() and
+#: int() allow (sys.get_int_max_str_digits()); gamma^{+-4} is within 2^{+-128}.
+GAMMA_BOUND = 2 ** 32
+
+
 def _gamma(args) -> Fraction:
-    """--gamma as an exact rational, refused before any work unless its double
-    is positive and finite (float raises OverflowError past the double range)."""
+    """--gamma as an exact rational p/q, which every command reads before any
+    work: refused unless 0 < p, q < GAMMA_BOUND in lowest terms."""
     try:
         gamma = Fraction(args.gamma)
-        if float(gamma) > 0:
-            return gamma
-    except (ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"gamma must be positive and finite as a double, not {args.gamma}")
+    except ZeroDivisionError:
+        gamma = Fraction(0)
+    if 0 < gamma.numerator < GAMMA_BOUND and gamma.denominator < GAMMA_BOUND:
+        return gamma
+    raise ValueError(f"gamma must be positive, in lowest terms p/q with p, q "
+                     f"< 2^32, not {args.gamma}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -132,8 +133,7 @@ def cmd_stokes_profile(args) -> list[Path]:
         profile = integrate_multiplier(frame, span, steps=args.steps)
         _write_csv(out, ["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
                    profile_csv_rows(profile, frame))
-        ratio = (abs(profile.jump_numeric / profile.jump_closed_form)
-                 if profile.jump_closed_form != 0 else math.nan)
+        ratio = abs(profile.jump_numeric / profile.jump_closed_form)
         print(f"eps = {frame.epsilon:g}: jump_numeric/jump_closed = {ratio:.6f} "
               f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
     return paths
@@ -184,9 +184,7 @@ def cmd_compare(args) -> list[Path]:
     from .bvp import SolverConfig, predicted_amplitude, solve
     gamma = _gamma(args)
     eps = args.epsilon
-    cfg = SolverConfig(epsilon=eps, gamma=float(gamma),
-                       grid_spacing=args.grid_h,
-                       half_length=args.domain_length)
+    cfg = SolverConfig(epsilon=eps, gamma=float(gamma), half_length=args.domain_length)
     if not abs(args.x) <= cfg.half_length:  # a NaN x fails it too
         raise ValueError(f"x = {args.x} lies beyond the domain [0, {cfg.half_length}]")
 
@@ -222,10 +220,8 @@ def cmd_compare(args) -> list[Path]:
     return [out]
 
 
-DOMAIN_LENGTH_HELP = ("half length L (default 10 + 20 pi eps; at least "
-                      "10 max(1, 1/gamma) + 20 pi eps)")
-GRID_H_HELP = ("sampling step h of the BVP solution (default eps/20, at most "
-               "eps/10); L is rounded to a whole number of steps")
+DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10 + 20 pi eps rounded "
+                      "up to a multiple of eps/20; >= 10 max(1, 1/gamma) + 20 pi eps)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.08, 0.10, 0.12, 0.15])
     p.add_argument("--domain-length", type=float, default=None,
                    help=DOMAIN_LENGTH_HELP)
-    p.add_argument("--grid-h", type=float, default=None, help=GRID_H_HELP)
+    p.add_argument("--grid-h", type=float, default=None, help="sampling step h "
+                   "(default eps/20, at most eps/10); it never moves L or the solve")
     p.add_argument("--out", default=None, help="measurement JSONL path")
     p.add_argument("--dump-solutions", action="store_true",
                    help="also write one (x, u) CSV per epsilon")
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--domain-length", type=float, default=None,
                    help=DOMAIN_LENGTH_HELP)
-    p.add_argument("--grid-h", type=float, default=None, help=GRID_H_HELP)
     p.add_argument("--out", default=None, help="comparison JSON path")
     p.set_defaults(func=cmd_compare)
     return parser

@@ -29,17 +29,13 @@ quadrature level. Every exp and cos goes through numpy's complex exp, which
 calls libm like `cmath` does; numpy's float exp has SIMD loops that differ in
 the last bit and by CPU. The exponent's real part -(r/eps)(1 + sin theta)
 is never positive, so no theta needs a guard.
-
-The constants of `erf_profile`, its prefactor and sqrt(r), are computed once
-per `StokesFrame` (the frame is frozen; the prefactor takes the Lam in force
-at its first use), and the profile samples are converted to Python numbers in
-one pass per array.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +67,19 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """eps^beta and eps^(beta+1/2), the jump's and the forcing's divisors, must
+    be normal doubles (9e-124 < eps < 2e123); eps^(beta+1/2) is the nearer to
+    the edge of the double range, so it alone is checked."""
+    try:
+        if 0 < epsilon < math.inf and epsilon ** (BETA + 0.5) >= sys.float_info.min:
+            return
+    except OverflowError:  # float ** raises past the double range
+        pass
+    raise ValueError(f"epsilon must be positive and finite, with eps^{BETA} "
+                     f"and eps^{BETA + 0.5} normal doubles, not {epsilon}")
+
+
 @dataclass(frozen=True)
 class StokesFrame:
     """Polar frame chi = r e^{i theta} around the upper singularity.
@@ -86,8 +95,7 @@ class StokesFrame:
     def __post_init__(self):
         if not 0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _check_epsilon(self.epsilon)
         if abs(self.rho) > 1.0 + 1e-12:
             raise ValueError("|rho| must not exceed 1")
 
@@ -149,8 +157,7 @@ def stokes_jump(epsilon: float) -> complex:
     For beta = 2 the phase is e^{3 i pi/2} = -i, so a negative Lam gives a
     positive multiple of +i.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     return DEFAULT_LAMBDA * math.pi * 1j ** (BETA + 1) / epsilon ** BETA
 
 
@@ -248,8 +255,7 @@ def exp_tail(x: float, epsilon: float, gamma=1) -> float:
 
 def tail_amplitude(epsilon: float, gamma=1) -> float:
     """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     g = float(gamma)
     return (2.0 * abs(DEFAULT_LAMBDA) * math.pi / epsilon ** 2
             * math.exp(-math.pi / (2.0 * g * epsilon)))

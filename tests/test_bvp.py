@@ -112,11 +112,23 @@ def test_modes_and_samples_are_capped_before_allocating(kwargs, what):
 
 
 def test_recorded_half_length_is_the_solved_one():
-    # 22.003 / 0.005 rounds to 4401 cells: the grid, the record and the
-    # window check all end at 22.005
+    # 22.003 is not a whole number of steps h = 0.005: it is solved, sampled
+    # to and recorded as given; h sets only the sample count round(L/h)
     [(cfg, sol, _)] = sweep([0.15], grid_spacing=0.005, half_length=22.003)
-    assert cfg.half_length == sol.nodes[-1] == pytest.approx(22.005)
+    assert cfg.half_length == collocation_points(cfg)[-1] == sol.nodes[-1] == 22.003
+    assert cfg.n_cells == 4401 and len(sol.nodes) - 1 >= cfg.n_cells
     assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
+
+
+@pytest.mark.parametrize("epsilon", [0.08, 0.10, 0.12, 0.15])
+def test_sampling_step_leaves_the_solve_unchanged(epsilon):
+    # the default L is 10 + 20 pi eps rounded up to a whole number of eps/20
+    # whatever h is, so every h solves the same problem bit for bit
+    sols = [solve(SolverConfig(epsilon, grid_spacing=epsilon / f))
+            for f in (20, 40, 160)]
+    for sol in sols:
+        assert sol.nodes[-1] == bvp.default_half_length(epsilon)
+        assert np.array_equal(sol.coefficients, sols[0].coefficients)
 
 
 def test_check_window_accepts_long_domain():
@@ -227,10 +239,47 @@ def test_newton_converges_fast_from_cold_start():
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.3, 1.0), (1.0, 2.0), (2.0, 1.5)])
 def test_newton_exhausted_states_its_iterations(epsilon, gamma):
+    # the smallest residual comes at step 1 or 2 and is never beaten: Newton
+    # stops STALL_ITERS steps later, not after MAX_ITERS
     with pytest.raises(NonConvergenceError) as info:
         solve(SolverConfig(epsilon=epsilon, gamma=gamma))
-    assert len(info.value.history) == bvp.MAX_ITERS
-    assert f"after {bvp.MAX_ITERS} iterations" in str(info.value)
+    history = info.value.history
+    best = int(np.argmin(history))
+    assert best <= 2
+    assert len(history) == best + 1 + bvp.STALL_ITERS < bvp.MAX_ITERS
+    assert f"after {len(history)} iterations (smallest {history[best]:.3e}" \
+        in str(info.value)
+
+
+def test_newton_stops_at_max_iters(monkeypatch):
+    # eps = 0.1 converges in more than two steps, each a new smallest residual
+    monkeypatch.setattr(bvp, "MAX_ITERS", 2)
+    with pytest.raises(NonConvergenceError, match="after 2 iterations") as info:
+        solve(SolverConfig(epsilon=0.1))
+    assert len(info.value.history) == 2
+
+
+def test_newton_converges_after_a_run_without_a_new_best():
+    # eps = 0.16, gamma = 3/2 goes 7 steps without beating its starting
+    # residual, then converges: the stall stop must leave it room
+    sol = solve(SolverConfig(epsilon=0.16, gamma=1.5))
+    history = sol.residual_history
+    runs = [k - int(np.argmin(history[:k + 1])) for k in range(len(history))]
+    assert 7 <= max(runs) < bvp.STALL_ITERS
+    assert sol.residual_norm <= sol.residual_target
+    assert sol.u[0] >= 1.5 ** 2
+
+
+@pytest.mark.parametrize("gamma, epsilon, half_length", [
+    (0.1, 1.0, 170.0), (0.01, 10.0, 1700.0), (0.001, 100.0, 17000.0)])
+def test_narrow_wave_meets_the_gamma_one_tolerances(gamma, epsilon, half_length):
+    # u(x; eps, gamma) = gamma^2 U(gamma x; gamma eps) on L' = gamma L, with the
+    # same M = 130 modes; a scale floor of 1 in place of gamma^2 met absolute
+    # targets and left u(0)/gamma^2 2e-9, 5e-5 and 2e-3 off
+    narrow = solve(SolverConfig(epsilon, gamma, half_length=half_length))
+    wide = solve(SolverConfig(gamma * epsilon, half_length=gamma * half_length))
+    assert len(narrow.coefficients) == len(wide.coefficients) == 131
+    assert abs(narrow.u[0] / gamma ** 2 - wide.u[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.4, 2.0), (1.0, 1.0)])

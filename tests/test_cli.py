@@ -220,16 +220,15 @@ def test_compare_singular_newton_matrix_is_math_failure(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, message", [
-    # gamma^2 underflows, so u = 0 would pass the branch check: the core is
-    # 1e300 wide and no L holds it
+    # 1e-300 = 1/10^300: its denominator is beyond GAMMA_BOUND
     (["compare", "--epsilon", "0.1", "--gamma", "1e-300"],
-     "L = 16.285 too short at gamma = 1e-300: need L >= "),
+     "gamma must be positive, in lowest terms p/q with p, q < 2^32, not 1e-300"),
     # the core is 10 wide: the default L = 16.285 cut it off
     (["compare", "--epsilon", "0.1", "--gamma", "0.1"],
      "L = 16.285 too short at gamma = 0.1: need L >= 106.28"),
-    # g ** 4 overflows in c
+    # 1e300: its numerator is beyond GAMMA_BOUND
     (["tails", "--epsilon", "0.1", "--gamma", "1e300"],
-     "gamma = 1e+300, eps = 0.1: the eigenvalue c"),
+     "gamma must be positive, in lowest terms p/q with p, q < 2^32, not 1e300"),
 ], ids=["compare-tiny-gamma", "compare-narrow-gamma", "tails-huge-gamma"])
 def test_gamma_the_bvp_cannot_hold_is_validation_failure(tmp_path, capsys,
                                                          argv, message):
@@ -256,13 +255,15 @@ def _compare(capsys, tmp_path, *argv):
     return json.loads(out.read_text())
 
 
-def test_compare_u_bvp_does_not_depend_on_the_sampling_step(tmp_path, capsys):
-    # h = eps/160 once stopped Newton after one step, 1.08e-4 off in u(0).
-    # --domain-length holds L: the default L is rounded to a whole number of h
-    fine = _compare(capsys, tmp_path, "--epsilon", "0.1", "--grid-h", "0.000625",
-                    "--domain-length", "16.285")
-    default = _compare(capsys, tmp_path, "--epsilon", "0.1")
-    assert fine["u_bvp"] == pytest.approx(default["u_bvp"], abs=1e-12)
+def test_compare_has_no_grid_h(tmp_path, capsys):
+    # compare reads u off the cosine interpolant, and the sampling step no
+    # longer moves L: a --grid-h there would move nothing
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--epsilon", "0.1", "--grid-h", "0.005",
+              "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --grid-h 0.005" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["compare", "tails"])
@@ -342,7 +343,7 @@ def test_colliding_output_names_are_validation_failure(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["tails", "compare"])
+@pytest.mark.parametrize("command", ["tails"])
 @pytest.mark.parametrize("grid_h", ["0", "-0.005", "inf"])
 def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, grid_h):
     code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--grid-h", grid_h,
@@ -375,6 +376,76 @@ def test_nonpositive_gamma_is_validation_failure(tmp_path, capsys, command, gamm
                           "--gamma", gamma, "--out-dir", str(tmp_path))
     assert code == 2
     assert "gamma must be positive" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+#: gamma = 1/G and G at the edges of the bound, G = GAMMA_BOUND - 1 = 2^32 - 1
+G = cli.GAMMA_BOUND - 1
+EDGES = {"1/G": ("1/4294967295", G), "G": ("4294967295", 1 / G)}
+
+
+def _edge_argv(command, scale):
+    """command at eps = 0.1 scale and L = 16.3 scale: the gamma = 1 problem
+    at eps = 0.1 mapped to gamma = 1/scale."""
+    eps, L = repr(0.1 * scale), repr(16.3 * scale)
+    return {"series": ["--n-max", "8"], "lambda": ["--n-max", "14"],
+            "stokes-profile": ["--epsilon", eps],
+            "tails": ["--epsilon", eps, "--domain-length", L],
+            "compare": ["--epsilon", eps, "--domain-length", L, "--n-max", "8"],
+            }[command]
+
+
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("command", ["series", "lambda", "stokes-profile",
+                                     "tails", "compare"])
+def test_gamma_just_inside_the_bound_is_accepted(tmp_path, capsys, edge,
+                                                 command):
+    gamma, scale = EDGES[edge]
+    code, stdout, stderr = run(capsys, command, *_edge_argv(command, scale),
+                               "--gamma", gamma, "--out-dir", str(tmp_path))
+    if command in ("tails", "compare") and edge == "G":
+        # past the gamma rule, the BVP's own rule L >= 10 max(1, 1/gamma)
+        # + 20 pi eps refuses a core 1/G wide on a domain that short
+        assert code == 2
+        assert stderr.startswith("error: L = 3.795") and \
+            "too short at gamma = 4294967295.0" in stderr
+        return
+    assert (code, stderr) == (0, "")
+    if command == "stokes-profile":  # the map eps -> gamma eps keeps the jump
+        assert "jump_numeric/jump_closed = 1.008096" in stdout
+
+
+@pytest.mark.parametrize("gamma", ["4294967296", "1/4294967296",
+                                   "4294967297/4294967296", "1e300", "1e-300",
+                                   "1e40"])
+@pytest.mark.parametrize("command", ["series", "lambda", "stokes-profile",
+                                     "tails", "compare"])
+def test_gamma_just_outside_the_bound_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, gamma):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before gamma was checked")
+
+    monkeypatch.setattr(cli, "build_series", no_work)
+    monkeypatch.setattr(bvp, "solve", no_work)
+    monkeypatch.setattr(stokes, "integrate_multiplier", no_work)
+    code, stdout, stderr = run(capsys, command, *COMMAND_ARGS[command],
+                               "--gamma", gamma, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr == ("error: gamma must be positive, in lowest terms p/q "
+                      f"with p, q < 2^32, not {gamma}\n")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e300", "8e-124", "3e123"])
+def test_stokes_epsilon_beyond_the_double_range_is_refused(tmp_path, capsys,
+                                                           epsilon):
+    # eps^2 and eps^2.5 must be normal doubles, checked before any integration
+    code, stdout, stderr = run(capsys, "stokes-profile", "--epsilon", "0.1",
+                               epsilon, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr.startswith("error: epsilon must be positive and finite")
+    assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 

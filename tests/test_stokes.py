@@ -100,6 +100,18 @@ def test_epsilon_must_be_positive_and_finite(check, value):
         _EPSILON_CHECKS[check](value)
 
 
+@pytest.mark.parametrize("check", ["StokesFrame.epsilon", "stokes_jump"])
+def test_epsilon_powers_must_be_normal_doubles(check):
+    # eps^2 and eps^2.5 divide the jump and the forcing: 1e-300 once divided
+    # by zero and 1e300 overflowed
+    for value in (8e-124, 3e123, 1e-300, 1e300):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            _EPSILON_CHECKS[check](value)
+    for value in (1e-123, 2e123):
+        _EPSILON_CHECKS[check](value)
+    assert math.isfinite(abs(stokes_jump(1e-123))) and stokes_jump(2e123) != 0
+
+
 def test_frame_for_rho_bounded():
     f = frame_for(0.05)
     assert f.r == pytest.approx(R)
