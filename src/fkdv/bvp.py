@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import check_epsilon
 from .late_terms import InsufficientDataError
 from .stokes import tail_amplitude
 
@@ -113,10 +114,11 @@ class SolverConfig:
     """Domain, sampling step and eigenvalue for one solve, checked at
     construction. L is half_length as given, else default_half_length, and
     must reach 10 max(1, 1/gamma) + 20 pi eps (ten core widths and ten tail
-    wavelengths; the default is not widened for gamma < 1). The output
-    sampling step h <= eps/10 (default eps/20) sets only the sample count
-    round(L/h), never L. c is default_c, a finite double. Modes and samples
-    are capped by MAX_MODES and MAX_SAMPLES before anything is allocated."""
+    wavelengths; the default is not widened for gamma < 1). The sampling
+    step h <= eps/10 (default eps/20) is the largest: the sample count is the
+    smallest 5-smooth number >= max(round(L/h), M), and h never moves L. c is
+    default_c. Modes and samples are capped by MAX_MODES and MAX_SAMPLES
+    before anything is allocated."""
 
     epsilon: float
     gamma: float = 1.0
@@ -125,19 +127,9 @@ class SolverConfig:
     c_value: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        check_epsilon(self.epsilon)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        try:
-            c = default_c(self.gamma, self.epsilon)
-        except OverflowError:  # g ** 4 raises past the double range
-            c = math.inf
-        if not math.isfinite(c):
-            raise ResolutionError(
-                f"gamma = {self.gamma}, eps = {self.epsilon}: the eigenvalue "
-                "c = 4 g^2 + 16 g^4 eps^2 is not a finite double")
-        object.__setattr__(self, "c_value", c)
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not 0 < self.grid_spacing < math.inf:
@@ -167,6 +159,9 @@ class SolverConfig:
                 f"L = {self.half_length}, h = {self.grid_spacing}: "
                 f"{self.half_length / self.grid_spacing:.4g} samples exceed "
                 f"the cap of {MAX_SAMPLES}")
+        # gamma L <= 3072 pi / 24 with L >= 10 max(1, 1/gamma) + 20 pi eps
+        # bounds gamma <= 40.2 and gamma eps <= 6.4, so c <= about 1.1e6
+        object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
 
     @property
     def n_cells(self) -> int:

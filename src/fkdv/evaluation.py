@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,20 @@ class PoleProximityError(ArithmeticError):
     """Evaluation point is numerically indistinguishable from a pole."""
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The one rule on eps at every layer's door: eps > 0 with eps^2.5 a
+    normal double, about 9e-124 < eps < 2e123, so that every divisor the
+    layers take from eps (2 eps, eps/20, eps^2, eps^2.5) is a normal double."""
+    try:  # a numpy scalar's ** would give inf, a float's raises
+        e = float(epsilon)
+        if 0 < e < math.inf and e ** 2.5 >= sys.float_info.min:
+            return
+    except OverflowError:
+        pass
+    raise ValueError("epsilon must be positive and finite, with eps^2 and "
+                     f"eps^2.5 normal doubles, not {epsilon}")
+
+
 @dataclass(frozen=True)
 class EvalPoint:
     """A complex evaluation point together with the small parameter."""
@@ -37,8 +52,7 @@ class EvalPoint:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        check_epsilon(self.epsilon)
         object.__setattr__(self, "x", complex(self.x))
 
 
@@ -92,8 +106,7 @@ def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
 
 def optimal_N(x: complex, epsilon: float, gamma) -> int:
     """Truncation index N = round(r / 2 eps), r = |x - sigma|, at least 1."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
+    check_epsilon(epsilon)
     r = abs(complex(x) - singularity(gamma))
     return max(1, round(r / (2.0 * epsilon)))
 

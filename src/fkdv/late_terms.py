@@ -102,18 +102,18 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     The prediction uses the conjugate-pair late-term model
     u_n ~ (-1)^n Gamma(2n+2) * 2 Re[(x - sigma)^-(2n+2)]; at x = 0 it reduces
     to -(2n+2)(2n+3)/chi^2 with chi^2 = (x - sigma)^2 = -(pi/2 gamma)^2, i.e.
-    a positive ratio. Orders where either value underflows the model are
+    a positive ratio. The model raises only the phase chi/|chi|, so it never
+    overflows. Orders where u_n(x) = 0 or a model value nearly vanishes are
     skipped (recorded as gaps).
     """
     if table.n_max < 5:
         raise InsufficientDataError("need a table built to n_max >= 5")
     x = float(x)
-    sigma = singularity(table.gamma)
-    chi = complex(x) - sigma
-
-    def model(n: int) -> float:
-        # Gamma factors are divided out of the ratio below; keep the phase
-        return (-1) ** n * 2.0 * (chi ** -(2 * n + 2)).real * abs(chi) ** (2 * n + 2)
+    chi = complex(x) - singularity(table.gamma)
+    z = chi / abs(chi)
+    # the model over Gamma(2n+2) |chi|^-(2n+2): both cancel in the ratio
+    model = [(-1) ** n * 2.0 * (z ** -(2 * n + 2)).real
+             for n in range(table.n_max + 1)]
 
     # u_n(x) = re / den exactly (im = 0 on the real axis); in doubles the a_m
     # cancel down n/2 digits and u_n(0) overflows near n = 93
@@ -125,7 +125,7 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     for n, measured in enumerate(ratios):
         if measured is None:
             continue
-        mn, mn1 = model(n), model(n + 1)
+        mn, mn1 = model[n], model[n + 1]
         if abs(mn) < 1e-12 or abs(mn1) < 1e-12:
             continue
         predicted = (2 * n + 2) * (2 * n + 3) / r2 * (mn1 / mn)

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .evaluation import optimal_N, singularity
+from .evaluation import check_epsilon, optimal_N, singularity
 
 
 class QuadratureError(ArithmeticError):
@@ -59,25 +58,17 @@ DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
 #: late-term power shift, forced by the double pole of u_0
 BETA = 2
-#: quadrature tolerance (relative change between doublings) and doubling cap
+#: quadrature tolerance (relative change between doublings) and doubling
+#: cap: at the default steps and span both integrands take 1 doubling for
+#: eps <= 0.1, 2 at 0.15, 3-4 at 0.3 and 1-6 from 0.5 to 1e6, so 8 leaves two
+#: spare; an unresolvable forcing (frame_for(1e-14)) fails in 0.1 s, 60 MB
 RTOL = 1e-8
-MAX_REFINEMENTS = 14
+MAX_REFINEMENTS = 8
+#: cap on the last level's steps 2^MAX_REFINEMENTS + 1 samples (16 MB each)
+MAX_QUADRATURE_SAMPLES = 2 ** 20
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """eps^beta and eps^(beta+1/2), the jump's and the forcing's divisors, must
-    be normal doubles (9e-124 < eps < 2e123); eps^(beta+1/2) is the nearer to
-    the edge of the double range, so it alone is checked."""
-    try:
-        if 0 < epsilon < math.inf and epsilon ** (BETA + 0.5) >= sys.float_info.min:
-            return
-    except OverflowError:  # float ** raises past the double range
-        pass
-    raise ValueError(f"epsilon must be positive and finite, with eps^{BETA} "
-                     f"and eps^{BETA + 0.5} normal doubles, not {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,7 @@ class StokesFrame:
     def __post_init__(self):
         if not 0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
-        _check_epsilon(self.epsilon)
+        check_epsilon(self.epsilon)
         if abs(self.rho) > 1.0 + 1e-12:
             raise ValueError("|rho| must not exceed 1")
 
@@ -157,7 +148,7 @@ def stokes_jump(epsilon: float) -> complex:
     For beta = 2 the phase is e^{3 i pi/2} = -i, so a negative Lam gives a
     positive multiple of +i.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     return DEFAULT_LAMBDA * math.pi * 1j ** (BETA + 1) / epsilon ** BETA
 
 
@@ -170,16 +161,18 @@ def integrate_multiplier(frame: StokesFrame,
 
     Trapezoid sums on a doubling grid until the total changes by at most
     RTOL (relative) between successive levels, for at most MAX_REFINEMENTS
-    doublings; the forcing is evaluated once per level, on the start grid
-    and then on the new midpoints. The returned profile is sampled on the
-    requested `steps` grid (taken from the converged fine grid), starting
-    from the pre-Stokes constant 0 (no oscillation before the crossing).
+    doublings, the last within MAX_QUADRATURE_SAMPLES; the forcing is
+    evaluated once per level, on the start grid and then on the new
+    midpoints. The returned profile is sampled on the requested `steps` grid
+    (taken from the converged fine grid), starting from the pre-Stokes
+    constant 0 (no oscillation before the crossing).
     """
     lo, hi = float(theta_span[0]), float(theta_span[1])
     if not -math.inf < lo < STOKES_ANGLE < hi < math.inf:
         raise ValueError("theta_span must be finite with -pi/2 strictly inside")
-    if steps < 1000:
-        raise ValueError("steps must be >= 1000")
+    if not 1000 <= steps < MAX_QUADRATURE_SAMPLES >> MAX_REFINEMENTS:
+        raise ValueError(f"steps must be >= 1000, with steps 2^{MAX_REFINEMENTS}"
+                         f" + 1 <= {MAX_QUADRATURE_SAMPLES} samples, not {steps}")
     try:
         rhs = _INTEGRANDS[integrand]
     except KeyError:
@@ -189,7 +182,6 @@ def integrate_multiplier(frame: StokesFrame,
     f = rhs(frame, np.linspace(lo, hi, n + 1))
     h = (hi - lo) / n
     total = h * (f.sum() - 0.5 * (f[0] + f[-1]))
-    refinements = 0
     for level in range(1, MAX_REFINEMENTS + 1):
         n2 = 2 * n
         f2 = np.empty(n2 + 1, dtype=complex)
@@ -197,7 +189,6 @@ def integrate_multiplier(frame: StokesFrame,
         f2[1::2] = rhs(frame, np.linspace(lo, hi, n2 + 1)[1::2])
         h2 = (hi - lo) / n2
         total2 = h2 * (f2.sum() - 0.5 * (f2[0] + f2[-1]))
-        refinements = level
         converged = abs(total2 - total) <= RTOL * max(abs(total2), 1e-300)
         n, f, h, total = n2, f2, h2, total2
         if converged:
@@ -222,7 +213,7 @@ def integrate_multiplier(frame: StokesFrame,
         samples=samples,
         jump_numeric=complex(cum[-1]),
         jump_closed_form=stokes_jump(frame.epsilon),
-        refinements=refinements,
+        refinements=level,
     )
 
 
@@ -255,7 +246,7 @@ def exp_tail(x: float, epsilon: float, gamma=1) -> float:
 
 def tail_amplitude(epsilon: float, gamma=1) -> float:
     """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     g = float(gamma)
     return (2.0 * abs(DEFAULT_LAMBDA) * math.pi / epsilon ** 2
             * math.exp(-math.pi / (2.0 * g * epsilon)))

@@ -86,10 +86,22 @@ def test_wide_gamma_keeps_the_default_domain(gamma):
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.1, 1e300), (0.1, 1e100), (1e80, 1e60)])
 def test_eigenvalue_beyond_double_range_rejected(epsilon, gamma):
-    # g ** 4 overflows (raising) or 16 g^4 eps^2 rounds to inf
+    # g ** 4 would overflow (raising) or 16 g^4 eps^2 round to inf; the mode
+    # cap refuses such a gamma first, before c is computed
     with pytest.raises(ResolutionError, match=re.escape(
-            f"gamma = {gamma}, eps = {epsilon}: ") + ".* not a finite double"):
+            f"gamma = {gamma}, L = ") + ".* cosine modes exceed the cap of 3072"):
         SolverConfig(epsilon=epsilon, gamma=gamma)
+
+
+@pytest.mark.parametrize("epsilon, gamma, modes, c", [
+    (6.2, 1.0, 3053, 619.04), (5e-4, 40.0, 3066, 6410.24)])
+def test_eigenvalue_at_the_edge_of_the_mode_cap(epsilon, gamma, modes, c):
+    # gamma L <= 3072 pi / 24 bounds gamma <= 40.2 and gamma eps <= 6.4, so
+    # every accepted config has a finite c, of at most about 1.1e6
+    cfg = SolverConfig(epsilon=epsilon, gamma=gamma)
+    assert cfg.n_modes == modes
+    assert math.isfinite(cfg.c_value)
+    assert cfg.c_value == default_c(gamma, epsilon) == pytest.approx(c)
 
 
 @pytest.mark.parametrize("epsilon, grid_spacing", [(1e80, None), (0.1, 1e-90)])
@@ -113,7 +125,7 @@ def test_modes_and_samples_are_capped_before_allocating(kwargs, what):
 
 def test_recorded_half_length_is_the_solved_one():
     # 22.003 is not a whole number of steps h = 0.005: it is solved, sampled
-    # to and recorded as given; h sets only the sample count round(L/h)
+    # to and recorded as given; h sets only the sample count, at least round(L/h)
     [(cfg, sol, _)] = sweep([0.15], grid_spacing=0.005, half_length=22.003)
     assert cfg.half_length == collocation_points(cfg)[-1] == sol.nodes[-1] == 22.003
     assert cfg.n_cells == 4401 and len(sol.nodes) - 1 >= cfg.n_cells

@@ -67,7 +67,9 @@ def test_lambda_report(tmp_path, capsys):
 def test_lambda_report_bytes_are_pinned(tmp_path, capsys):
     # digests of the report and CSV written before the series tables were
     # stored as integer forms; the top coefficients, the beta fit and every
-    # float of the report must come out bit for bit the same
+    # float of the report must come out bit for bit the same. The report's
+    # digest was renewed when ratio_test's model became scale-free: 15 of the
+    # 40 predictions moved, each by at most 2 ulps
     out = tmp_path / "lambda_report.json"
     code, _, _ = run(capsys, "lambda", "--n-max", "40", "--gamma", "3/2",
                      "--emit-csv", "--out", str(out))
@@ -75,9 +77,21 @@ def test_lambda_report_bytes_are_pinned(tmp_path, capsys):
     digests = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (out, out.with_suffix(".csv"))}
     assert digests == {
-        ".json": "e4031ee6e002a08f19a869a84066d22b2f0e5e141d2ef5f01bd02db28af3f2fc",
+        ".json": "70d5bb9eb7010fcb1bac4c76cf074a256c389b346c56a238b327ca36f561025b",
         ".csv": "8c03bcffad149185dda337613c60f8ebaeed10771c88e81fc9db57985687660f",
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "1/65536"], ["--n-max", "60", "--gamma", "65536"],
+    ["--n-max", "60", "--gamma", "4294967295/2"],
+], ids=["1/65536", "65536", "4294967295/2"])
+def test_lambda_ratio_model_stays_in_double_range(tmp_path, capsys, argv):
+    # |chi|^(2n+2) with |chi| = pi/(2 gamma) once overflowed: exit 1
+    code, _, stderr = run(capsys, "lambda", *argv, "--out-dir", str(tmp_path))
+    assert (code, stderr) == (0, "")
+    doc = json.loads((tmp_path / "lambda_report.json").read_text())
+    assert len(doc["ratio_table"]) == (60 if "60" in argv else 30)
 
 
 def test_lambda_insufficient_data_is_validation_failure(tmp_path, capsys,
@@ -445,6 +459,39 @@ def test_stokes_epsilon_beyond_the_double_range_is_refused(tmp_path, capsys,
                                epsilon, "--out-dir", str(tmp_path))
     assert code == 2
     assert stderr.startswith("error: epsilon must be positive and finite")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--epsilon", "1e-310"],
+    ["tails", "--epsilon", "1e-310", "0.1", "0.12", "0.15"],
+    ["stokes-profile", "--epsilon", "0.1", "1e-310"],
+], ids=lambda argv: argv[0])
+def test_subnormal_epsilon_is_refused_before_any_work(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # 1e-310 passed 0 < eps < inf and then divided into inf: each command
+    # exited 1 with "cannot convert float infinity to integer"
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before eps was checked")
+
+    monkeypatch.setattr(cli, "build_series", no_work)
+    monkeypatch.setattr(bvp, "solve", no_work)
+    monkeypatch.setattr(stokes, "integrate_multiplier", no_work)
+    code, stdout, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr == ("error: epsilon must be positive and finite, with eps^2 "
+                      "and eps^2.5 normal doubles, not 1e-310\n")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stokes_steps_beyond_the_sample_cap_are_refused(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "stokes-profile", "--epsilon", "0.1",
+                               "--steps", "1000000000", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr == ("error: steps must be >= 1000, with steps 2^8 + 1 <= "
+                      "1048576 samples, not 1000000000\n")
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -15,6 +15,7 @@ from fkdv import (
     richardson_extrapolate,
     singulant_report,
 )
+from fkdv.evaluation import singularity
 from fkdv.late_terms import InsufficientDataError, inner_coefficients, report_to_json
 
 
@@ -114,6 +115,19 @@ def test_ratio_off_axis_follows_model_to_n_max():
     devs = {n: abs(m / p - 1.0) for n, m, p in rows if n >= 20}
     assert sorted(devs) == list(range(20, 60))
     assert max(devs.values()) < 0.3
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(3, 2),
+                                   Fraction(1, 65536), Fraction(65536)])
+def test_ratio_prediction_at_origin_is_exact(gamma):
+    # the model is scale-free, (chi/|chi|)^-(2n+2) = (-1)^(n+1) at x = 0, so
+    # no power of |chi| = pi/(2 gamma) can overflow and the prediction is the
+    # closed form to the last bit
+    table = build_series(60 if gamma == 1 else 20, gamma)
+    r2 = abs(singularity(gamma)) ** 2
+    rows = ratio_test(table, 0.0)
+    assert [n for n, _, _ in rows] == list(range(table.n_max))
+    assert all(p == (2 * n + 2) * (2 * n + 3) / r2 for n, _, p in rows)
 
 
 def test_chi_squared_recovery(table30):

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,30 @@ def test_epsilon_powers_must_be_normal_doubles(check):
     for value in (1e-123, 2e123):
         _EPSILON_CHECKS[check](value)
     assert math.isfinite(abs(stokes_jump(1e-123))) and stokes_jump(2e123) != 0
+
+
+#: every door of the one eps rule, evaluation.check_epsilon
+_EPSILON_DOORS = {name: check for name, check in _EPSILON_CHECKS.items()
+                  if name != "StokesFrame.r"} | {"frame_for": frame_for}
+
+
+@pytest.mark.parametrize("door", _EPSILON_DOORS)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-310,
+                                   8e-124, 3e123])
+def test_one_epsilon_rule_at_every_door(door, value):
+    # 1e-310 once reached round(r / 2 eps) or ceil(L / (eps/20)) as inf and
+    # exited as a math failure; every layer now refuses it with one message
+    with pytest.raises(ValueError, match=re.escape(
+            "epsilon must be positive and finite, with eps^2 and eps^2.5 "
+            f"normal doubles, not {value}") + "$"):
+        _EPSILON_DOORS[door](value)
+
+
+@pytest.mark.parametrize("door", [d for d in _EPSILON_DOORS if d != "SolverConfig"])
+@pytest.mark.parametrize("value", [1e-123, 1e123])
+def test_epsilon_rule_edges_are_accepted(door, value):
+    # the BVP refuses both later, for its mode and sample caps
+    _EPSILON_DOORS[door](value)
 
 
 def test_frame_for_rho_bounded():
@@ -233,6 +258,41 @@ def test_quadrature_nonconvergence_reports_interval(monkeypatch):
     with pytest.raises(QuadratureError) as err:
         integrate_multiplier(frame(0.05), steps=1000)
     assert err.value.worst_interval is not None
+
+
+@pytest.mark.parametrize("integrand", ["smoothing", "late_term"])
+def test_resolvable_forcing_converges_with_headroom(integrand):
+    # the hardest eps at the default span take up to 6 of the 8 doublings
+    for eps in (0.05, 0.15, 0.3, 1.0, 10.0, 100.0):
+        p = integrate_multiplier(frame_for(eps), integrand=integrand)
+        assert p.refinements <= stokes.MAX_REFINEMENTS - 2
+
+
+@pytest.mark.parametrize("epsilon", [1e-14, 1e-10])
+def test_unresolvable_forcing_fails_within_the_sample_cap(epsilon):
+    # a forcing sqrt(eps / r) wide is lost between the start grid's nodes;
+    # the doubling stops at 2000 2^8 + 1 samples, where 14 doublings held
+    # about 0.5 GB per array
+    assert 2000 * 2 ** stokes.MAX_REFINEMENTS + 1 <= stokes.MAX_QUADRATURE_SAMPLES
+    with pytest.raises(QuadratureError, match=(
+            f"after {stokes.MAX_REFINEMENTS} doublings")):
+        integrate_multiplier(frame_for(epsilon))
+
+
+def test_steps_beyond_the_sample_cap_are_refused_before_any_evaluation(
+        monkeypatch):
+    calls = []
+    monkeypatch.setitem(stokes._INTEGRANDS, "smoothing",
+                        lambda *args: calls.append(args))
+    for steps in (4096, 10 ** 9):
+        # 4096 2^8 + 1 samples pass the cap of 2^20 by one
+        with pytest.raises(ValueError, match=re.escape(
+                "steps must be >= 1000, with steps 2^8 + 1 <= 1048576 "
+                f"samples, not {steps}")):
+            integrate_multiplier(frame(0.05), steps=steps)
+    assert calls == []
+    monkeypatch.undo()
+    assert integrate_multiplier(frame(0.05), steps=4095).refinements >= 1
 
 
 @pytest.mark.parametrize("rhs", [multiplier_rhs, smoothing_rhs])
