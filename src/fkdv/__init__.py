@@ -6,92 +6,56 @@ truncation (`evaluation`), late-term analysis and the prefactor constant
 (`stokes`), and a direct nonlinear BVP cross-check (`bvp`). The `cli` module
 ties them into reproducible experiments.
 
-The series end (`series`, `evaluation`, `late_terms`) is integer and
-`Fraction` code and is imported with the package. The two array layers,
-`stokes` and `bvp`, are imported on first access to one of their names, so
-`import fkdv` and the series end never load numpy; numpy is the only
-third-party dependency.
+`import fkdv` loads no submodule: each public name, and each of the five
+submodules, is imported on first access. The series end (`series`,
+`evaluation`, `late_terms`) is integer and `Fraction` code and never loads
+numpy; numpy, the only third-party dependency, comes with the two array
+layers, `stokes` and `bvp`.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .series import (
-    N_MAX_LIMIT,
-    RecurrenceError,
-    ResourceLimitError,
-    SechPolynomial,
-    SeriesTable,
-    build_series,
-    fourth_derivative,
-    load_table,
-    order_residual,
-    save_table,
-    second_derivative,
-    table_from_json,
-    table_to_json,
-)
-from .evaluation import (
-    POLE_THRESHOLD,
-    EvalPoint,
-    PartialSum,
-    PoleProximityError,
-    empirical_optimum,
-    eval_coefficient,
-    optimal_N,
-    partial_sum,
-    sech_squared,
-    singularity,
-)
-from .late_terms import (
-    SingulantReport,
-    chi_squared_estimate,
-    fit_divergence_exponent,
-    ratio_test,
-    richardson_extrapolate,
-    singulant_report,
-)
-
-#: public name -> the array layer that defines it, imported by `__getattr__`
-_LAZY = {
-    **dict.fromkeys((
+#: submodule -> the public names it defines; __all__, __getattr__ and
+#: __dir__ all read this one table
+_NAMES = {
+    "series": (
+        "N_MAX_LIMIT", "RecurrenceError", "ResourceLimitError", "SechPolynomial",
+        "SeriesTable", "build_series", "fourth_derivative", "load_table",
+        "order_residual", "save_table", "second_derivative", "table_from_json",
+        "table_to_json"),
+    "evaluation": (
+        "POLE_THRESHOLD", "EvalPoint", "PartialSum", "PoleProximityError",
+        "empirical_optimum", "eval_coefficient", "optimal_N", "partial_sum",
+        "sech_squared", "singularity"),
+    "late_terms": (
+        "SingulantReport", "chi_squared_estimate", "fit_divergence_exponent",
+        "ratio_test", "richardson_extrapolate", "singulant_report"),
+    "stokes": (
         "DEFAULT_LAMBDA", "QuadratureError", "StokesFrame", "StokesProfile",
         "erf_profile", "exp_tail", "frame_for", "integrate_multiplier",
         "multiplier_rhs", "one_sided_remainder", "smoothing_rhs",
-        "stokes_jump", "tail_amplitude"), "stokes"),
-    **dict.fromkeys((
+        "stokes_jump", "tail_amplitude"),
+    "bvp": (
         "ExponentFit", "FitQualityError", "GridSolution", "IllConditionedError",
         "NonConvergenceError", "ResolutionError", "SolverConfig",
         "TailMeasurement", "WindowContaminatedError", "check_window",
         "default_c", "fit_exponent", "initial_guess", "measure_tail",
-        "predicted_amplitude", "solve", "sweep"), "bvp"),
+        "predicted_amplitude", "solve", "sweep"),
 }
-
-__all__ = [
-    # series
-    "N_MAX_LIMIT", "RecurrenceError", "ResourceLimitError", "SechPolynomial",
-    "SeriesTable", "build_series", "fourth_derivative", "load_table",
-    "order_residual", "save_table", "second_derivative", "table_from_json",
-    "table_to_json",
-    # evaluation
-    "POLE_THRESHOLD", "EvalPoint", "PartialSum", "PoleProximityError",
-    "empirical_optimum", "eval_coefficient", "optimal_N", "partial_sum",
-    "sech_squared", "singularity",
-    # late_terms
-    "SingulantReport", "chi_squared_estimate", "fit_divergence_exponent",
-    "ratio_test", "richardson_extrapolate", "singulant_report",
-    # stokes and bvp
-    *_LAZY,
-]
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = list(_HOME)
 
 
 def __getattr__(name):
     # reads the module's attribute on every access, so a name never goes stale
-    if name not in _LAZY:
+    if name in _NAMES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_NAMES, *_HOME})

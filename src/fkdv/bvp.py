@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import check_epsilon
+from .evaluation import check_epsilon, check_gamma
 from .late_terms import InsufficientDataError
 from .stokes import tail_amplitude
 
@@ -78,7 +78,7 @@ class FitQualityError(ArithmeticError):
 
 def default_c(gamma: float, epsilon: float) -> float:
     """Exact series eigenvalue 4 g^2 + 16 g^4 eps^2 (all higher orders are 0)."""
-    g = float(gamma)
+    g = check_gamma(gamma)
     return 4.0 * g * g + 16.0 * g ** 4 * epsilon * epsilon
 
 
@@ -128,8 +128,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not 0 < self.grid_spacing < math.inf:

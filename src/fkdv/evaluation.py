@@ -18,7 +18,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import SechPolynomial, SeriesTable
 
@@ -42,6 +41,19 @@ def check_epsilon(epsilon: float) -> None:
         pass
     raise ValueError("epsilon must be positive and finite, with eps^2 and "
                      f"eps^2.5 normal doubles, not {epsilon}")
+
+
+def check_gamma(gamma) -> float:
+    """The one rule on gamma at the float layers' doors: its double is
+    positive and finite, so an exact gamma beyond the double range is refused
+    too; returns that double."""
+    try:
+        g = float(gamma)
+    except OverflowError:  # an exact gamma beyond the double range
+        g = math.inf
+    if 0 < g < math.inf:
+        return g
+    raise ValueError(f"gamma must be positive and finite, not {gamma}")
 
 
 @dataclass(frozen=True)
@@ -69,13 +81,11 @@ class PartialSum:
 
 def singularity(gamma) -> complex:
     """Upper dominant singularity sigma = i pi / (2 gamma)."""
-    if not Fraction(gamma) > 0:
-        raise ValueError("gamma must be positive")
-    return 1j * math.pi / (2 * float(Fraction(gamma)))
+    return 1j * math.pi / (2 * check_gamma(gamma))
 
 
 def sech_squared(x: complex, gamma) -> complex:
-    ch = cmath.cosh(float(Fraction(gamma)) * complex(x))
+    ch = cmath.cosh(check_gamma(gamma) * complex(x))
     if abs(ch) < POLE_THRESHOLD:
         raise PoleProximityError(f"|cosh(gamma x)| = {abs(ch):.3e} at x = {x}")
     return 1.0 / (ch * ch)

@@ -209,6 +209,8 @@ class SeriesTable:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _rat(self.gamma))
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "c", tuple(_rat(ci) for ci in self.c))
         if len(self.u) != len(self.c):

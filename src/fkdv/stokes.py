@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evaluation import check_epsilon, optimal_N, singularity
+from .evaluation import check_epsilon, check_gamma, optimal_N, singularity
 
 
 class QuadratureError(ArithmeticError):
@@ -239,7 +239,9 @@ def one_sided_remainder(x: float, epsilon: float, gamma=1) -> complex:
 
 def exp_tail(x: float, epsilon: float, gamma=1) -> float:
     """Real tail from the conjugate pair of crossings:
-    -(2 Lam pi / eps^2) e^{-pi/(2 gamma eps)} sin(x/eps)."""
+    -(2 Lam pi / eps^2) e^{-pi/(2 gamma eps)} sin(x/eps). x/eps is the
+    leading-order phase: the BVP's tail runs at k, the root of
+    eps^2 k^4 - k^2 - c = 0 (k = sqrt(104) = 10.198 at eps = 0.1)."""
     amp = math.copysign(tail_amplitude(epsilon, gamma), -DEFAULT_LAMBDA)
     return amp * math.sin(x / epsilon)
 
@@ -247,7 +249,7 @@ def exp_tail(x: float, epsilon: float, gamma=1) -> float:
 def tail_amplitude(epsilon: float, gamma=1) -> float:
     """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
     check_epsilon(epsilon)
-    g = float(gamma)
+    g = check_gamma(gamma)
     return (2.0 * abs(DEFAULT_LAMBDA) * math.pi / epsilon ** 2
             * math.exp(-math.pi / (2.0 * g * epsilon)))
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -43,6 +46,45 @@ def test_every_public_name_is_its_submodules_object():
             assert name in listed, name
             assert star[name] is obj, name
     assert sorted(fkdv.__all__) == sorted(n for ns in PUBLIC.values() for n in ns)
+
+
+def _fresh_interpreter(script: str) -> None:
+    src = Path(fkdv.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_submodule():
+    _fresh_interpreter("""
+import sys
+import fkdv
+loaded = sorted(m for m in sys.modules if m.startswith("fkdv."))
+assert not loaded, loaded
+""")
+
+
+def test_first_series_name_loads_only_its_module():
+    # neither numpy nor the array layers come with the series end
+    _fresh_interpreter("""
+import sys
+import fkdv
+fkdv.build_series
+loaded = sorted(m for m in sys.modules if m.startswith(("fkdv.", "numpy")))
+assert loaded == ["fkdv.series"], loaded
+""")
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_submodule_resolves_as_an_attribute(module):
+    # in a fresh interpreter, so the first access goes through __getattr__
+    _fresh_interpreter(f"""
+import sys
+import fkdv
+sub = fkdv.{module}
+assert sub is sys.modules["fkdv.{module}"], sub
+""")
 
 
 def test_unknown_name_raises_attribute_error():

@@ -315,6 +315,14 @@ def test_bad_gamma_rejected_before_any_order(monkeypatch, gamma, error):
         build_series(4, gamma=gamma)
 
 
+@pytest.mark.parametrize("gamma", [F(0), F(-1)])
+def test_table_refuses_a_nonpositive_gamma(gamma):
+    # a gamma = -1 table once built, and save_table wrote a file that
+    # load_table then refused
+    with pytest.raises(ValueError, match="^gamma must be positive$"):
+        SeriesTable(gamma, [SechPolynomial({1: 2})], [4])
+
+
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         build_series(10_000)

@@ -2,6 +2,8 @@ import cmath
 import hashlib
 import math
 import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from fkdv import (
     multiplier_rhs,
     one_sided_remainder,
     optimal_N,
+    sech_squared,
+    singularity,
     smoothing_rhs,
     stokes_jump,
     tail_amplitude,
@@ -135,6 +139,37 @@ def test_one_epsilon_rule_at_every_door(door, value):
 def test_epsilon_rule_edges_are_accepted(door, value):
     # the BVP refuses both later, for its mode and sample caps
     _EPSILON_DOORS[door](value)
+
+
+#: every door of the one gamma rule, evaluation.check_gamma
+_GAMMA_DOORS = {
+    "singularity": singularity,
+    "sech_squared": lambda g: sech_squared(0.3, g),
+    "optimal_N": lambda g: optimal_N(0.0, 0.1, g),
+    "frame_for": lambda g: frame_for(0.1, g),
+    "one_sided_remainder": lambda g: one_sided_remainder(0.3, 0.1, g),
+    "tail_amplitude": lambda g: tail_amplitude(0.1, g),
+    "exp_tail": lambda g: exp_tail(0.3, 0.1, g),
+    "predicted_amplitude": lambda g: bvp.predicted_amplitude(
+        SimpleNamespace(epsilon=0.1, gamma=g)),
+    "default_c": lambda g: bvp.default_c(g, 0.1),
+    "SolverConfig": lambda g: SolverConfig(0.1, gamma=g),
+}
+
+
+@pytest.mark.parametrize("door", _GAMMA_DOORS)
+@pytest.mark.parametrize("value", [
+    0, -1, -math.inf, math.nan, math.inf,
+    pytest.param(Fraction(1, 10 ** 400), id="1e-400"),
+    pytest.param(10 ** 400, id="1e400")])
+def test_one_gamma_rule_at_every_door(door, value):
+    # tail_amplitude(0.1, -1) once returned 8.3e10 and (0.1, inf) 12547.5,
+    # default_c(inf, 0.1) inf, gamma = 0 divided by zero, and singularity
+    # and sech_squared raised OverflowError for inf; the double of gamma must
+    # itself be positive and finite
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma must be positive and finite, not {value}") + "$"):
+        _GAMMA_DOORS[door](value)
 
 
 def test_frame_for_rho_bounded():
