@@ -21,8 +21,8 @@ vouches for it: the top fiftieth of its spectrum, where the series is cut,
 must sit below SPECTRUM_TOL max|u|, else ResolutionError. It guards against
 too few modes (half of them put it near 1e-6); it does not estimate a change
 of 1e-10 that more modes make to u. The grid spacing h sets only where the
-solution is sampled, for output and for measure_tail: the solve, L included,
-does not read it.
+solution is sampled for output: the solve, L included, and measure_tail,
+which reads the coefficients, do not read it.
 
 Note on tolerances: an iterate is accepted when the Newton step that reached
 it moved u by at most STEP_TOL s and its collocation residual is at most
@@ -79,6 +79,7 @@ class FitQualityError(ArithmeticError):
 def default_c(gamma: float, epsilon: float) -> float:
     """Exact series eigenvalue 4 g^2 + 16 g^4 eps^2 (all higher orders are 0)."""
     g = check_gamma(gamma)
+    check_epsilon(epsilon)
     return 4.0 * g * g + 16.0 * g ** 4 * epsilon * epsilon
 
 
@@ -107,6 +108,11 @@ SPECTRUM_TOL = 1e-10
 MAX_MODES = 3072
 #: largest number of output samples N (each array 8 MB)
 MAX_SAMPLES = 2 ** 20
+#: points of the tail projection over the last two periods before L
+TAIL_POINTS = 16
+#: projection residual bound relative to the amplitude: measured 7e-8 at eps =
+#: 0.08, 1.7e-4 at 0.15, 7.1e-3 at 0.22; a k 1% off leaves 3.3e-2, 1/eps 4e-2+
+FIT_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -195,10 +201,16 @@ class GridSolution:
 
 @dataclass
 class TailMeasurement:
+    """measure_tail's fundamental: amplitude, wavelength 2 pi/k, the window
+    mean, the signed value at L and the projection's largest residual."""
+
     epsilon: float
     amplitude_measured: float
     amplitude_predicted: float
     wavelength_measured: float
+    mean: float
+    value_at_L: float
+    fit_residual: float
 
 
 class _Collocation:
@@ -341,17 +353,6 @@ def _check_spectrum(a: np.ndarray, u: np.ndarray, config: SolverConfig) -> None:
             f"{SPECTRUM_TOL:g} max|u| = {bound:.3e}")
 
 
-def _refine_extremum(xs: np.ndarray, us: np.ndarray, k: int) -> float:
-    # parabola through the extremal sample and neighbours; |vertex value|
-    if k == 0 or k == len(us) - 1:
-        return abs(us[k])
-    y0, y1, y2 = us[k - 1], us[k], us[k + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return abs(y1)
-    return abs(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-
-
 def predicted_amplitude(config: SolverConfig) -> float:
     """Symmetric-member tail amplitude |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}:
     half the one-sided switching amplitude."""
@@ -361,8 +362,10 @@ def predicted_amplitude(config: SolverConfig) -> float:
 def check_window(config: SolverConfig) -> float:
     """Core-influence precheck for the measurement window; returns its start.
 
-    The sech^2 core evaluated at the window start must sit below 10% of the
-    predicted tail amplitude, otherwise the window is contaminated.
+    The sech^2 core evaluated at the window start L - 4 pi eps must sit below
+    10% of the predicted tail amplitude, otherwise the window is
+    contaminated. k > 1/eps: measure_tail's window, from L - 4 pi/k, lies
+    inside.
     """
     eps, g = config.epsilon, config.gamma
     predicted = predicted_amplitude(config)
@@ -376,36 +379,44 @@ def check_window(config: SolverConfig) -> float:
     return window_start
 
 
+def tail_wavenumber(config: SolverConfig) -> float:
+    """k, the positive root of eps^2 k^4 - k^2 - c = 0: the wavenumber at
+    which the linearized equation oscillates far from the core."""
+    eps2 = config.epsilon ** 2
+    return math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * eps2 * config.c_value))
+                     / (2.0 * eps2))
+
+
 def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
-    """Amplitude and wavelength over the last two oscillations before L, a
-    window check_window must pass. Amplitude uses parabolic refinement at the
-    extremal sample so a pure sinusoid is measured exactly; wavelength comes
-    from zero crossings."""
-    eps = config.epsilon
-    predicted = predicted_amplitude(config)
-    window_start = check_window(config)
+    """The tail's fundamental over the last two periods 2 pi/k before L (a
+    window check_window must pass), read off the cosine coefficients.
 
-    mask = sol.nodes >= window_start - 1e-12
-    xs, us = sol.nodes[mask], sol.u[mask]
-    if len(xs) < 8:
-        raise WindowContaminatedError("window contains too few nodes")
-    k = int(np.argmax(np.abs(us)))
-    amplitude = _refine_extremum(xs, us, k)
-    if amplitude <= 0.0:
-        raise WindowContaminatedError("no oscillation found in the window")
-
-    sign_change = np.nonzero(us[:-1] * us[1:] < 0.0)[0]
-    if len(sign_change) < 3:
-        raise WindowContaminatedError("fewer than three zero crossings in window")
-    zeros = [xs[i] - us[i] * (xs[i + 1] - xs[i]) / (us[i + 1] - us[i])
-             for i in sign_change]
-    wavelength = 2.0 * float(np.mean(np.diff(zeros)))
-    expected = 2.0 * math.pi * eps
-    if abs(wavelength - expected) > 0.2 * expected:
+    The interpolant at TAIL_POINTS equally spaced points ending at L is
+    projected onto 1, cos t, sin t, cos 2t and sin 2t, t = k (x - L) with
+    k = tail_wavenumber; on those points the five are orthogonal. The
+    amplitude leaves out the mean (the nonlinear offset 3 A^2/(2c)) and the
+    second harmonic. Unless the largest residual is below FIT_TOL times the
+    amplitude, as a wrong k or core in the window breaks it,
+    WindowContaminatedError is raised.
+    """
+    check_window(config)
+    k = tail_wavenumber(config)
+    t = np.arange(1 - TAIL_POINTS, 1) * (4.0 * math.pi / TAIL_POINTS)
+    u = sol.evaluate(config.half_length + t / k)
+    basis = np.array([np.ones_like(t), np.cos(t), np.sin(t),
+                      np.cos(2.0 * t), np.sin(2.0 * t)])
+    proj = basis @ u * (2.0 / TAIL_POINTS)
+    proj[0] /= 2.0  # the mean
+    residual = float(np.abs(u - proj @ basis).max())
+    amplitude = math.hypot(proj[1], proj[2])
+    if not residual < FIT_TOL * amplitude:
         raise WindowContaminatedError(
-            f"wavelength {wavelength:.4f} departs from 2 pi eps = {expected:.4f} "
-            "by more than 20%")
-    return TailMeasurement(eps, amplitude, predicted, wavelength)
+            f"the tail at k = {k:.4f} leaves a residual {residual:.3e} over "
+            f"the last two periods before L = {config.half_length}, above "
+            f"{FIT_TOL:g} of its amplitude {amplitude:.3e}")
+    return TailMeasurement(config.epsilon, amplitude, predicted_amplitude(config),
+                           2.0 * math.pi / k, float(proj[0]), float(proj[1]),
+                           residual)
 
 
 @dataclass(frozen=True)
@@ -440,11 +451,11 @@ def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
 
 
 def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
-          half_length: float | None = None, grid_spacing: float | None = None):
+          half_length: float | None = None):
     """Solve and measure for each epsilon, in ascending order.
 
-    The sampling step is eps / h_factor unless grid_spacing is given; it
-    does not move L or the solve. A half_length of None takes the default
+    The solution is sampled at the step eps / h_factor, which moves neither
+    L, the solve nor the measurement. A half_length of None takes the default
     domain. Every configuration and its measurement window are checked
     before the first solve. Each solve starts from its own initial_guess, so
     a row does not depend on the other epsilons in the list.
@@ -452,9 +463,8 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
     """
     configs = []
     for eps in sorted(epsilons):
-        config = SolverConfig(
-            epsilon=eps, gamma=gamma, half_length=half_length,
-            grid_spacing=eps / h_factor if grid_spacing is None else grid_spacing)
+        config = SolverConfig(epsilon=eps, gamma=gamma, half_length=half_length,
+                              grid_spacing=eps / h_factor)
         check_window(config)
         configs.append(config)
     results = []

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,8 +90,7 @@ def _write_csv(path: Path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)  # a float is written as its repr
     atomic_write(path, buf.getvalue())
 
 
@@ -143,32 +143,20 @@ def cmd_tails(args) -> list[Path]:
     from .bvp import fit_exponent, sweep
     gamma = float(_gamma(args))
     epsilons = sorted(set(args.epsilon))
-    dumps = (dict(zip(epsilons, _per_epsilon_paths(args, "bvp_solution_eps",
-                                                   epsilons)))
-             if args.dump_solutions else {})
-    results = sweep(epsilons, gamma, half_length=args.domain_length,
-                    grid_spacing=args.grid_h)
-    solution_files = []
-    for cfg, sol, meas in reversed(results):
-        if args.dump_solutions:
-            spath = dumps[cfg.epsilon]
-            _write_csv(spath, ["x", "u"],
-                       zip(sol.nodes.tolist(), sol.u.tolist()))
-            solution_files.append(spath)
+    dumps = (_per_epsilon_paths(args, "bvp_solution_eps", epsilons)
+             if args.dump_solutions else [])
+    results = sweep(epsilons, gamma, half_length=args.domain_length)
+    for (_, sol, _), path in zip(results, dumps):  # both ascending in eps
+        _write_csv(path, ["x", "u"], zip(sol.nodes.tolist(), sol.u.tolist()))
+    for _, _, meas in reversed(results):
         print(f"eps = {meas.epsilon:g}: amplitude = {meas.amplitude_measured:.6e} "
               f"(predicted {meas.amplitude_predicted:.6e}), "
               f"wavelength = {meas.wavelength_measured:.4f}")
 
     out = _out_path(args, "tail_measurements.jsonl")
     atomic_write(out, "".join(json.dumps({
-        "epsilon": meas.epsilon,
-        "amplitude_measured": meas.amplitude_measured,
-        "amplitude_predicted": meas.amplitude_predicted,
-        "wavelength_measured": meas.wavelength_measured,
-        "iterations": sol.iterations,
-        "residual_norm": sol.residual_norm,
-        "half_length": cfg.half_length,
-        "grid_spacing": cfg.grid_spacing,
+        **asdict(meas), "iterations": sol.iterations,
+        "residual_norm": sol.residual_norm, "half_length": cfg.half_length,
     }, sort_keys=True) + "\n" for cfg, sol, meas in results))
     if len(results) >= 4:
         fit = fit_exponent([meas for _, _, meas in reversed(results)])
@@ -177,7 +165,7 @@ def cmd_tails(args) -> list[Path]:
               f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
     else:
         print("fewer than 4 measurements: skipping the exponent fit")
-    return [out] + solution_files
+    return [out] + dumps[::-1]
 
 
 def cmd_compare(args) -> list[Path]:
@@ -268,11 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.08, 0.10, 0.12, 0.15])
     p.add_argument("--domain-length", type=float, default=None,
                    help=DOMAIN_LENGTH_HELP)
-    p.add_argument("--grid-h", type=float, default=None, help="sampling step h "
-                   "(default eps/20, at most eps/10); it never moves L or the solve")
     p.add_argument("--out", default=None, help="measurement JSONL path")
     p.add_argument("--dump-solutions", action="store_true",
-                   help="also write one (x, u) CSV per epsilon")
+                   help="also write one (x, u) CSV per epsilon, sampled at eps/20")
     p.set_defaults(func=cmd_tails)
 
     p = sub.add_parser("compare",

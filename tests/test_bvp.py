@@ -126,7 +126,7 @@ def test_modes_and_samples_are_capped_before_allocating(kwargs, what):
 def test_recorded_half_length_is_the_solved_one():
     # 22.003 is not a whole number of steps h = 0.005: it is solved, sampled
     # to and recorded as given; h sets only the sample count, at least round(L/h)
-    [(cfg, sol, _)] = sweep([0.15], grid_spacing=0.005, half_length=22.003)
+    [(cfg, sol, _)] = sweep([0.15], h_factor=30.0, half_length=22.003)
     assert cfg.half_length == collocation_points(cfg)[-1] == sol.nodes[-1] == 22.003
     assert cfg.n_cells == 4401 and len(sol.nodes) - 1 >= cfg.n_cells
     assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
@@ -164,9 +164,9 @@ def test_initial_guess_is_the_outer_series_through_u1(gamma):
 @pytest.mark.parametrize("sweep_fixture", ["tail_sweep", "tail_sweep_half"])
 def test_sweep_row_depends_only_on_its_own_epsilon(request, sweep_fixture):
     results = request.getfixturevalue(sweep_fixture)
+    h_factor = {"tail_sweep": 20.0, "tail_sweep_half": 40.0}[sweep_fixture]
     for cfg, sol, meas in results:
-        [(cfg1, sol1, meas1)] = sweep([cfg.epsilon],
-                                      grid_spacing=cfg.grid_spacing)
+        [(cfg1, sol1, meas1)] = sweep([cfg.epsilon], h_factor=h_factor)
         assert cfg1 == cfg
         assert np.array_equal(sol1.u, sol.u)
         assert meas1 == meas
@@ -418,12 +418,60 @@ def test_tail_decays_superpolynomially(tail_sweep):
 
 
 def test_measurement_calibration_synthetic_sine():
-    cfg = SolverConfig(epsilon=0.1)
-    x = np.arange(cfg.n_cells + 1) * cfg.grid_spacing
-    sol = GridSolution(x, 1e-3 * np.sin(x / cfg.epsilon), 0.0, 0)
+    # a cosine tail at k = sqrt(104), the root of eps^2 k^4 - k^2 - c at
+    # eps = 0.1, on L = 53 pi/k: mode 53, with u' = 0 at both ends, over a
+    # mean and a second harmonic (mode 106) that the projection separates
+    k = math.sqrt(104.0)
+    cfg = SolverConfig(epsilon=0.1, half_length=53 * math.pi / k)
+    a = np.zeros(cfg.n_modes + 1)
+    a[[0, 53, 106]] = 3.6e-7, -1e-3, 2e-5
+    sol = GridSolution(np.array([0.0, cfg.half_length]), np.zeros(2), 0.0, 0,
+                       coefficients=a)
     meas = measure_tail(sol, cfg)
     assert meas.amplitude_measured == pytest.approx(1e-3, rel=1e-6)
-    assert meas.wavelength_measured == pytest.approx(2 * math.pi * 0.1, rel=1e-4)
+    assert meas.value_at_L == pytest.approx(1e-3, rel=1e-6)
+    assert meas.mean == pytest.approx(3.6e-7, rel=1e-6)
+    assert meas.fit_residual <= 1e-6 * meas.amplitude_measured
+    assert meas.wavelength_measured == pytest.approx(2 * math.pi / k, rel=1e-4)
+
+
+def test_measurement_reads_only_the_coefficients(tail_sweep, tail_sweep_half):
+    # the h = eps/20 and eps/40 sweeps sample differently and measure alike,
+    # and so does the bare series, with L as its only node besides 0
+    for (cfg, sol, m20), (_, sol40, m40) in zip(tail_sweep, tail_sweep_half):
+        assert len(sol40.nodes) > len(sol.nodes)
+        assert m40 == m20, cfg.epsilon
+        bare = GridSolution(np.array([0.0, cfg.half_length]), np.full(2, np.nan),
+                            0.0, 0, coefficients=sol.coefficients)
+        assert measure_tail(bare, cfg) == m20, cfg.epsilon
+
+
+@pytest.mark.parametrize("epsilon", np.round(np.arange(0.08, 0.151, 0.01), 2))
+def test_measured_mean_is_the_nonlinear_offset(epsilon):
+    # 3u^2 - cu averages A cos^2 to a mean offset 3A^2/(2c) in the tail; at
+    # eps = 0.08 the core's outer series, 1.0% of that offset in the window,
+    # is taken off first
+    cfg = SolverConfig(epsilon)
+    meas = measure_tail(solve(cfg), cfg)
+    k = bvp.tail_wavenumber(cfg)
+    x = cfg.half_length - 4 * math.pi / k * (1 - np.arange(1, 17) / 16)
+    S = 1.0 / np.cosh(x) ** 2
+    core = np.mean(2 * S + epsilon ** 2 * (30 * S * S - 20 * S))
+    offset = 1.5 * meas.amplitude_measured ** 2 / cfg.c_value
+    assert meas.mean - core == pytest.approx(offset, rel=1e-2)
+    assert abs(meas.value_at_L) == pytest.approx(meas.amplitude_measured, rel=1e-6)
+
+
+def test_wrong_wavenumber_fails_the_projection(tail_sweep, monkeypatch):
+    # a k 1% off leaves a residual of a few percent of the amplitude,
+    # above FIT_TOL; the true k leaves at most 2e-4 of it
+    for cfg, sol, meas in tail_sweep:
+        assert meas.fit_residual <= 2e-4 * meas.amplitude_measured
+    true_k = bvp.tail_wavenumber
+    monkeypatch.setattr(bvp, "tail_wavenumber", lambda cfg: 1.01 * true_k(cfg))
+    for cfg, sol, _ in tail_sweep:
+        with pytest.raises(WindowContaminatedError, match="leaves a residual"):
+            measure_tail(sol, cfg)
 
 
 def test_window_contamination_detected():
@@ -435,10 +483,14 @@ def test_window_contamination_detected():
         measure_tail(sol, cfg)
 
 
+def _measurement(epsilon, amplitude):
+    return TailMeasurement(epsilon, amplitude, 0.0, 2 * math.pi * epsilon,
+                           0.0, amplitude, 0.0)
+
+
 def test_fit_exact_on_synthetic_amplitudes():
     lam = 19.97
-    meas = [TailMeasurement(e, 2 * lam * math.pi / e**2 * math.exp(-math.pi / (2 * e)),
-                            0.0, 2 * math.pi * e)
+    meas = [_measurement(e, 2 * lam * math.pi / e**2 * math.exp(-math.pi / (2 * e)))
             for e in (0.08, 0.10, 0.12, 0.15)]
     fit = fit_exponent(meas)
     assert fit.slope == pytest.approx(-math.pi / 2, abs=1e-10)
@@ -449,11 +501,11 @@ def test_fit_exact_on_synthetic_amplitudes():
 def test_fit_requires_four_measurements():
     assert InsufficientDataError is late_terms.InsufficientDataError
     with pytest.raises(InsufficientDataError):
-        fit_exponent([TailMeasurement(0.1, 1e-3, 1e-3, 0.6)])
+        fit_exponent([_measurement(0.1, 1e-3)])
 
 
 def test_fit_flags_bad_data():
-    meas = [TailMeasurement(e, a, 0.0, 2 * math.pi * e)
-            for e, a in ((0.08, 1e-3), (0.10, 9e-3), (0.12, 1.1e-3), (0.15, 2e-3))]
+    meas = [_measurement(e, a) for e, a in
+            ((0.08, 1e-3), (0.10, 9e-3), (0.12, 1.1e-3), (0.15, 2e-3))]
     with pytest.raises(FitQualityError):
         fit_exponent(meas)

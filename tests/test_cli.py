@@ -121,15 +121,19 @@ def test_stokes_profile_sweep(tmp_path, capsys):
 def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     code, stdout, _ = run(capsys, "tails", "--epsilon", "0.15", "--out", str(out),
-                          "--out-dir", str(tmp_path), "--dump-solutions",
-                          "--grid-h", "0.005")
+                          "--out-dir", str(tmp_path), "--dump-solutions")
     assert code == 0
     assert "skipping the exponent fit" in stdout
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 1 and records[0]["epsilon"] == 0.15
-    assert records[0]["grid_spacing"] == 0.005
+    assert sorted(records[0]) == [
+        "amplitude_measured", "amplitude_predicted", "epsilon", "fit_residual",
+        "half_length", "iterations", "mean", "residual_norm", "value_at_L",
+        "wavelength_measured"]
     dump = tmp_path / "bvp_solution_eps0.15.csv"
-    assert dump.read_text().splitlines()[0] == "x,u"
+    lines = dump.read_text().splitlines()
+    # sampled at eps/20 on the default L = 19.425: 2592 steps, 5-smooth
+    assert lines[0] == "x,u" and len(lines) == 2594
     manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
     assert str(dump) in manifest["outputs"]
 
@@ -280,6 +284,17 @@ def test_compare_has_no_grid_h(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tails_has_no_grid_h(tmp_path, capsys):
+    # the tail is measured off the cosine coefficients and --dump-solutions
+    # samples at eps/20: a sampling step would move no output but the dump
+    with pytest.raises(SystemExit) as info:
+        main(["tails", "--epsilon", "0.1", "--grid-h", "0.005",
+              "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --grid-h 0.005" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["compare", "tails"])
 @pytest.mark.parametrize("epsilon", ["0.09", "0.14"])
 def test_tail_harmonics_below_k_max_pass_the_resolution_check(
@@ -339,8 +354,7 @@ def test_infinite_epsilon_is_validation_failure(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("argv", [
     ["stokes-profile", "--epsilon", "0.1", "0.1000001"],
-    ["tails", "--epsilon", "0.15", "0.1500001", "--dump-solutions",
-     "--grid-h", "0.005"],
+    ["tails", "--epsilon", "0.15", "0.1500001", "--dump-solutions"],
 ], ids=lambda argv: argv[0])
 def test_colliding_output_names_are_validation_failure(tmp_path, capsys,
                                                        monkeypatch, argv):
@@ -354,16 +368,6 @@ def test_colliding_output_names_are_validation_failure(tmp_path, capsys,
     code, _, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 2
     assert "would both write" in stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["tails"])
-@pytest.mark.parametrize("grid_h", ["0", "-0.005", "inf"])
-def test_nonpositive_grid_h_is_validation_failure(tmp_path, capsys, command, grid_h):
-    code, _, stderr = run(capsys, command, "--epsilon", "0.1", "--grid-h", grid_h,
-                          "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "grid_spacing must be positive" in stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -94,6 +94,7 @@ _EPSILON_CHECKS = {
     "stokes_jump": stokes_jump,
     "tail_amplitude": tail_amplitude,
     "SolverConfig": lambda e: SolverConfig(epsilon=e),
+    "default_c": lambda e: bvp.default_c(1.0, e),  # default_c(1, nan) was nan
 }
 
 
