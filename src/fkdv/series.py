@@ -59,9 +59,10 @@ class ResourceLimitError(ValueError):
 
 
 #: Orders beyond this are refused: coefficient sizes grow like O(n log n)
-#: digits, and build_series(128) takes about 11-12 s (Python 3.11, one core
-#: of a 2-core machine), 96 % of it the Cauchy products of the right-hand
-#: sides; the exact checks and the rescale take about 2 %.
+#: digits, and build_series(n) takes 0.008 s at n = 30, 0.10 s at 60, 0.76 s
+#: at 90 and 5.9 s at 128 (Python 3.11.7, one core of a 2-core machine,
+#: minimum process time), 97 % of it at n = 128 the Cauchy products of the
+#: right-hand sides.
 N_MAX_LIMIT = 128
 
 
@@ -169,18 +170,29 @@ def _combine(terms) -> tuple[list[int], int]:
 
 def _cauchy(u, n: int) -> tuple[list[int], int]:
     """sum_{k=0..n} u_k u_{n-k} over integer forms u; each pair k < n - k
-    is multiplied once and counted twice, the middle term k = n/2 once."""
+    is multiplied once and counted twice, the middle term k = n/2 once.
+
+    Each pair is multiplied on its raw numerators, skipping the S^0 entry of
+    u_{n-k} (0 in every integer form), and its product is then scaled to the
+    common denominator once: scaling a row first would carry the factor,
+    up to a few hundred bits, through every inner product. Kronecker
+    substitution (one big-integer product per pair, packed and unpacked)
+    is not used: it measured 1.5x slower at n = 40 and at n = 90-128.
+    """
     ks = range(n // 2 + 1)
     den = math.lcm(*(u[k][1] * u[n - k][1] for k in ks))
     acc = [0] * max(len(u[k][0]) + len(u[n - k][0]) - 1 for k in ks)
     for k in ks:
         (a, da), (b, db) = u[k], u[n - k]
-        f = den // (da * db) * (1 if 2 * k == n else 2)
+        prod = [0] * (len(a) + len(b) - 1)
+        b = b[1:]
         for i, x in enumerate(a):
             if x:
-                x *= f
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
+                for j, y in enumerate(b, i + 1):
+                    prod[j] += x * y
+        f = den // (da * db) * (1 if 2 * k == n else 2)
+        for m, x in enumerate(prod):
+            acc[m] += f * x
     return acc, den
 
 
@@ -200,7 +212,8 @@ def fourth_derivative(p: SechPolynomial) -> SechPolynomial:
 class SeriesTable:
     """The family {u_n, c_n} for n = 0..n_max at a fixed rational gamma.
 
-    Immutable once built; safe to share across threads.
+    Every u_n is a SechPolynomial at the table's gamma, the only gamma a
+    saved file carries. Immutable once built; safe to share across threads.
     """
 
     gamma: Fraction
@@ -215,6 +228,9 @@ class SeriesTable:
         object.__setattr__(self, "c", tuple(_rat(ci) for ci in self.c))
         if len(self.u) != len(self.c):
             raise ValueError("u and c must have equal length")
+        for n, p in enumerate(self.u):
+            if not isinstance(p, SechPolynomial) or p.gamma != self.gamma:
+                raise ValueError(f"u_{n} is not a SechPolynomial at gamma = {self.gamma}")
 
     @property
     def n_max(self) -> int:
@@ -415,16 +431,19 @@ def table_from_json(doc: dict) -> SeriesTable:
     c = [_load_fraction(s, f"c at order {n}") for n, s in enumerate(doc["c"])]
     u = []
     for n, entry in enumerate(doc["u"]):
-        terms = []
+        terms = {}
         for m, a in entry:
             try:
-                terms.append((_parse_power(m), *_parse_ratio(a)))
+                power = _parse_power(m)
+                if power in terms:
+                    raise ValueError("power given twice")
+                terms[power] = _parse_ratio(a)
             except ValueError as e:
                 raise ValueError(f"order {n}, power {m}: {e}") from None
         # a_m = p / q over the lcm of the q, reduced once by _poly
-        den = math.lcm(*(q for _, _, q in terms))
-        nums = [0] * (max((m for m, _, _ in terms), default=0) + 1)
-        for m, p, q in terms:
+        den = math.lcm(*(q for _, q in terms.values()))
+        nums = [0] * (max(terms, default=0) + 1)
+        for m, (p, q) in terms.items():
             nums[m] = p * (den // q)
         u.append(_poly(nums, den, gamma))
     return SeriesTable(gamma, u, c)
@@ -449,9 +468,28 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """JSON list of encoded items, laid out as json.dumps(indent=1) lays out
+    a list that opens at indentation pad."""
+    if not items:
+        return "[]"
+    return f"[\n {pad}" + f",\n {pad}".join(items) + f"\n{pad}]"
+
+
 def save_table(table: SeriesTable, path) -> None:
-    """Atomic JSON dump of the exact table."""
-    atomic_write(path, json.dumps(table_to_json(table), indent=1, sort_keys=True))
+    """Atomic JSON dump of the exact table. The file holds exactly the bytes
+    of json.dumps(table_to_json(table), indent=1, sort_keys=True), written
+    straight from the integer forms, one gcd per coefficient: with an indent,
+    json.dumps runs its pure-Python encoder. Every string is ASCII digits,
+    '-' and '/', which JSON writes unescaped."""
+    orders = []
+    for p in table.u:
+        nums, den = p.int_form
+        orders.append(_json_list([f'[\n    "{m}",\n    "{_ratio_str(x, den)}"\n   ]'
+                                  for m, x in enumerate(nums) if x], "  "))
+    c = _json_list([f'"{ci}"' for ci in table.c], " ")
+    atomic_write(path, f'{{\n "c": {c},\n "gamma": "{table.gamma}",\n'
+                       f' "u": {_json_list(orders, " ")}\n}}')
 
 
 def load_table(path) -> SeriesTable:
@@ -460,7 +498,8 @@ def load_table(path) -> SeriesTable:
     Every rational (gamma, each c_n and each coefficient a_{n,m}) must be a
     string holding an integer, or an integer, a slash and a positive integer,
     in ASCII digits with an optional minus on the first integer: exactly what
-    save_table writes. Each power must be a string holding an integer >= 1.
+    save_table writes. Each power must be a string holding an integer >= 1,
+    given at most once in its order.
     An unreduced ratio such as "2/4" loads as its lowest terms; anything else
     ("1/0", "1.5", "") raises ValueError naming the order and the power.
     """

@@ -216,14 +216,33 @@ def test_determinism():
     (40, F(3, 2), "feb13a248a2246aa211d06d67a5071c97ccc364ddb4700c79757ead99ebe532f"),
     (60, F(2, 3), "c206582c4b4e7d9ced3cb4d56d2fe4b19bda24abe9351a26cf64db4cb28012c0"),
 ])
-def test_table_json_hash_is_pinned(n_max, gamma, digest):
+def test_table_json_hash_is_pinned(tmp_path, n_max, gamma, digest):
     # reference digests from an independent build: a per-coefficient
     # Fraction recurrence run directly at each gamma. (60, 2/3) was computed
     # at commit 4ddb67b, before the per-order and scale checks replaced its
     # re-check of the finished table; it runs the scale check deep with
-    # p, q != 1
-    text = json.dumps(table_to_json(build_series(n_max, gamma)), indent=1, sort_keys=True)
+    # p, q != 1. The file save_table writes must have the same bytes
+    t = build_series(n_max, gamma)
+    text = json.dumps(table_to_json(t), indent=1, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    save_table(t, tmp_path / "table.json")
+    assert hashlib.sha256((tmp_path / "table.json").read_bytes()).hexdigest() == digest
+    assert load_table(tmp_path / "table.json") == t
+
+
+@pytest.mark.parametrize("table", [
+    build_series(0),
+    build_series(5, F(7, 5)),
+    # a zero polynomial is the entry []
+    SeriesTable(F(2, 3), [SechPolynomial({}, F(2, 3)),
+                          SechPolynomial({1: F(-3, 4), 3: 5}, F(2, 3))], [0, F(-1, 9)]),
+    SeriesTable(F(1), [], []),
+], ids=["n_max=0", "gamma=7/5", "zero polynomial", "empty"])
+def test_save_table_writes_the_json_dumps_bytes(tmp_path, table):
+    save_table(table, tmp_path / "table.json")
+    assert (tmp_path / "table.json").read_text() == \
+        json.dumps(table_to_json(table), indent=1, sort_keys=True)
+    assert load_table(tmp_path / "table.json") == table
 
 
 def _perturbed(t, n, delta_u, delta_c):
@@ -323,6 +342,14 @@ def test_table_refuses_a_nonpositive_gamma(gamma):
         SeriesTable(gamma, [SechPolynomial({1: 2})], [4])
 
 
+@pytest.mark.parametrize("entry", [SechPolynomial({1: 2}), {1: 2}, 2])
+def test_table_refuses_an_entry_off_its_gamma(entry):
+    # a file carries only the table's gamma: a u_1 at gamma = 1 in a
+    # gamma = 3/2 table came back from a round trip as another table
+    with pytest.raises(ValueError, match="^u_1 is not a SechPolynomial at gamma = 3/2$"):
+        SeriesTable(F(3, 2), [SechPolynomial({1: 2}, F(3, 2)), entry], [4, 1])
+
+
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         build_series(10_000)
@@ -409,6 +436,14 @@ def test_load_refuses_what_save_never_writes(tmp_path, bad):
 def test_load_refuses_a_bad_gamma_or_c(tmp_path, field, bad, where):
     doc = {**table_to_json(build_series(1)), field: bad}
     with pytest.raises(ValueError, match=f"^{where}"):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("first", ["2", "0"])
+def test_load_refuses_a_power_given_twice(tmp_path, first):
+    # once loaded as the last of the two, 3 S
+    doc = {"gamma": "1", "c": ["4"], "u": [[["1", first], ["1", "3"]]]}
+    with pytest.raises(ValueError, match="^order 0, power 1: power given twice$"):
         _load_doc(tmp_path, doc)
 
 
