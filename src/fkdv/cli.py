@@ -128,9 +128,8 @@ def cmd_stokes_profile(args) -> list[Path]:
     # every frame is checked before the first integration, as `bvp.sweep`
     # builds every config first: a bad epsilon late in the list writes nothing
     frames = [frame_for(eps, gamma) for eps in args.epsilon]
-    span = (-math.pi / 2 - args.width, -math.pi / 2 + args.width)
     for frame, out in zip(frames, paths):
-        profile = integrate_multiplier(frame, span, steps=args.steps)
+        profile = integrate_multiplier(frame)
         _write_csv(out, ["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
                    profile_csv_rows(profile, frame))
         ratio = abs(profile.jump_numeric / profile.jump_closed_form)
@@ -245,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integrate the multiplier across the Stokes line")
     common(p)
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--width", type=float, default=1.0,
-                   help="half-width of the theta span around -pi/2")
     p.set_defaults(func=cmd_stokes_profile)
 
     p = sub.add_parser("tails", help="BVP sweep and tail exponent fit")
@@ -293,6 +289,3 @@ def main(argv=None) -> int:
         return EXIT_MATH
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    sys.exit(main())

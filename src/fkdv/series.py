@@ -45,12 +45,12 @@ from pathlib import Path
 class RecurrenceError(ArithmeticError):
     """Structural failure of the order-by-order linear solve.
 
-    Raised when a pivot that must be nonzero vanishes, when a solved order
-    does not have degree n + 1, when a solved order does not satisfy its
-    full equation exactly at gamma = 1, or when an order of the rescaled
-    table is not gamma^{2n+2} times that checked order. The last two name
-    the order ("nonzero exact residual at order n"). Every condition
-    indicates an implementation bug, not a legitimate math case.
+    Raised when a solved order does not have degree n + 1, when a solved
+    order does not satisfy its full equation exactly at gamma = 1, or when
+    an order of the rescaled table is not gamma^{2n+2} times that checked
+    order. The last two name the order ("nonzero exact residual at order
+    n"). Every condition indicates an implementation bug, not a legitimate
+    math case.
     """
 
 
@@ -76,6 +76,23 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _gamma(x) -> Fraction:
+    """x as an exact rational, refused unless positive."""
+    g = _rat(x)
+    if g <= 0:
+        raise ValueError("gamma must be positive")
+    return g
+
+
+def _int_form(terms: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, den) of sum p / q S^m over {m: (p, q)}, den the lcm of the q."""
+    den = math.lcm(*(q for _, q in terms.values()))
+    nums = [0] * (max(terms, default=0) + 1)
+    for m, (p, q) in terms.items():
+        nums[m] = p * (den // q)
+    return nums, den
+
+
 @dataclass(frozen=True, init=False)
 class SechPolynomial:
     """Polynomial sum_m a_m S^m, S = sech^2(gamma x), exact coefficients.
@@ -93,18 +110,11 @@ class SechPolynomial:
     gamma: Fraction
 
     def __init__(self, coeffs, gamma=Fraction(1)):
-        coeffs = {m: _rat(a) for m, a in coeffs.items()}
-        for m in coeffs:
+        terms = {m: _rat(a).as_integer_ratio() for m, a in coeffs.items()}
+        for m in terms:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"powers must be integers >= 1, got {m!r}")
-        g = _rat(gamma)
-        if g <= 0:
-            raise ValueError("gamma must be positive")
-        den = math.lcm(*(a.denominator for a in coeffs.values()))
-        nums = [0] * (max(coeffs, default=0) + 1)
-        for m, a in coeffs.items():
-            nums[m] = a.numerator * (den // a.denominator)
-        _store(self, nums, den, g)
+        _store(self, *_int_form(terms), _gamma(gamma))
 
     @cached_property
     def coeffs(self) -> dict[int, Fraction]:
@@ -221,9 +231,7 @@ class SeriesTable:
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _rat(self.gamma))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        object.__setattr__(self, "gamma", _gamma(self.gamma))
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "c", tuple(_rat(ci) for ci in self.c))
         if len(self.u) != len(self.c):
@@ -294,9 +302,6 @@ def _solve_order(F: list[int], R: int, n: int) -> tuple[tuple[list[int], int], F
     # holds a_m R P, P the product of all pivots: a_m R prod_{j >= m} sub_j is
     # an integer by induction down the rows, so each division is exact.
     sub = [12 - 4 * m * m - 2 * m for m in range(n + 2)]
-    for m in range(1, n + 2):
-        if sub[m] == 0:
-            raise RecurrenceError(f"sub-diagonal pivot vanished at m = {m}")
     P = math.prod(sub[1:])
     a = [0] * (n + 3)
     for p in range(n + 2, 1, -1):
@@ -350,9 +355,7 @@ def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
         raise ValueError("n_max must be >= 0")
     if n_max > N_MAX_LIMIT:
         raise ResourceLimitError(f"n_max = {n_max} exceeds limit {N_MAX_LIMIT}")
-    g = _rat(gamma)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
+    g = _gamma(gamma)
     u, c = [([0, 2], 1)], [Fraction(4)]  # u_0 = 2 S, c_0 = 4 at gamma = 1
     if any(_residual(u, c, Fraction(1), 0)[0]):
         raise RecurrenceError("nonzero exact residual at order 0")
@@ -425,14 +428,20 @@ def _load_fraction(s, where: str) -> Fraction:
 
 def table_from_json(doc: dict) -> SeriesTable:
     """The table saved by table_to_json; load_table states the grammar."""
-    gamma = _load_fraction(doc["gamma"], "gamma")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    for key in ("c", "u"):
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
+            raise ValueError(f'expected a JSON object with a list "{key}"')
+    gamma = _gamma(_load_fraction(doc.get("gamma"), "gamma"))
     c = [_load_fraction(s, f"c at order {n}") for n, s in enumerate(doc["c"])]
     u = []
     for n, entry in enumerate(doc["u"]):
+        if not isinstance(entry, list):
+            raise ValueError(f"order {n}: {entry!r} is not a list of pairs")
         terms = {}
-        for m, a in entry:
+        for pair in entry:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"order {n}: {pair!r} is not a [power, coefficient] pair")
+            m, a = pair
             try:
                 power = _parse_power(m)
                 if power in terms:
@@ -440,12 +449,7 @@ def table_from_json(doc: dict) -> SeriesTable:
                 terms[power] = _parse_ratio(a)
             except ValueError as e:
                 raise ValueError(f"order {n}, power {m}: {e}") from None
-        # a_m = p / q over the lcm of the q, reduced once by _poly
-        den = math.lcm(*(q for _, q in terms.values()))
-        nums = [0] * (max(terms, default=0) + 1)
-        for m, (p, q) in terms.items():
-            nums[m] = p * (den // q)
-        u.append(_poly(nums, den, gamma))
+        u.append(_poly(*_int_form(terms), gamma))  # reduced once by _poly
     return SeriesTable(gamma, u, c)
 
 
@@ -495,13 +499,14 @@ def save_table(table: SeriesTable, path) -> None:
 def load_table(path) -> SeriesTable:
     """Read a table written by save_table.
 
-    Every rational (gamma, each c_n and each coefficient a_{n,m}) must be a
-    string holding an integer, or an integer, a slash and a positive integer,
-    in ASCII digits with an optional minus on the first integer: exactly what
-    save_table writes. Each power must be a string holding an integer >= 1,
-    given at most once in its order.
-    An unreduced ratio such as "2/4" loads as its lowest terms; anything else
-    ("1/0", "1.5", "") raises ValueError naming the order and the power.
+    The file is an object with gamma, a list c and a list u whose order n is
+    a list of [m, a_{n,m}] pairs. Every rational (gamma, c_n and a_{n,m}) must
+    be a string holding an integer, or an integer, a slash and a positive
+    integer, in ASCII digits with an optional minus on the first integer:
+    exactly what save_table writes. Each power m must be a string holding an
+    integer >= 1, given at most once in its order. An unreduced ratio such
+    as "2/4" loads as its lowest terms; anything else ("1/0", "1.5", "", a
+    string for a list) raises ValueError naming the key, order, power or pair.
     """
     with open(path) as fh:
         return table_from_json(json.load(fh))

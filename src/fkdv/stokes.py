@@ -58,14 +58,15 @@ DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
 #: late-term power shift, forced by the double pole of u_0
 BETA = 2
+#: steps of the start grid on the span STOKES_ANGLE +- 1, read at call time
+STEPS = 2000
 #: quadrature tolerance (relative change between doublings) and doubling
-#: cap: at the default steps and span both integrands take 1 doubling for
-#: eps <= 0.1, 2 at 0.15, 3-4 at 0.3 and 1-6 from 0.5 to 1e6, so 8 leaves two
-#: spare; an unresolvable forcing (frame_for(1e-14)) fails in 0.1 s, 60 MB
+#: cap: both integrands take 1 doubling for eps <= 0.1, 2 at 0.15, 3-4 at 0.3
+#: and 1-6 from 0.5 to 1e6, so 8 leaves two spare; the last level holds
+#: 2000 2^8 + 1 samples, 8 MB per complex array, and an unresolvable forcing
+#: (frame_for(1e-14)) fails there in 0.1 s, 60 MB
 RTOL = 1e-8
 MAX_REFINEMENTS = 8
-#: cap on the last level's steps 2^MAX_REFINEMENTS + 1 samples (16 MB each)
-MAX_QUADRATURE_SAMPLES = 2 ** 20
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -153,32 +154,23 @@ def stokes_jump(epsilon: float) -> complex:
 
 
 def integrate_multiplier(frame: StokesFrame,
-                         theta_span: tuple[float, float] = (STOKES_ANGLE - 1.0,
-                                                            STOKES_ANGLE + 1.0),
-                         steps: int = 2000,
                          integrand: str = "smoothing") -> StokesProfile:
-    """Integrate the multiplier forcing across the Stokes line.
+    """Integrate the multiplier forcing over STOKES_ANGLE +- 1.
 
-    Trapezoid sums on a doubling grid until the total changes by at most
-    RTOL (relative) between successive levels, for at most MAX_REFINEMENTS
-    doublings, the last within MAX_QUADRATURE_SAMPLES; the forcing is
-    evaluated once per level, on the start grid and then on the new
-    midpoints. The returned profile is sampled on the requested `steps` grid
-    (taken from the converged fine grid), starting from the pre-Stokes
-    constant 0 (no oscillation before the crossing).
+    Trapezoid sums on a doubling grid, from STEPS steps, until the total
+    changes by at most RTOL (relative) between successive levels, for at
+    most MAX_REFINEMENTS doublings; the forcing is evaluated once per level,
+    on the start grid and then on the new midpoints. The returned profile is
+    sampled on the start grid (taken from the converged fine grid), starting
+    from the pre-Stokes constant 0 (no oscillation before the crossing).
     """
-    lo, hi = float(theta_span[0]), float(theta_span[1])
-    if not -math.inf < lo < STOKES_ANGLE < hi < math.inf:
-        raise ValueError("theta_span must be finite with -pi/2 strictly inside")
-    if not 1000 <= steps < MAX_QUADRATURE_SAMPLES >> MAX_REFINEMENTS:
-        raise ValueError(f"steps must be >= 1000, with steps 2^{MAX_REFINEMENTS}"
-                         f" + 1 <= {MAX_QUADRATURE_SAMPLES} samples, not {steps}")
     try:
         rhs = _INTEGRANDS[integrand]
     except KeyError:
         raise ValueError(f"unknown integrand {integrand!r}") from None
 
-    n = steps
+    lo, hi = STOKES_ANGLE - 1.0, STOKES_ANGLE + 1.0
+    n = STEPS
     f = rhs(frame, np.linspace(lo, hi, n + 1))
     h = (hi - lo) / n
     total = h * (f.sum() - 0.5 * (f[0] + f[-1]))
@@ -205,12 +197,10 @@ def integrate_multiplier(frame: StokesFrame,
             worst_interval=worst)
 
     cum = np.concatenate([[0.0 + 0.0j], np.cumsum(0.5 * h * (f[1:] + f[:-1]))])
-    stride = n // steps
-    th_out = np.linspace(lo, hi, n + 1)[::stride]
-    S_out = cum[::stride]
-    samples = list(zip(th_out.tolist(), S_out.tolist()))
+    stride = 2 ** level  # back to the start grid
     return StokesProfile(
-        samples=samples,
+        samples=list(zip(np.linspace(lo, hi, n + 1)[::stride].tolist(),
+                         cum[::stride].tolist())),
         jump_numeric=complex(cum[-1]),
         jump_closed_form=stokes_jump(frame.epsilon),
         refinements=level,

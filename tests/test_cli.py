@@ -490,13 +490,15 @@ def test_subnormal_epsilon_is_refused_before_any_work(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_stokes_steps_beyond_the_sample_cap_are_refused(tmp_path, capsys):
-    code, stdout, stderr = run(capsys, "stokes-profile", "--epsilon", "0.1",
-                               "--steps", "1000000000", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert stderr == ("error: steps must be >= 1000, with steps 2^8 + 1 <= "
-                      "1048576 samples, not 1000000000\n")
-    assert stdout == ""
+@pytest.mark.parametrize("option", [["--steps", "2000"], ["--width", "1"]],
+                         ids=lambda option: option[0])
+def test_stokes_profile_has_no_steps_or_width(tmp_path, capsys, option):
+    # every profile integrates over -pi/2 +- 1 from one 2000-step grid
+    with pytest.raises(SystemExit) as info:
+        main(["stokes-profile", "--epsilon", "0.1", *option,
+              "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -514,6 +516,14 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
     assert len(manifests) == 1
     outputs = json.loads(manifests[0].read_text())["outputs"]
     assert outputs and all(Path(p).exists() for p in outputs)
+
+
+def test_python_m_fkdv_runs_the_cli(tmp_path):
+    # `python -m fkdv` (fkdv/__main__.py) is the module entry the README names
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "fkdv", "--version"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cli.__version__}\n", "")
 
 
 def test_startup_never_imports_scipy(tmp_path):

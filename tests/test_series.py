@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from fractions import Fraction
 
@@ -444,6 +445,31 @@ def test_load_refuses_a_power_given_twice(tmp_path, first):
     # once loaded as the last of the two, 3 S
     doc = {"gamma": "1", "c": ["4"], "u": [[["1", first], ["1", "3"]]]}
     with pytest.raises(ValueError, match="^order 0, power 1: power given twice$"):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a string stood in for a list: c = (1, 6) with two zero orders, and
+    # the entry ["12"] loaded as 2 S
+    ({"gamma": "1", "c": "16", "u": ["", ""]}, 'expected a JSON object with a list "c"'),
+    ({"gamma": "1", "c": ["4", "16"], "u": ["", ""]}, "order 0: '' is not a list of pairs"),
+    ({"gamma": "1", "c": ["4"], "u": [["12"]]},
+     "order 0: '12' is not a [power, coefficient] pair"),
+    # these raised unpacking errors, KeyError and TypeError, naming nothing
+    ({"gamma": "1", "c": ["4"], "u": [[["1", "2", "3"]]]},
+     "order 0: ['1', '2', '3'] is not a [power, coefficient] pair"),
+    ({"gamma": "1", "c": ["4"], "u": [{"1": "2"}]},
+     "order 0: {'1': '2'} is not a list of pairs"),
+    ({"gamma": "1", "c": ["4"]}, 'expected a JSON object with a list "u"'),
+    ([], 'expected a JSON object with a list "c"'),
+    ({"c": ["4"], "u": [[["1", "2"]]]}, "gamma: expected an integer or an integer "
+                                        "over a positive integer, got None"),
+], ids=["c-string", "u-strings", "pair-string", "pair-of-three", "entry-object",
+        "no-u", "list", "no-gamma"])
+def test_load_refuses_a_document_of_the_wrong_shape(tmp_path, doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        table_from_json(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _load_doc(tmp_path, doc)
 
 
