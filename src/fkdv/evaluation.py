@@ -65,7 +65,10 @@ class EvalPoint:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        object.__setattr__(self, "x", complex(self.x))
+        x = complex(self.x)
+        if not cmath.isfinite(x):
+            raise ValueError(f"x must be finite, not {self.x}")
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -85,26 +88,44 @@ def singularity(gamma) -> complex:
 
 
 def sech_squared(x: complex, gamma) -> complex:
-    ch = cmath.cosh(check_gamma(gamma) * complex(x))
+    """sech^2(gamma x); 0j, the rounded S, where cosh overflows (|Re gamma x| > 710)."""
+    try:
+        ch = cmath.cosh(check_gamma(gamma) * complex(x))
+    except OverflowError:
+        return 0j
     if abs(ch) < POLE_THRESHOLD:
         raise PoleProximityError(f"|cosh(gamma x)| = {abs(ch):.3e} at x = {x}")
     return 1.0 / (ch * ch)
 
 
-def _exact(p: SechPolynomial, x: complex) -> tuple[int, int, int]:
-    """Integers (re, im, den) with sum a_m S^m = (re + i im) / den exactly at
-    the double S = sech_squared(x, gamma)."""
-    S = sech_squared(x, p.gamma)
+def _point(x: complex, gamma) -> tuple[int, int, int]:
+    """(sr, si, q) with the double S = sech_squared(x, gamma) = (sr + i si) / 2^q."""
+    S = sech_squared(x, gamma)
     (sr, dr), (si, di) = S.real.as_integer_ratio(), S.imag.as_integer_ratio()
-    q = max(dr, di).bit_length() - 1  # S = (sr + i si) / 2^q
-    sr, si = sr << (q + 1 - dr.bit_length()), si << (q + 1 - di.bit_length())
-    nums, den = p.int_form
+    q = max(dr, di).bit_length() - 1
+    return sr << (q + 1 - dr.bit_length()), si << (q + 1 - di.bit_length()), q
+
+
+def _horner(nums, den: int, sr: int, si: int, q: int) -> tuple[int, int, int]:
+    """Integers (re, im, den') with sum nums[m] S^m / den = (re + i im) / den'
+    exactly at S = (sr + i si) / 2^q; on the real axis (si = 0) im stays 0."""
     # homogeneous Horner: acc = sum_m a_m s^m 2^(q (D - m)), the value acc / 2^(q D)
     re, im, sh = nums[-1], 0, 0
-    for a in reversed(nums[:-1]):
-        sh += q
-        re, im = re * sr - im * si + (a << sh), re * si + im * sr
+    if si:
+        for a in reversed(nums[:-1]):
+            sh += q
+            re, im = re * sr - im * si + (a << sh), re * si + im * sr
+    else:
+        for a in reversed(nums[:-1]):
+            sh += q
+            re = re * sr + (a << sh)
     return re, im, den << sh
+
+
+def _exact(p: SechPolynomial, x: complex) -> tuple[int, int, int]:
+    """Integers (re, im, den) with sum a_m S^m = (re + i im) / den exactly at
+    the double S = sech_squared(x, gamma); many orders at one x share `_point`."""
+    return _horner(*p.int_form, *_point(x, p.gamma))
 
 
 def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
@@ -122,7 +143,7 @@ def optimal_N(x: complex, epsilon: float, gamma) -> int:
 
 
 def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
-    """Sum of the first N terms eps^{2n} u_n(x), with per-term magnitudes."""
+    """Sum of the first N terms eps^{2n} u_n(x), each exact at one S, with magnitudes."""
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > table.n_max + 1:
@@ -132,8 +153,9 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
     e, d = point.epsilon.as_integer_ratio()
     p2, e2 = 2 * (d.bit_length() - 1), e * e  # eps^2 = e^2 / 2^p2
     w = 1  # e^(2n)
+    s = _point(point.x, table.gamma) if N else None
     for n in range(N):
-        re, im, den = _exact(table.u[n], point.x)
+        re, im, den = _horner(*table.u[n].int_form, *s)
         wd = den << (p2 * n)
         term = complex(re * w / wd, im * w / wd)
         value += term
@@ -143,30 +165,32 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
 
 
 def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:
-    """Index n of the smallest term over all orders, compared exactly; ties
-    keep the first index."""
+    """Index n of the smallest term over all orders, compared exactly at the
+    one double S of x; ties keep the first index. Bit lengths decide first,
+    and an order is squared only when it can be the new smallest."""
     e, d = point.epsilon.as_integer_ratio()
     p4, e4 = 4 * (d.bit_length() - 1), e ** 4  # eps^4 = e^4 / 2^p4
+    s = _point(point.x, table.gamma)
     b, a_b, D_b, ek = 0, None, None, 1  # ek = e^(4 (n - b))
     for n, p in enumerate(table.u):
-        re, im, den = _exact(p, point.x)
-        a, D = re * re + im * im, den * den  # |u_n(x)|^2 = a / D
-        if a_b is None:
-            b, a_b, D_b = n, a, D
-            continue
-        ek *= e4
-        # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied: L < R with
-        # L = a D_b ek and R = a_b D 2^(p4 (n - b)). A product of nonzero x, y
-        # has bit length bl x + bl y - 1 or bl x + bl y, so L has nl - 2 to nl
-        # bits and R has nr - 1 to nr; only nr - 1 <= nl <= nr + 2 needs them.
-        # A zero term has no such lower bound and takes the exact comparison.
-        sh = p4 * (n - b)
-        nl = a.bit_length() + D_b.bit_length() + ek.bit_length()
-        nr = a_b.bit_length() + D.bit_length() + sh
-        if a and a_b and not nr - 1 <= nl <= nr + 2:
-            smaller = nl < nr
-        else:
-            smaller = a * D_b * ek < (a_b * D) << sh
-        if smaller:
-            b, a_b, D_b, ek = n, a, D, 1
+        re, im, den = _horner(*p.int_form, *s)
+        if a_b is not None:
+            ek *= e4
+            # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied: L < R with
+            # L = a D_b ek, a = re^2 + im^2, and R = a_b D 2^sh, D = den^2. A
+            # product of nonzero x, y has bl x + bl y - 1 or bl x + bl y bits,
+            # and a nonzero a has 2t - 1 to 2t + 1, t = max(bl re, bl im); so
+            # L has nl - 3 to nl + 1 bits and R has nr - 2 to nr. Only
+            # nr - 3 <= nl <= nr + 3 needs the products, and so does a zero
+            # term, which has no such lower bound.
+            sh = p4 * (n - b)
+            nl = (2 * max(re.bit_length(), im.bit_length())
+                  + D_b.bit_length() + ek.bit_length())
+            nr = a_b.bit_length() + 2 * den.bit_length() + sh
+            if (re or im) and a_b and not nr - 3 <= nl <= nr + 3:
+                if nl > nr:
+                    continue
+            elif not ((re * re + im * im) * D_b * ek < (a_b * den * den) << sh):
+                continue
+        b, a_b, D_b, ek = n, re * re + im * im, den * den, 1
     return b

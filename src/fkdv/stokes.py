@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +52,7 @@ class QuadratureError(ArithmeticError):
 
 #: the late-term constant Lam of the inner problem; every formula below reads
 #: this one Lam, the jump, forcing and tail at call time, the erf profile once
-#: per frame (the cached StokesFrame._erf_prefactor)
+#: per frame (StokesFrame._erf_prefactor, set when the frame is built)
 DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
 #: late-term power shift, forced by the double pole of u_0
@@ -88,18 +87,13 @@ class StokesFrame:
         if not 0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
         check_epsilon(self.epsilon)
-        if abs(self.rho) > 1.0 + 1e-12:
+        if not abs(self.rho) <= 1.0 + 1e-12:  # a NaN rho fails too
             raise ValueError("|rho| must not exceed 1")
-
-    @cached_property
-    def _erf_prefactor(self) -> complex:
-        """Lam sqrt(pi) e^{i pi (beta+1)/2} / (sqrt(2) eps^beta)."""
-        return (DEFAULT_LAMBDA * _SQRT_PI
-                / (_SQRT2 * self.epsilon ** BETA)) * 1j ** (BETA + 1)
-
-    @cached_property
-    def _sqrt_r(self) -> float:
-        return math.sqrt(self.r)
+        # erf_profile's two frame constants, plain attributes for a fast read;
+        # the prefactor is Lam sqrt(pi) e^{i pi (beta+1)/2} / (sqrt(2) eps^beta)
+        object.__setattr__(self, "_sqrt_r", math.sqrt(self.r))
+        object.__setattr__(self, "_erf_prefactor", (DEFAULT_LAMBDA * _SQRT_PI
+                           / (_SQRT2 * self.epsilon ** BETA)) * 1j ** (BETA + 1))
 
 
 def frame_for(epsilon: float, gamma=1) -> StokesFrame:
@@ -171,15 +165,17 @@ def integrate_multiplier(frame: StokesFrame,
 
     lo, hi = STOKES_ANGLE - 1.0, STOKES_ANGLE + 1.0
     n = STEPS
-    f = rhs(frame, np.linspace(lo, hi, n + 1))
+    theta = np.linspace(lo, hi, n + 1)  # the profile's abscissae
+    f = rhs(frame, theta)
     h = (hi - lo) / n
     total = h * (f.sum() - 0.5 * (f[0] + f[-1]))
     for level in range(1, MAX_REFINEMENTS + 1):
         n2 = 2 * n
         f2 = np.empty(n2 + 1, dtype=complex)
         f2[0::2] = f
-        f2[1::2] = rhs(frame, np.linspace(lo, hi, n2 + 1)[1::2])
         h2 = (hi - lo) / n2
+        # the odd points of np.linspace(lo, hi, n2 + 1), by its own formula
+        f2[1::2] = rhs(frame, np.arange(1, n2, 2) * h2 + lo)
         total2 = h2 * (f2.sum() - 0.5 * (f2[0] + f2[-1]))
         converged = abs(total2 - total) <= RTOL * max(abs(total2), 1e-300)
         n, f, h, total = n2, f2, h2, total2
@@ -196,11 +192,11 @@ def integrate_multiplier(frame: StokesFrame,
             f"no convergence to rtol={RTOL} after {MAX_REFINEMENTS} doublings",
             worst_interval=worst)
 
-    cum = np.concatenate([[0.0 + 0.0j], np.cumsum(0.5 * h * (f[1:] + f[:-1]))])
-    stride = 2 ** level  # back to the start grid
+    cum = np.zeros(n + 1, dtype=complex)
+    np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=cum[1:])
     return StokesProfile(
-        samples=list(zip(np.linspace(lo, hi, n + 1)[::stride].tolist(),
-                         cum[::stride].tolist())),
+        # the fine grid repeats theta bit for bit every 2^level points
+        samples=list(zip(theta.tolist(), cum[::2 ** level].tolist())),
         jump_numeric=complex(cum[-1]),
         jump_closed_form=stokes_jump(frame.epsilon),
         refinements=level,

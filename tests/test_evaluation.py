@@ -19,7 +19,7 @@ from fkdv import (
     sech_squared,
     singularity,
 )
-from fkdv.evaluation import _exact
+from fkdv.evaluation import _exact, _horner, _point
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,17 @@ def small_tables(draw):
     return SeriesTable(Fraction(1), u, [Fraction(0)] * len(u)), eps
 
 
+def _first_argmin(table, x, eps):
+    """Brute force: the first index of the smallest |eps^{2n} u_n(x)|^2, as
+    exact Fractions."""
+    e4 = Fraction(eps) ** 4
+    mags = []
+    for n, p in enumerate(table.u):
+        re, im, den = _exact(p, x)
+        mags.append(Fraction(re * re + im * im, den * den) * e4 ** n)
+    return mags.index(min(mags))
+
+
 @given(small_tables(),
        st.one_of(st.floats(-3, 3).map(complex),
                  st.complex_numbers(max_magnitude=2.5, allow_nan=False,
@@ -196,15 +207,99 @@ def small_tables(draw):
                       [Fraction(0)] * 2), 0.75), 0.5 + 0j)
 @settings(max_examples=150, deadline=None)
 def test_empirical_optimum_is_first_exact_argmin(table_eps, x):
-    # brute force: |eps^{2n} u_n(x)|^2 as Fractions, first index on ties.
-    # The two examples sit on the edges of the bit-length window, where only
-    # the products can decide: the bit-length sums of the two sides differ by
-    # 2 with the new term smaller, and by -1 with it larger.
+    # the two examples fall inside the bit-length window, where only the
+    # products decide: nl - nr = 2 with the new term smaller (by 16 %), and
+    # nl - nr = -2 with it larger (by 7e-4)
     table, eps = table_eps
     assume(abs(cmath.cosh(x)) > 1e-6)
-    e4 = Fraction(eps) ** 4
-    mags = []
-    for n, p in enumerate(table.u):
-        re, im, den = _exact(p, x)
-        mags.append(Fraction(re * re + im * im, den * den) * e4 ** n)
-    assert empirical_optimum(table, EvalPoint(x, eps)) == mags.index(min(mags))
+    assert empirical_optimum(table, EvalPoint(x, eps)) == _first_argmin(table, x, eps)
+
+
+@pytest.fixture(scope="module", params=[Fraction(1), Fraction(3, 2), Fraction(2, 3)],
+                ids=str)
+def table40(request):
+    return build_series(40, request.param)
+
+
+def test_empirical_optimum_is_first_exact_argmin_on_built_tables(table40):
+    sigma = singularity(table40.gamma)
+    points = [0j, 0.4 + 0j, -2.5 + 0j]
+    points += [sigma + d * cmath.exp(1j * phi)
+               for d, phi in ((0.05, -1.0), (0.3, -2.2), (0.7, 0.5), (1.2, -0.4))]
+    points += [0.7 + 0.3j, -1.1 + 0.8j, 0.2 - 1.9j]
+    for x in points:
+        for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.7):
+            got = empirical_optimum(table40, EvalPoint(x, eps))
+            assert got == _first_argmin(table40, x, eps), (x, eps)
+
+
+def _table(*orders):
+    return SeriesTable(Fraction(1), [SechPolynomial(c) for c in orders],
+                       [Fraction(0)] * len(orders))
+
+
+@pytest.mark.parametrize("table, x, eps, n_star", [
+    # on the edges of the bit-length window: L = a D_b ek of the new order
+    # has nl - 3 to nl + 1 bits and R = a_b D 2^sh of the best nr - 2 to nr.
+    # Here nl = nr - 3 with L at its top and R at its foot, L > R ...
+    (_table({1: Fraction(7, 5)}, {1: Fraction(3, 2)}), 0.375 - 0.875j, 0.96875, 0),
+    # ... and nl = nr + 3 with L at its foot and R at its top, L < R
+    (_table({1: Fraction(1, 2)}, {1: Fraction(3, 7)}), 0.625 - 1j, 1.0, 1),
+    # a zero order is the smallest, and the first zero wins a tie
+    (_table({1: 3, 2: -1}, {}, {2: 5}), 0.3 + 0.2j, 0.5, 1),
+    (_table({}, {1: Fraction(1, 9)}, {}), 0.8 + 0j, 0.1, 0),
+    (_table({1: 5}, {2: Fraction(1, 10 ** 40)}, {}), 1.1 - 0.4j, 1e-3, 2),
+    # equal terms: eps^2 u_1 = u_0 exactly, the first index wins
+    (_table({1: 2, 2: 5}, {1: 2 / Fraction(0.7) ** 2, 2: 5 / Fraction(0.7) ** 2},
+            {1: 1000}), 0.9 - 0.6j, 0.7, 0),
+    (_table({1: 8}, {1: 3}, {1: 3 / Fraction(0.25) ** 2}), 0.4 + 0j, 0.25, 1),
+], ids=["band-low-edge", "band-high-edge", "zero", "first-zero", "late-zero",
+        "tie-complex", "tie-real"])
+def test_empirical_optimum_hand_built(table, x, eps, n_star):
+    assert _first_argmin(table, x, eps) == n_star
+    assert empirical_optimum(table, EvalPoint(x, eps)) == n_star
+
+
+def _complex_horner(nums, den, sr, si, q):
+    re, im, sh = nums[-1], 0, 0
+    for a in reversed(nums[:-1]):
+        sh += q
+        re, im = re * sr - im * si + (a << sh), re * si + im * sr
+    return re, im, den << sh
+
+
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+       st.integers(1, 10 ** 20), st.integers(-2 ** 60, 2 ** 60),
+       st.integers(-2 ** 60, 2 ** 60), st.integers(0, 80))
+@settings(max_examples=200, deadline=None)
+def test_real_horner_matches_complex_horner(nums, den, sr, si, q):
+    assert _horner(nums, den, sr, 0, q) == _complex_horner(nums, den, sr, 0, q)
+    assert _horner(nums, den, sr, si, q) == _complex_horner(nums, den, sr, si, q)
+
+
+def test_real_points_take_the_real_horner(table30):
+    for x in (0.0, 0.3, -1.7, 4.0):
+        sr, si, q = _point(x, 1)
+        assert si == 0
+        for p in table30.u:
+            assert _horner(*p.int_form, sr, si, q) == _complex_horner(*p.int_form, sr, si, q)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(math.nan, 0.5),
+                               complex(0.5, math.nan), complex(0.5, math.inf),
+                               complex(0.5, -math.inf), complex(-math.inf, 1.0)])
+def test_eval_point_refuses_non_finite_x(x):
+    # these built and then failed deep in partial_sum with "cannot convert
+    # NaN to integer ratio"
+    with pytest.raises(ValueError, match="x must be finite"):
+        EvalPoint(x, 0.1)
+
+
+@pytest.mark.parametrize("x, gamma", [(700, 1), (711, 1), (-800, 1), (400, 2)])
+def test_far_points_have_zero_s(x, gamma):
+    # S is about 4 exp(-2 gamma |x|): below the smallest double from
+    # |gamma x| = 373, and cmath.cosh overflows (OverflowError) past 710
+    table = build_series(10, gamma)
+    assert sech_squared(x, gamma) == 0j
+    assert partial_sum(table, EvalPoint(x, 0.1), 5).value == 0j
+    assert empirical_optimum(table, EvalPoint(x, 0.1)) == 0

@@ -84,6 +84,10 @@ def test_frame_validation():
         StokesFrame(r=-1.0, epsilon=0.1)
     with pytest.raises(ValueError):
         StokesFrame(r=1.0, epsilon=0.1, rho=1.5)
+    # a NaN rho compared false against the bound and built a frame; the
+    # late-term forcing then ran all doublings and raised QuadratureError
+    with pytest.raises(ValueError, match="rho"):
+        StokesFrame(r=1.0, epsilon=0.1, rho=math.nan)
 
 
 _EPSILON_CHECKS = {
@@ -352,7 +356,7 @@ def test_every_formula_reads_the_one_lambda(monkeypatch):
     config = SolverConfig(epsilon=eps)
 
     def predictions():
-        f = frame(eps, rho=0.3)  # fresh: the erf prefactor is cached per frame
+        f = frame(eps, rho=0.3)  # fresh: the frame fixes its erf prefactor when built
         return [stokes_jump(eps), tail_amplitude(eps), exp_tail(x, eps),
                 bvp.predicted_amplitude(config), multiplier_rhs(f, theta),
                 erf_profile(0.2, f)]
