@@ -9,10 +9,16 @@ eps). eps^2 d^4 + d^2 acts on a_m as the symbol s_m = eps^2 k_m^4 - k_m^2,
 so the discretization carries no grid error beyond the truncated spectrum.
 Newton's method on the coefficients handles the nonlinearity, each step one
 dense `numpy.linalg.solve`; c is held fixed at the exact series eigenvalue
-c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically) so the core
-matches the asymptotic solution at the chosen gamma. Every solve starts from
-the outer series to the same order, u_0 + eps^2 u_1: a result depends only
-on its own eps, gamma, L and mode count.
+c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically), and every
+solve starts from the outer series to that order, u_0 + eps^2 u_1, so a
+result depends only on its own eps, gamma, L and mode count.
+
+The solver works at gamma = 1 only: u(x; eps, gamma) = gamma^2 U(gamma x;
+gamma eps) and c = gamma^2 c(gamma eps, 1), so `unit_config` maps a config
+(eps, gamma, L, h) to U's (gamma eps, 1, gamma L, gamma h). `solve` and
+`check_window` work on U and map back: coefficients and u by gamma^2,
+residuals by gamma^4, the window start by 1/gamma; the spectrum and window
+checks state U's values. At gamma = 1 the map is the identity, bit for bit.
 
 The mode count is a rule, not an option: M = ceil(MODES_PER_GAMMA gamma L /
 pi), so k_max ~ MODES_PER_GAMMA gamma follows the core's poles at +-i pi/(2
@@ -24,15 +30,11 @@ of 1e-10 that more modes make to u. The grid spacing h sets only where the
 solution is sampled for output: the solve, L included, and measure_tail,
 which reads the coefficients, do not read it.
 
-Note on tolerances: an iterate is accepted when the Newton step that reached
-it moved u by at most STEP_TOL s and its collocation residual is at most
-NEWTON_TOL s^2, s = max(gamma^2, |u|) (under u = gamma^2 U the gamma = 1
-floor of 1); quadratic convergence then leaves it about STEP_TOL^2 from the
-discrete solution. The residual's roundoff floor, read off Newton steps past
-convergence, is 1e-15 to 1e-14 at gamma = 1 (eps = 0.05 to 0.15) and 2e-11
-to 7e-11 at gamma = 10 (eps = 0.01, |u| = 200): it grows with |u|^2, as the
-target does, and stays far below it. Only the wave's branch u(0) >= gamma^2
-(half the peak 2 gamma^2; u = 0 fails) is accepted.
+Note on tolerances: an iterate of U is accepted when the Newton step that
+reached it moved U by at most STEP_TOL s and its residual is at most
+NEWTON_TOL s^2, s = max(1, |U|), which leaves it about STEP_TOL^2 from the
+discrete solution; the residual's roundoff floor is 1e-15 to 1e-14 (eps =
+0.05 to 0.15). Only the branch U(0) >= 1 (half the peak 2) is accepted.
 """
 
 from __future__ import annotations
@@ -90,24 +92,26 @@ def default_half_length(epsilon: float) -> float:
     return math.ceil((10.0 + 10.0 * (2.0 * math.pi * epsilon)) / step) * step
 
 
-#: residual target relative to max(gamma^2, |u|)^2
+#: residual target relative to max(1, |U|)^2
 NEWTON_TOL = 1e-12
-#: Newton step target relative to max(gamma^2, |u|)
+#: Newton step target relative to max(1, |U|)
 STEP_TOL = 1e-6
 MAX_ITERS = 50
 #: steps without a new smallest residual before Newton gives up (7 seen in a
 #: solve that converged: eps = 0.16, gamma = 3/2)
 STALL_ITERS = 10
-#: k_max / gamma: M = ceil(MODES_PER_GAMMA gamma L / pi), read at call time
+#: U's k_max: M = ceil(MODES_PER_GAMMA gamma L / pi), read at construction
 MODES_PER_GAMMA = 24.0
 #: bound on max |a_m| over the top fiftieth of the modes, relative to max |u|
 SPECTRUM_TOL = 1e-10
-#: largest mode count, gamma L <= 3072 pi / 24 = 402.1: a solve holds C, the
-#: Newton matrix and LAPACK's copy of it, 3 x 8 (M + 1)^2 bytes (227 MB at the
-#: cap), and a Newton step there takes about 0.7 s on one core
+#: largest mode count (gamma L <= 402.1): C, the Newton matrix and LAPACK's
+#: copy hold 3 x 8 (M + 1)^2 bytes, 227 MB, and a Newton step takes 0.7 s
 MAX_MODES = 3072
 #: largest number of output samples N (each array 8 MB)
 MAX_SAMPLES = 2 ** 20
+#: gamma lies in [1/GAMMA_RANGE, GAMMA_RANGE]: the map's gamma^4 <= 2^256 keeps
+#: each of U's values between 2^-766 and 2^767 in size a normal double
+GAMMA_RANGE = 2.0 ** 64
 #: points of the tail projection over the last two periods before L
 TAIL_POINTS = 16
 #: projection residual bound relative to the amplitude: measured 7e-8 at eps =
@@ -119,22 +123,24 @@ FIT_TOL = 1e-2
 class SolverConfig:
     """Domain, sampling step and eigenvalue for one solve, checked at
     construction. L is half_length as given, else default_half_length, and
-    must reach 10 max(1, 1/gamma) + 20 pi eps (ten core widths and ten tail
-    wavelengths; the default is not widened for gamma < 1). The sampling
-    step h <= eps/10 (default eps/20) is the largest: the sample count is the
-    smallest 5-smooth number >= max(round(L/h), M), and h never moves L. c is
-    default_c. Modes and samples are capped by MAX_MODES and MAX_SAMPLES
-    before anything is allocated."""
+    must reach 10/gamma + 20 pi eps, U's rule on gamma L (ten core widths and
+    ten tail wavelengths; the default is not widened for gamma < 1). The
+    sampling step h <= eps/10 (default eps/20) is the largest: the sample
+    count is the smallest 5-smooth number >= max(round(L/h), M), and h never
+    moves L. gamma is kept as its double, n_modes is M, c is default_c.
+    MAX_MODES, MAX_SAMPLES and GAMMA_RANGE apply before any allocation."""
 
     epsilon: float
     gamma: float = 1.0
     half_length: float | None = None
     grid_spacing: float | None = None
+    n_modes: int = field(init=False)
     c_value: float = field(init=False)
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        check_gamma(self.gamma)
+        g = check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", g)
         if self.grid_spacing is None:
             object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
         if not 0 < self.grid_spacing < math.inf:
@@ -149,12 +155,12 @@ class SolverConfig:
             raise ResolutionError(
                 f"h = {self.grid_spacing} too coarse: need h <= eps/10 = "
                 f"{self.epsilon / 10.0} to sample the 2 pi eps wavelength")
-        need = 10.0 * max(1.0, 1.0 / self.gamma) + 20.0 * math.pi * self.epsilon
-        if self.half_length * slack < need:
+        L, need = g * self.half_length, 10.0 + 20.0 * math.pi * (g * self.epsilon)
+        if L * slack < need:  # U's L and eps, as unit_config computes them
             raise ResolutionError(
                 f"L = {self.half_length} too short at gamma = {self.gamma}: "
-                f"need L >= {need} = 10 max(1, 1/gamma) + 20 pi eps")
-        modes = MODES_PER_GAMMA * self.gamma * self.half_length / math.pi
+                f"need L >= {need / g} = 10/gamma + 20 pi eps")
+        modes = MODES_PER_GAMMA * L / math.pi
         if not modes <= MAX_MODES:
             raise ResolutionError(
                 f"gamma = {self.gamma}, L = {self.half_length}: {modes:.4g} "
@@ -164,20 +170,22 @@ class SolverConfig:
                 f"L = {self.half_length}, h = {self.grid_spacing}: "
                 f"{self.half_length / self.grid_spacing:.4g} samples exceed "
                 f"the cap of {MAX_SAMPLES}")
-        # gamma L <= 3072 pi / 24 with L >= 10 max(1, 1/gamma) + 20 pi eps
-        # bounds gamma <= 40.2 and gamma eps <= 6.4, so c <= about 1.1e6
-        object.__setattr__(self, "c_value", default_c(self.gamma, self.epsilon))
+        if not 1.0 / GAMMA_RANGE <= g <= GAMMA_RANGE:  # then c <= 628 gamma^2
+            raise ResolutionError(f"gamma = {self.gamma} lies outside "
+                                  "[2^-64, 2^64], where the map stays in range")
+        object.__setattr__(self, "n_modes", math.ceil(modes))
+        object.__setattr__(self, "c_value", default_c(g, self.epsilon))
 
     @property
     def n_cells(self) -> int:
         return int(round(self.half_length / self.grid_spacing))
 
-    @property
-    def n_modes(self) -> int:
-        """M = ceil(MODES_PER_GAMMA gamma L / pi); L >= 10/gamma keeps it
-        at 77 or more."""
-        return math.ceil(MODES_PER_GAMMA * self.gamma * self.half_length
-                         / math.pi)
+
+def unit_config(config: SolverConfig) -> SolverConfig:
+    """U's config (gamma eps, 1, gamma L, gamma h): the one map to gamma = 1."""
+    g = config.gamma
+    return SolverConfig(g * config.epsilon, 1.0, g * config.half_length,
+                        g * config.grid_spacing)
 
 
 @dataclass
@@ -250,19 +258,18 @@ def cosine_coefficients(values: np.ndarray) -> np.ndarray:
     the even extension (a DCT-I)."""
     M = len(values) - 1
     a = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / M
-    a[0] /= 2.0
-    a[M] /= 2.0
+    a[[0, M]] /= 2.0
     return a
 
 
 def initial_guess(config: SolverConfig) -> np.ndarray:
-    """The outer series through u_1 at the collocation points, as c_value is
-    through c_1: 2 g^2 S + eps^2 g^4 (30 S^2 - 20 S) with S = sech^2(g x)."""
-    g, eps = config.gamma, config.epsilon
-    x = collocation_points(config)
+    """U's outer series through U_1 at its collocation points, as c_value is
+    through c_1: 2 S + eps^2 (30 S^2 - 20 S), S = sech^2(x), on unit_config."""
+    unit = unit_config(config)
+    eps, x = unit.epsilon, collocation_points(unit)
     with np.errstate(over="ignore"):  # far out cosh -> inf, so the core is 0
-        S = 1.0 / np.cosh(g * x) ** 2
-    return 2.0 * g * g * S + eps * eps * g ** 4 * (30.0 * S * S - 20.0 * S)
+        S = 1.0 / np.cosh(x) ** 2
+    return 2.0 * S + eps * eps * (30.0 * S * S - 20.0 * S)
 
 
 def _sample(a: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -277,31 +284,26 @@ def _sample(a: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray
 
 
 def _five_smooth(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a fast FFT length."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
+    """The smallest 2^a 3^b 5^c >= n (below 2^40, a divisor of 30^40)."""
+    while 30 ** 40 % n:
         n += 1
+    return n
 
 
 def solve(config: SolverConfig) -> GridSolution:
-    """Newton iteration on the cosine coefficients from initial_guess until
-    the step and the residual both meet their targets (module docstring), so
-    the result depends only on the configuration.
+    """Newton iteration on U's cosine coefficients from initial_guess until
+    the step and the residual both meet their targets (module docstring).
 
-    Converging off the wave's branch u(0) >= gamma^2, STALL_ITERS steps
-    without a new smallest residual, or MAX_ITERS steps short of the
-    targets, raises NonConvergenceError. IllConditionedError is
-    raised for a non-finite residual, a singular Newton matrix or a
-    non-finite Newton correction; ResolutionError when the top fiftieth of
-    the spectrum exceeds SPECTRUM_TOL max|u|.
+    Converging off the wave's branch U(0) >= 1, STALL_ITERS steps without a
+    new smallest residual, or MAX_ITERS steps short of the targets, raises
+    NonConvergenceError with the history. IllConditionedError is raised for
+    a non-finite residual, a singular Newton matrix or a non-finite Newton
+    correction; ResolutionError when the top fiftieth of the spectrum
+    exceeds SPECTRUM_TOL max|u|.
     """
-    col = _Collocation(config)
-    a = cosine_coefficients(initial_guess(config))
+    unit = unit_config(config)
+    col = _Collocation(unit)
+    a = cosine_coefficients(initial_guess(unit))
     step = math.inf
     history = []
     for it in range(MAX_ITERS):
@@ -311,19 +313,10 @@ def solve(config: SolverConfig) -> GridSolution:
         if not math.isfinite(rn):
             raise IllConditionedError(
                 f"non-finite residual after {it} Newton steps")
-        scale = max(config.gamma ** 2, float(np.abs(u).max()))
+        scale = max(1.0, float(np.abs(u).max()))
         target = NEWTON_TOL * scale * scale
-        if rn <= target and step <= STEP_TOL * scale:
-            if not u[0] >= config.gamma ** 2:  # e.g. the trivial u = 0
-                raise NonConvergenceError(
-                    f"converged to u(0) = {u[0]:.3e} below the wave's branch "
-                    f"u(0) >= gamma^2 = {config.gamma ** 2:g} after "
-                    f"{len(history)} iterations", history)
-            _check_spectrum(a, u, config)
-            nodes, samples = _sample(a, config)
-            return GridSolution(nodes, samples, rn, it, tuple(history),
-                                target, a)
-        if len(history) - 1 - int(np.argmin(history)) >= STALL_ITERS:
+        converged = rn <= target and step <= STEP_TOL * scale
+        if converged or len(history) - 1 - int(np.argmin(history)) >= STALL_ITERS:
             break
         try:
             da = np.linalg.solve(col.jacobian(u), -F)
@@ -333,12 +326,22 @@ def solve(config: SolverConfig) -> GridSolution:
             raise IllConditionedError("non-finite Newton correction")
         step = float(np.abs(col.C @ da).max())
         a = a + da
-    raise NonConvergenceError(
-        f"residual {rn:.3e} after {len(history)} iterations "
-        f"(smallest {min(history):.3e}, target {target:.3e})", history)
+    g2, g4 = config.gamma ** 2, config.gamma ** 4
+    rn, target, history = g4 * rn, g4 * target, tuple(g4 * r for r in history)
+    if not converged:
+        raise NonConvergenceError(
+            f"residual {rn:.3e} after {len(history)} iterations "
+            f"(smallest {min(history):.3e}, target {target:.3e})", history)
+    if not u[0] >= 1.0:  # e.g. the trivial u = 0
+        raise NonConvergenceError(
+            f"converged to u(0) = {g2 * u[0]:.3e} below the wave's branch u(0) "
+            f">= gamma^2 = {g2:g} after {len(history)} iterations", history)
+    _check_spectrum(a, u, unit)
+    a = g2 * a
+    return GridSolution(*_sample(a, config), rn, it, history, target, a)
 
 
-def _check_spectrum(a: np.ndarray, u: np.ndarray, config: SolverConfig) -> None:
+def _check_spectrum(a: np.ndarray, u: np.ndarray, unit: SolverConfig) -> None:
     # The band is where the series is cut, k > 0.98 k_max. A wider band also
     # holds resolved harmonics n k of the tail and refuses accurate solves:
     # at eps = 0.14, 3k = 22.3 reaches 2e-10 max|u| in the top tenth and
@@ -348,7 +351,7 @@ def _check_spectrum(a: np.ndarray, u: np.ndarray, config: SolverConfig) -> None:
     bound = SPECTRUM_TOL * float(np.abs(u).max())
     if not top <= bound:
         raise ResolutionError(
-            f"M = {M} modes at eps = {config.epsilon}, gamma = {config.gamma}: "
+            f"M = {M} modes at gamma eps = {unit.epsilon}: "
             f"the top fiftieth of the spectrum reaches {top:.3e}, above "
             f"{SPECTRUM_TOL:g} max|u| = {bound:.3e}")
 
@@ -360,23 +363,22 @@ def predicted_amplitude(config: SolverConfig) -> float:
 
 
 def check_window(config: SolverConfig) -> float:
-    """Core-influence precheck for the measurement window; returns its start.
+    """Core-influence precheck for the window; returns its start L - 4 pi eps.
 
-    The sech^2 core evaluated at the window start L - 4 pi eps must sit below
-    10% of the predicted tail amplitude, otherwise the window is
-    contaminated. k > 1/eps: measure_tail's window, from L - 4 pi/k, lies
-    inside.
+    U's sech^2 core evaluated at its window start must sit below 10% of its
+    predicted tail amplitude, otherwise the window is contaminated. k >
+    1/eps: measure_tail's window, from L - 4 pi/k, lies inside.
     """
-    eps, g = config.epsilon, config.gamma
-    predicted = predicted_amplitude(config)
-    window_start = config.half_length - 2.0 * (2.0 * math.pi * eps)
-    decay = math.exp(-2.0 * g * window_start)  # cosh(g x)^2 overflows past 355
-    core_at_window = 8.0 * g * g * decay / (1.0 + decay) ** 2  # 2 g^2 sech^2
+    unit = unit_config(config)
+    predicted = predicted_amplitude(unit)
+    window_start = unit.half_length - 2.0 * (2.0 * math.pi * unit.epsilon)
+    decay = math.exp(-2.0 * window_start)  # cosh(x)^2 overflows past 355
+    core_at_window = 8.0 * decay / (1.0 + decay) ** 2  # 2 sech^2
     if core_at_window >= 0.1 * predicted:
         raise WindowContaminatedError(
             f"core {core_at_window:.3e} at x = {window_start:.2f} exceeds 10% "
             f"of predicted tail {predicted:.3e}; increase half_length")
-    return window_start
+    return window_start / config.gamma
 
 
 def tail_wavenumber(config: SolverConfig) -> float:
@@ -452,14 +454,14 @@ def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
 
 def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
           half_length: float | None = None):
-    """Solve and measure for each epsilon, in ascending order.
+    """Solve and measure for each epsilon: a list of (config, solution,
+    measurement), ascending in epsilon.
 
     The solution is sampled at the step eps / h_factor, which moves neither
     L, the solve nor the measurement. A half_length of None takes the default
     domain. Every configuration and its measurement window are checked
-    before the first solve. Each solve starts from its own initial_guess, so
-    a row does not depend on the other epsilons in the list.
-    Returns a list of (config, solution, measurement), ascending in epsilon.
+    before the first solve, and each solve starts from its own initial_guess,
+    so a row does not depend on the other epsilons in the list.
     """
     configs = []
     for eps in sorted(epsilons):
@@ -467,8 +469,4 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
                               grid_spacing=eps / h_factor)
         check_window(config)
         configs.append(config)
-    results = []
-    for config in configs:
-        sol = solve(config)
-        results.append((config, sol, measure_tail(sol, config)))
-    return results
+    return [(c, sol, measure_tail(sol, c)) for c in configs for sol in [solve(c)]]

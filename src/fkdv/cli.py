@@ -208,7 +208,7 @@ def cmd_compare(args) -> list[Path]:
 
 
 DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10 + 20 pi eps rounded "
-                      "up to a multiple of eps/20; >= 10 max(1, 1/gamma) + 20 pi eps)")
+                      "up to a multiple of eps/20; >= 10/gamma + 20 pi eps)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -95,7 +95,8 @@ def sech_squared(x: complex, gamma) -> complex:
         return 0j
     if abs(ch) < POLE_THRESHOLD:
         raise PoleProximityError(f"|cosh(gamma x)| = {abs(ch):.3e} at x = {x}")
-    return 1.0 / (ch * ch)
+    sq = ch * ch  # past |Re gamma x| = 355 it overflows: square 1/ch instead
+    return 1.0 / sq if cmath.isfinite(sq) else (1.0 / ch) ** 2
 
 
 def _point(x: complex, gamma) -> tuple[int, int, int]:

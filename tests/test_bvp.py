@@ -67,7 +67,7 @@ def test_nonpositive_grid_or_domain_rejected(field, value):
 
 @pytest.mark.parametrize("gamma, need", [(0.5, 20.0), (0.1, 100.0)])
 def test_domain_must_hold_ten_core_widths(gamma, need):
-    # the sech^2(gamma x) core is 1/gamma wide: L >= 10 max(1, 1/gamma) + 20 pi eps
+    # the sech^2(gamma x) core is 1/gamma wide: L >= 10/gamma + 20 pi eps
     L = need + 20.0 * math.pi * 0.1
     with pytest.raises(ResolutionError, match=rf"gamma = {gamma}: need L >= "):
         SolverConfig(epsilon=0.1, gamma=gamma)  # the default L is 10 + 20 pi eps
@@ -78,10 +78,17 @@ def test_domain_must_hold_ten_core_widths(gamma, need):
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 10.0])
 def test_wide_gamma_keeps_the_default_domain(gamma):
+    # the default L comes from eps alone; the rule is U's, gamma L >= 10 +
+    # 20 pi gamma eps, so a narrow core may sit on a shorter domain
     cfg = SolverConfig(epsilon=0.1, gamma=gamma)
     assert cfg.half_length == SolverConfig(epsilon=0.1).half_length
-    with pytest.raises(ResolutionError, match="too short"):
-        SolverConfig(epsilon=0.1, gamma=gamma, half_length=0.99 * cfg.half_length)
+    need = 10.0 / gamma + 20.0 * math.pi * 0.1
+    assert SolverConfig(epsilon=0.1, gamma=gamma, half_length=need).half_length == need
+    with pytest.raises(ResolutionError, match=rf"too short at gamma = {gamma}: "
+                       r"need L >= \S+ = 10/gamma \+ 20 pi eps") as info:
+        SolverConfig(epsilon=0.1, gamma=gamma, half_length=0.99 * need)
+    stated = float(re.search(r"need L >= (\S+)", str(info.value))[1])
+    assert stated == pytest.approx(need, rel=1e-15)
 
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.1, 1e300), (0.1, 1e100), (1e80, 1e60)])
@@ -96,8 +103,8 @@ def test_eigenvalue_beyond_double_range_rejected(epsilon, gamma):
 @pytest.mark.parametrize("epsilon, gamma, modes, c", [
     (6.2, 1.0, 3053, 619.04), (5e-4, 40.0, 3066, 6410.24)])
 def test_eigenvalue_at_the_edge_of_the_mode_cap(epsilon, gamma, modes, c):
-    # gamma L <= 3072 pi / 24 bounds gamma <= 40.2 and gamma eps <= 6.4, so
-    # every accepted config has a finite c, of at most about 1.1e6
+    # gamma L <= 3072 pi / 24 with gamma L >= 10 + 20 pi gamma eps bounds
+    # gamma eps <= 6.24, so U's c is at most 628 and c <= 628 gamma^2
     cfg = SolverConfig(epsilon=epsilon, gamma=gamma)
     assert cfg.n_modes == modes
     assert math.isfinite(cfg.c_value)
@@ -151,13 +158,16 @@ def test_check_window_accepts_long_domain():
 
 @pytest.mark.parametrize("gamma", [Fraction(1), Fraction(3, 2)])
 def test_initial_guess_is_the_outer_series_through_u1(gamma):
-    # u_0 + eps^2 u_1 of the exact table, as c_value is c_0 + eps^2 c_1
-    table = build_series(1, gamma)
+    # U_0 + (gamma eps)^2 U_1 of the exact gamma = 1 table at U's collocation
+    # points, as U's c_value is c_0 + (gamma eps)^2 c_1, at every gamma
+    table = build_series(1)
     cfg = SolverConfig(epsilon=0.1, gamma=float(gamma))
+    unit = bvp.unit_config(cfg)
     u = initial_guess(cfg)
-    for x, uj in zip(collocation_points(cfg), u):
+    assert np.array_equal(u, initial_guess(unit))
+    for x, uj in zip(collocation_points(unit), u):
         exact = (eval_coefficient(table.u[0], x)
-                 + cfg.epsilon ** 2 * eval_coefficient(table.u[1], x)).real
+                 + unit.epsilon ** 2 * eval_coefficient(table.u[1], x)).real
         assert abs(uj - exact) <= 8 * math.ulp(exact), x
 
 
@@ -285,13 +295,86 @@ def test_newton_converges_after_a_run_without_a_new_best():
 @pytest.mark.parametrize("gamma, epsilon, half_length", [
     (0.1, 1.0, 170.0), (0.01, 10.0, 1700.0), (0.001, 100.0, 17000.0)])
 def test_narrow_wave_meets_the_gamma_one_tolerances(gamma, epsilon, half_length):
-    # u(x; eps, gamma) = gamma^2 U(gamma x; gamma eps) on L' = gamma L, with the
-    # same M = 130 modes; a scale floor of 1 in place of gamma^2 met absolute
-    # targets and left u(0)/gamma^2 2e-9, 5e-5 and 2e-3 off
+    # u(x; eps, gamma) = gamma^2 U(gamma x; gamma eps) on L' = gamma L: the
+    # narrow wave is solved as U, so it takes the same M = 130 modes and
+    # Newton steps, and its coefficients are gamma^2 U's exactly (a scale
+    # floor of 1 in place of gamma^2 once left u(0)/gamma^2 2e-9, 5e-5 and
+    # 2e-3 off)
     narrow = solve(SolverConfig(epsilon, gamma, half_length=half_length))
     wide = solve(SolverConfig(gamma * epsilon, half_length=gamma * half_length))
+    g2 = gamma ** 2
     assert len(narrow.coefficients) == len(wide.coefficients) == 131
-    assert abs(narrow.u[0] / gamma ** 2 - wide.u[0]) <= 1e-12
+    assert np.array_equal(narrow.coefficients, g2 * wide.coefficients)
+    assert narrow.residual_history == tuple(gamma ** 4 * r
+                                            for r in wide.residual_history)
+    assert abs(narrow.u[0] / g2 - wide.u[0]) <= 1e-14
+
+
+#: (eps, gamma, L, M, samples, u(0), tail amplitude) as the solver gave them
+#: when it carried gamma through its guess, tolerances and rules (git acb67ee)
+GAMMA_POINTS = [
+    (0.1, 1.5, None, 187, 3376, 4.911933322766097, 0.15857401162605442),
+    (0.08, 1.5, None, 173, 3841, 4.8978757734032685, 0.01779412259658388),
+    (0.12, 2 / 3, 24.0, 123, 4001, 0.9187800274885497, 1.1584616597216066e-05),
+    (0.1, 2.0, None, 249, 3376, 9.448635086415916, 0.66967443970191),
+    (0.16, 1.5, None, 230, 2561, 4.801089845498392, 0.6998843153742568),
+]
+
+
+@pytest.mark.parametrize("epsilon, gamma, half_length, modes, samples, u0, "
+                         "amplitude", GAMMA_POINTS)
+def test_solve_at_gamma_is_the_mapped_unit_solve(epsilon, gamma, half_length,
+                                                 modes, samples, u0, amplitude):
+    cfg = SolverConfig(epsilon, gamma, half_length=half_length)
+    unit = bvp.unit_config(cfg)
+    sol, sol1 = solve(cfg), solve(unit)
+    g2 = gamma ** 2
+    assert cfg.n_modes == unit.n_modes == len(sol.coefficients) - 1 == modes
+    assert len(sol.nodes) == samples and sol.nodes[-1] == cfg.half_length
+    assert np.array_equal(sol.coefficients, g2 * sol1.coefficients)
+    assert sol.iterations == sol1.iterations
+    assert sol.residual_history == tuple(gamma ** 4 * r
+                                         for r in sol1.residual_history)
+    assert sol.residual_target == gamma ** 4 * sol1.residual_target
+    assert sol.u[0] == pytest.approx(u0, rel=1e-13, abs=0)
+    assert check_window(cfg) == check_window(unit) / gamma
+    meas, meas1 = measure_tail(sol, cfg), measure_tail(sol1, unit)
+    assert meas.amplitude_measured == pytest.approx(amplitude, rel=1e-10, abs=0)
+    assert meas.amplitude_measured == pytest.approx(
+        g2 * meas1.amplitude_measured, rel=1e-10, abs=0)
+    assert meas.wavelength_measured == pytest.approx(
+        meas1.wavelength_measured / gamma, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("gamma", [bvp.GAMMA_RANGE, 1 / bvp.GAMMA_RANGE])
+def test_the_map_is_exact_at_the_edges_of_the_gamma_range(gamma):
+    # a power of two scales every double exactly: at gamma = 2^+-64 the
+    # solve, its samples and its tail are U's times gamma^2 bit for bit
+    L = bvp.default_half_length(0.1)
+    cfg = SolverConfig(0.1 / gamma, gamma, half_length=L / gamma)
+    unit = bvp.unit_config(cfg)
+    assert (unit.epsilon, unit.half_length, unit.n_modes) == (0.1, L, cfg.n_modes)
+    sol, sol1 = solve(cfg), solve(unit)
+    g2 = gamma ** 2
+    assert np.array_equal(sol.coefficients, g2 * sol1.coefficients)
+    assert np.array_equal(sol.u, g2 * sol1.u)
+    assert sol.residual_norm == gamma ** 4 * sol1.residual_norm
+    meas, meas1 = measure_tail(sol, cfg), measure_tail(sol1, unit)
+    assert meas.amplitude_measured == g2 * meas1.amplitude_measured
+    assert meas.wavelength_measured == meas1.wavelength_measured / gamma
+
+
+@pytest.mark.parametrize("gamma", [1e100, 2.0 ** 64 * (1 + 2 ** -52), 1e-100,
+                                   2.0 ** -64 * (1 - 2 ** -53)])
+def test_gamma_the_map_cannot_carry_is_refused_before_allocating(gamma):
+    # gamma eps = 1 and gamma L = 100 meet U's rules (764 modes, 2000
+    # samples), but beyond 2^+-64 the map's gamma^4 leaves the double range
+    # (1e400 at gamma = 1e100)
+    with pytest.raises(ResolutionError, match=re.escape(
+            f"gamma = {gamma} lies outside [2^-64, 2^64]")):
+        SolverConfig(1.0 / gamma, gamma, half_length=100.0 / gamma)
+    unit = SolverConfig(1.0, half_length=100.0)
+    assert (unit.n_modes, unit.n_cells) == (764, 2000)
 
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.4, 2.0), (1.0, 1.0)])

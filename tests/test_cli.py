@@ -138,6 +138,36 @@ def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
     assert str(dump) in manifest["outputs"]
 
 
+#: sha256 of the gamma = 1 BVP outputs, which the gamma = 1 map leaves bit
+#: for bit as they were (manifests hold durations and are left out)
+BVP_DIGESTS = {
+    "tail_measurements.jsonl":
+        "d90f1bc396a7e9bd4a8af32be0f4a76dd51e9c49f1511c0c56aa691fcad8010e",
+    "bvp_solution_eps0.08.csv":
+        "0dad45d7d20d8e139fc0d130d5dd061e294ac4936a8af8373e4482ace499da12",
+    "bvp_solution_eps0.1.csv":
+        "c8debc0e477b26302627186e9c3a1e861f8403445e5e633574a717e217bf084c",
+    "bvp_solution_eps0.12.csv":
+        "0dea2ed62836f1af02839657cdcc1c9c0c827bcc40101157fce1835eb497e492",
+    "bvp_solution_eps0.15.csv":
+        "8e8cf58dc05fe1226b95e11edfa8342d1fe099507ec8dce5d1eb1cf160dd1ad8",
+    "compare.json":
+        "5112cb803758566da5da05aa8f0ea2ced572770b72f6919cb1f0a53388ca9e61",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tails"], ["tails", "--dump-solutions"],
+    ["compare", "--epsilon", "0.1", "--x", "0.5", "--n-max", "12"]])
+def test_gamma_one_bvp_bytes_are_pinned(tmp_path, capsys, argv):
+    assert run(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
+    assert written == {name: BVP_DIGESTS[name] for name in written}
+    assert len(written) == {"tails": 1 + 4 * ("--dump-solutions" in argv),
+                            "compare": 1}[argv[0]]
+
+
 def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     code, stdout, _ = run(capsys, "tails", "--out", str(out))
@@ -421,13 +451,8 @@ def test_gamma_just_inside_the_bound_is_accepted(tmp_path, capsys, edge,
     gamma, scale = EDGES[edge]
     code, stdout, stderr = run(capsys, command, *_edge_argv(command, scale),
                                "--gamma", gamma, "--out-dir", str(tmp_path))
-    if command in ("tails", "compare") and edge == "G":
-        # past the gamma rule, the BVP's own rule L >= 10 max(1, 1/gamma)
-        # + 20 pi eps refuses a core 1/G wide on a domain that short
-        assert code == 2
-        assert stderr.startswith("error: L = 3.795") and \
-            "too short at gamma = 4294967295.0" in stderr
-        return
+    # the BVP's rule L >= 10/gamma + 20 pi eps holds at both edges: U is the
+    # gamma = 1 wave at eps = 0.1 on L = 16.3
     assert (code, stderr) == (0, "")
     if command == "stokes-profile":  # the map eps -> gamma eps keeps the jump
         assert "jump_numeric/jump_closed = 1.008096" in stdout

@@ -303,3 +303,24 @@ def test_far_points_have_zero_s(x, gamma):
     assert sech_squared(x, gamma) == 0j
     assert partial_sum(table, EvalPoint(x, 0.1), 5).value == 0j
     assert empirical_optimum(table, EvalPoint(x, 0.1)) == 0
+
+
+@pytest.mark.parametrize("x", [400 + 0.3j, 360 + 1j, 709 + 0.01j])
+def test_far_complex_points_square_the_reciprocal(x):
+    # cosh is finite here but ch * ch overflows, and its real part inf - inf
+    # made S nan + nan i, so evaluation raised "cannot convert NaN to integer
+    # ratio"; (1/ch)^2 is S within one subnormal step
+    import mpmath
+
+    table = build_series(10)
+    S = sech_squared(x, 1)
+    with mpmath.workdps(50):
+        exact = complex(mpmath.sech(mpmath.mpc(x)) ** 2)
+    assert abs(S.real - exact.real) <= 5e-324 and abs(S.imag - exact.imag) <= 5e-324
+    # S^2 underflows to 0, so u_3 = a_1 S rounded once
+    a1 = table.u[3].coeffs[1]
+    assert eval_coefficient(table.u[3], x) == complex(a1 * Fraction(S.real),
+                                                      a1 * Fraction(S.imag))
+    point = EvalPoint(x, 0.1)
+    assert abs(partial_sum(table, point, 5).value) <= 3 * abs(S)
+    assert 0 <= empirical_optimum(table, point) <= table.n_max
