@@ -16,9 +16,9 @@ result depends only on its own eps, gamma, L and mode count.
 The solver works at gamma = 1 only: u(x; eps, gamma) = gamma^2 U(gamma x;
 gamma eps) and c = gamma^2 c(gamma eps, 1), so `unit_config` maps a config
 (eps, gamma, L, h) to U's (gamma eps, 1, gamma L, gamma h). `solve` and
-`check_window` work on U and map back: coefficients and u by gamma^2,
-residuals by gamma^4, the window start by 1/gamma; the spectrum and window
-checks state U's values. At gamma = 1 the map is the identity, bit for bit.
+`check_window` work on U and map back: coefficients, u and the values their
+checks state by gamma^2, residuals by gamma^4, x by 1/gamma. At gamma = 1 the
+map is the identity, bit for bit.
 
 The mode count is a rule, not an option: M = ceil(MODES_PER_GAMMA gamma L /
 pi), so k_max ~ MODES_PER_GAMMA gamma follows the core's poles at +-i pi/(2
@@ -336,8 +336,8 @@ def solve(config: SolverConfig) -> GridSolution:
         raise NonConvergenceError(
             f"converged to u(0) = {g2 * u[0]:.3e} below the wave's branch u(0) "
             f">= gamma^2 = {g2:g} after {len(history)} iterations", history)
-    _check_spectrum(a, u, unit)
     a = g2 * a
+    _check_spectrum(a, g2 * u, unit)
     return GridSolution(*_sample(a, config), rn, it, history, target, a)
 
 
@@ -374,11 +374,12 @@ def check_window(config: SolverConfig) -> float:
     window_start = unit.half_length - 2.0 * (2.0 * math.pi * unit.epsilon)
     decay = math.exp(-2.0 * window_start)  # cosh(x)^2 overflows past 355
     core_at_window = 8.0 * decay / (1.0 + decay) ** 2  # 2 sech^2
+    g, g2 = config.gamma, config.gamma ** 2
     if core_at_window >= 0.1 * predicted:
         raise WindowContaminatedError(
-            f"core {core_at_window:.3e} at x = {window_start:.2f} exceeds 10% "
-            f"of predicted tail {predicted:.3e}; increase half_length")
-    return window_start / config.gamma
+            f"core {g2 * core_at_window:.3e} at x = {window_start / g:.2f} exceeds "
+            f"10% of predicted tail {g2 * predicted:.3e}; increase half_length")
+    return window_start / g
 
 
 def tail_wavenumber(config: SolverConfig) -> float:

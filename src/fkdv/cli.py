@@ -2,8 +2,9 @@
 late-term analysis, Stokes smoothing, and the direct BVP solve; `fkdv --help`
 lists the commands.
 
-Every command writes its outputs atomically and records a run manifest
-(<first output>.manifest.json) listing parameters and produced files.
+Each command computes and returns its outputs, an ordered path -> text map;
+`main` alone writes them, each atomically, then a run manifest (<first
+output>.manifest.json) of parameters and files: a failed command writes nothing.
 Exit codes: 0 success, 1 math failure, 2 validation failure. Every exception
 class of the layers subclasses `ArithmeticError` (a math failure, as are
 `OverflowError` and `ZeroDivisionError`) or `ValueError` (a validation failure),
@@ -26,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .series import atomic_write, build_series, save_table
+from .series import _table_text, atomic_write, build_series
 from .evaluation import EvalPoint, empirical_optimum, optimal_N, partial_sum
 from .late_terms import check_report_data, report_to_json, singulant_report
 
@@ -36,9 +37,7 @@ EXIT_VALIDATION = 2
 
 
 def _out_dir(args) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    return Path(os.environ.get("FKDV_OUT_DIR", "."))
+    return Path(args.out_dir or os.environ.get("FKDV_OUT_DIR", "."))
 
 
 def _out_path(args, name: str) -> Path:
@@ -82,81 +81,81 @@ def _gamma(args) -> Fraction:
                      f"< 2^32, not {args.gamma}")
 
 
-def _write_json(path: Path, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)  # a float is written as its repr
-    atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def cmd_series(args) -> list[Path]:
+def cmd_series(args) -> dict[Path, str]:
     table = build_series(args.n_max, _gamma(args))
     out = _out_path(args, "series_table.json")
-    save_table(table, out)
     print("c =", "[" + ", ".join(str(ci) for ci in table.c) + "]")
     print(f"wrote {out} ({table.n_max + 1} orders, gamma = {table.gamma})")
-    return [out]
+    return {out: _table_text(table)}
 
 
-def cmd_lambda(args) -> list[Path]:
+def cmd_lambda(args) -> dict[Path, str]:
     check_report_data(args.n_max, args.order)
+    out = _out_path(args, "lambda_report.json")
+    if args.emit_csv and out.with_suffix(".csv") == out:
+        raise ValueError(f"--emit-csv would overwrite the report {out}")
     table = build_series(args.n_max, _gamma(args))
     report = singulant_report(table, order=args.order)
-    out = _out_path(args, "lambda_report.json")
-    _write_json(out, report_to_json(report, table))
-    outputs = [out]
+    outputs = {out: _json_text(report_to_json(report, table))}
     if args.emit_csv:
-        csv_path = out.with_suffix(".csv")
-        _write_csv(csv_path, ["n", "lambda_n"],
-                   enumerate(report.lambda_sequence))
-        outputs.append(csv_path)
+        outputs[out.with_suffix(".csv")] = _csv_text(
+            ["n", "lambda_n"], enumerate(report.lambda_sequence))
     print(f"lambda_final = {report.lambda_final:.6f} "
           f"+/- {report.lambda_error:.2e} (order {args.order}, "
           f"n_max {args.n_max}); beta = {report.beta_selected}")
     return outputs
 
 
-def cmd_stokes_profile(args) -> list[Path]:
+def cmd_stokes_profile(args) -> dict[Path, str]:
     from .stokes import frame_for, integrate_multiplier, profile_csv_rows
     gamma = _gamma(args)
     paths = _per_epsilon_paths(args, "stokes_profile_eps", args.epsilon)
-    # every frame is checked before the first integration, as `bvp.sweep`
-    # builds every config first: a bad epsilon late in the list writes nothing
+    # all frames before any integration: a bad eps late in the list costs no work
     frames = [frame_for(eps, gamma) for eps in args.epsilon]
+    outputs = {}
     for frame, out in zip(frames, paths):
         profile = integrate_multiplier(frame)
-        _write_csv(out, ["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
-                   profile_csv_rows(profile, frame))
+        outputs[out] = _csv_text(["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
+                                 profile_csv_rows(profile, frame))
         ratio = abs(profile.jump_numeric / profile.jump_closed_form)
         print(f"eps = {frame.epsilon:g}: jump_numeric/jump_closed = {ratio:.6f} "
               f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
-    return paths
+    return outputs
 
 
-def cmd_tails(args) -> list[Path]:
+def cmd_tails(args) -> dict[Path, str]:
     from .bvp import fit_exponent, sweep
     gamma = float(_gamma(args))
     epsilons = sorted(set(args.epsilon))
     dumps = (_per_epsilon_paths(args, "bvp_solution_eps", epsilons)
              if args.dump_solutions else [])
+    out = _out_path(args, "tail_measurements.jsonl")
+    if out in dumps:
+        raise ValueError(f"--dump-solutions would overwrite the measurements {out}")
     results = sweep(epsilons, gamma, half_length=args.domain_length)
-    for (_, sol, _), path in zip(results, dumps):  # both ascending in eps
-        _write_csv(path, ["x", "u"], zip(sol.nodes.tolist(), sol.u.tolist()))
     for _, _, meas in reversed(results):
         print(f"eps = {meas.epsilon:g}: amplitude = {meas.amplitude_measured:.6e} "
               f"(predicted {meas.amplitude_predicted:.6e}), "
               f"wavelength = {meas.wavelength_measured:.4f}")
 
-    out = _out_path(args, "tail_measurements.jsonl")
-    atomic_write(out, "".join(json.dumps({
+    outputs = {out: "".join(json.dumps({
         **asdict(meas), "iterations": sol.iterations,
         "residual_norm": sol.residual_norm, "half_length": cfg.half_length,
-    }, sort_keys=True) + "\n" for cfg, sol, meas in results))
+    }, sort_keys=True) + "\n" for cfg, sol, meas in results)}
+    for (_, sol, _), path in reversed(list(zip(results, dumps))):  # both ascending in eps
+        outputs[path] = _csv_text(["x", "u"], zip(sol.nodes.tolist(), sol.u.tolist()))
     if len(results) >= 4:
         fit = fit_exponent([meas for _, _, meas in reversed(results)])
         target = -math.pi / (2.0 * gamma)
@@ -164,10 +163,10 @@ def cmd_tails(args) -> list[Path]:
               f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
     else:
         print("fewer than 4 measurements: skipping the exponent fit")
-    return [out] + dumps[::-1]
+    return outputs
 
 
-def cmd_compare(args) -> list[Path]:
+def cmd_compare(args) -> dict[Path, str]:
     from .bvp import SolverConfig, predicted_amplitude, solve
     gamma = _gamma(args)
     eps = args.epsilon
@@ -197,14 +196,12 @@ def cmd_compare(args) -> list[Path]:
     if err_opt is not None and scale > 0:
         print(f"err(optimal) / tail scale = {err_opt / scale:.3f} "
               f"(scale {scale:.3e})")
-    out = _out_path(args, "compare.json")
-    _write_json(out, {
+    return {_out_path(args, "compare.json"): _json_text({
         "epsilon": eps, "x": args.x, "optimal_N": n_opt,
         "empirical_argmin": n_emp, "u_bvp": u_bvp,
         "errors": [[N, e] for N, e in errors],
         "tail_scale": scale,
-    })
-    return [out]
+    })}
 
 
 DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10 + 20 pi eps rounded "
@@ -276,11 +273,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         outputs = args.func(args)
-        _write_json(Path(str(outputs[0]) + ".manifest.json"), {
+        for path, text in outputs.items():
+            atomic_write(path, text)
+        atomic_write(Path(f"{next(iter(outputs))}.manifest.json"), _json_text({
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k != "func"},
             "version": __version__, "outputs": [str(p) for p in outputs],
-            "duration_seconds": time.perf_counter() - t0})
+            "duration_seconds": time.perf_counter() - t0}))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

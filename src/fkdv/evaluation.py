@@ -112,14 +112,9 @@ def _horner(nums, den: int, sr: int, si: int, q: int) -> tuple[int, int, int]:
     exactly at S = (sr + i si) / 2^q; on the real axis (si = 0) im stays 0."""
     # homogeneous Horner: acc = sum_m a_m s^m 2^(q (D - m)), the value acc / 2^(q D)
     re, im, sh = nums[-1], 0, 0
-    if si:
-        for a in reversed(nums[:-1]):
-            sh += q
-            re, im = re * sr - im * si + (a << sh), re * si + im * sr
-    else:
-        for a in reversed(nums[:-1]):
-            sh += q
-            re = re * sr + (a << sh)
+    for a in reversed(nums[:-1]):
+        sh += q
+        re, im = re * sr - im * si + (a << sh), re * si + im * sr
     return re, im, den << sh
 
 

@@ -59,10 +59,10 @@ class ResourceLimitError(ValueError):
 
 
 #: Orders beyond this are refused: coefficient sizes grow like O(n log n)
-#: digits, and build_series(n) takes 0.008 s at n = 30, 0.10 s at 60, 0.76 s
-#: at 90 and 5.9 s at 128 (Python 3.11.7, one core of a 2-core machine,
-#: minimum process time), 97 % of it at n = 128 the Cauchy products of the
-#: right-hand sides.
+#: digits, and build_series(n) takes 0.007 s at n = 30, 0.094 s at 60, 0.71 s
+#: at 90 and 5.5 s at 128 (Python 3.11.7, one core of a 2-core machine,
+#: minimum process time of 3 to 7 runs), 96 % of it at n = 128 the Cauchy
+#: products of the right-hand sides.
 N_MAX_LIMIT = 128
 
 
@@ -480,20 +480,24 @@ def _json_list(items: list[str], pad: str) -> str:
     return f"[\n {pad}" + f",\n {pad}".join(items) + f"\n{pad}]"
 
 
-def save_table(table: SeriesTable, path) -> None:
-    """Atomic JSON dump of the exact table. The file holds exactly the bytes
-    of json.dumps(table_to_json(table), indent=1, sort_keys=True), written
-    straight from the integer forms, one gcd per coefficient: with an indent,
-    json.dumps runs its pure-Python encoder. Every string is ASCII digits,
-    '-' and '/', which JSON writes unescaped."""
+def _table_text(table: SeriesTable) -> str:
+    """Exactly the text of json.dumps(table_to_json(table), indent=1,
+    sort_keys=True), written straight from the integer forms, one gcd per
+    coefficient: with an indent, json.dumps runs its pure-Python encoder.
+    Every string is ASCII digits, '-' and '/', which JSON writes unescaped."""
     orders = []
     for p in table.u:
         nums, den = p.int_form
         orders.append(_json_list([f'[\n    "{m}",\n    "{_ratio_str(x, den)}"\n   ]'
                                   for m, x in enumerate(nums) if x], "  "))
     c = _json_list([f'"{ci}"' for ci in table.c], " ")
-    atomic_write(path, f'{{\n "c": {c},\n "gamma": "{table.gamma}",\n'
-                       f' "u": {_json_list(orders, " ")}\n}}')
+    return (f'{{\n "c": {c},\n "gamma": "{table.gamma}",\n'
+            f' "u": {_json_list(orders, " ")}\n}}')
+
+
+def save_table(table: SeriesTable, path) -> None:
+    """Atomic JSON dump of the exact table (text: `_table_text`)."""
+    atomic_write(path, _table_text(table))
 
 
 def load_table(path) -> SeriesTable:

@@ -428,11 +428,56 @@ def test_non_finite_start_is_refused_before_lapack(monkeypatch):
         solve(SolverConfig(epsilon=0.1))
 
 
+def test_non_finite_newton_correction_is_ill_conditioned(monkeypatch):
+    # pivots of 5e-324 send the step to inf: it must not reach the iterate
+    monkeypatch.setattr(bvp._Collocation, "jacobian",
+                        lambda self, u: np.diag(np.full(len(u), 5e-324)))
+    with pytest.raises(IllConditionedError, match="^non-finite Newton correction$"):
+        solve(SolverConfig(epsilon=0.1))
+
+
 def test_too_few_modes_fail_the_resolution_check(monkeypatch):
     # half the modes leave the top fiftieth of the spectrum near 1e-6 max|u|
     monkeypatch.setattr(bvp, "MODES_PER_GAMMA", bvp.MODES_PER_GAMMA / 2)
     with pytest.raises(ResolutionError, match="top fiftieth of the spectrum"):
         solve(SolverConfig(epsilon=0.1))
+
+
+def _refusal_numbers(check, config):
+    with pytest.raises((WindowContaminatedError, ResolutionError)) as info:
+        check(config)
+    return [float(v) for v in re.findall(r"\d+(?:\.\d+)?(?:e[-+]\d+)?", str(info.value))]
+
+
+#: (gamma, eps, L) at which the window check refuses: gamma = 3/2 on the
+#: domain 8.6 once stated x = 12.33, U's window start, for u's 8.22
+WINDOW_REFUSALS = [(1.0, 0.03, None), (1.5, 0.03, 8.6), (2 / 3, 0.045, 18.0)]
+
+
+@pytest.mark.parametrize("gamma, epsilon, half_length", WINDOW_REFUSALS)
+def test_window_refusal_states_u_values(gamma, epsilon, half_length):
+    # u = gamma^2 U(gamma x): the core and the tail scale by gamma^2, x by
+    # 1/gamma; 4 digits are printed, so they agree to 1e-3
+    cfg = SolverConfig(epsilon, gamma=gamma, half_length=half_length)
+    core, x, _, tail = _refusal_numbers(check_window, cfg)  # _ is the 10%
+    u_core, u_x, _, u_tail = _refusal_numbers(check_window, bvp.unit_config(cfg))
+    assert core == pytest.approx(gamma ** 2 * u_core, rel=1e-3)
+    assert x == pytest.approx(u_x / gamma, abs=0.01)
+    assert tail == pytest.approx(gamma ** 2 * u_tail, rel=1e-3)
+    if gamma == 1.5:
+        assert (core, x, tail) == (3.481e-10, 8.22, 4.826e-11)
+
+
+@pytest.mark.parametrize("gamma, epsilon, half_length",
+                         [(1.5, 0.1, None), (2 / 3, 0.15, 25.0)])
+def test_spectrum_refusal_states_u_values(monkeypatch, gamma, epsilon, half_length):
+    monkeypatch.setattr(bvp, "MODES_PER_GAMMA", bvp.MODES_PER_GAMMA / 2)
+    cfg = SolverConfig(epsilon, gamma=gamma, half_length=half_length)
+    M, unit_eps, top, tol, bound = _refusal_numbers(solve, cfg)
+    u_numbers = _refusal_numbers(solve, bvp.unit_config(cfg))
+    assert [M, unit_eps, tol] == [u_numbers[0], u_numbers[1], u_numbers[3]]
+    assert top == pytest.approx(gamma ** 2 * u_numbers[2], rel=1e-3)
+    assert bound == pytest.approx(gamma ** 2 * u_numbers[4], rel=1e-3)
 
 
 @pytest.mark.parametrize("epsilon", np.round(np.arange(0.05, 0.151, 0.01), 2))

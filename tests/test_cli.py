@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fkdv import SolverConfig, bvp, cli, predicted_amplitude, stokes
+from fkdv import SolverConfig, bvp, cli, predicted_amplitude, series, stokes
 from fkdv.cli import main
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -105,6 +105,29 @@ def test_lambda_insufficient_data_is_validation_failure(tmp_path, capsys,
         assert code == 2, argv
         assert "insufficient" in stderr or "order" in stderr
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name, message", [
+    (["lambda", "--emit-csv"], "r.csv", "--emit-csv would overwrite the report"),
+    (["tails", "--epsilon", "0.1", "--dump-solutions"], "bvp_solution_eps0.1.csv",
+     "--dump-solutions would overwrite the measurements"),
+], ids=["lambda", "tails"])
+def test_an_output_onto_another_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, name, message):
+    # --out r.csv --emit-csv once wrote the CSV over the report, and tails
+    # the measurements over the dump; the manifest listed the path twice
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the paths were checked")
+
+    monkeypatch.setattr(cli, "build_series", no_work)
+    monkeypatch.setattr(bvp, "solve", no_work)
+    out = tmp_path / name
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out),
+                               "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr == f"error: {message} {out}\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stokes_profile_sweep(tmp_path, capsys):
@@ -541,6 +564,62 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
     assert len(manifests) == 1
     outputs = json.loads(manifests[0].read_text())["outputs"]
     assert outputs and all(Path(p).exists() for p in outputs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--n-max", "2"],
+    ["lambda", "--n-max", "14", "--emit-csv"],
+    ["stokes-profile", "--epsilon", "0.1", "0.05"],
+    ["tails", "--epsilon", "0.15", "0.12", "--dump-solutions"],
+    ["compare", "--epsilon", "0.1", "--n-max", "8"],
+], ids=lambda argv: argv[0])
+def test_commands_compute_and_main_writes(tmp_path, capsys, monkeypatch, argv):
+    # a command returns its outputs as path -> text; only main writes them
+    def no_write(*args):
+        raise AssertionError("a command wrote a file")
+
+    monkeypatch.setattr(cli, "atomic_write", no_write)
+    monkeypatch.setattr(series, "atomic_write", no_write)
+    args = cli.build_parser().parse_args([*argv, "--out-dir", str(tmp_path)])
+    outputs = args.func(args)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    manifest, = tmp_path.glob("*.manifest.json")
+    assert manifest.name == f"{next(iter(outputs)).name}.manifest.json"
+    assert json.loads(manifest.read_text())["outputs"] == [str(p) for p in outputs]
+    assert {p: p.read_text() for p in outputs} == outputs
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tails", "--epsilon", "0.08", "0.09", "0.10", "0.11", "0.12", "0.13",
+      "0.14", "0.15", "--dump-solutions"],
+     "math failure: r^2 = 0.9700 below 0.99; measurements unreliable\n"),
+    (["stokes-profile", "--epsilon", "0.1", "1e-14"],
+     "math failure: no convergence to rtol=1e-08 after 8 doublings\n"),
+], ids=["tails", "stokes-profile"])
+def test_a_failed_run_writes_nothing(tmp_path, capsys, argv, message):
+    # both once left every file solved before the failure, and no manifest:
+    # eight solution dumps and the measurements, or the eps = 0.1 profile
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, *argv, "--out-dir", str(out))
+    assert (code, stderr) == (1, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env", [True, False], ids=["FKDV_OUT_DIR", "cwd"])
+def test_default_output_directory(tmp_path, capsys, monkeypatch, env):
+    # without --out or --out-dir: $FKDV_OUT_DIR, else the working directory
+    for name in ("env", "cwd"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("FKDV_OUT_DIR", str(tmp_path / "env"))
+    if not env:
+        monkeypatch.delenv("FKDV_OUT_DIR")
+    assert run(capsys, "series", "--n-max", "1")[0] == 0
+    written = {d: sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("env", "cwd")}
+    names = ["series_table.json", "series_table.json.manifest.json"]
+    assert written == {"env": names if env else [], "cwd": [] if env else names}
 
 
 def test_python_m_fkdv_runs_the_cli(tmp_path):

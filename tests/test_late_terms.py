@@ -78,6 +78,20 @@ def test_richardson_exact_on_tenth_order_model():
 def test_richardson_insufficient():
     with pytest.raises(InsufficientDataError):
         richardson_extrapolate([1.0, 2.0], 3)
+    # order 0 leaves no second extrapolant for the error bound
+    with pytest.raises(ValueError, match="^order must be >= 1$"):
+        richardson_extrapolate([1.0, 2.0], 0)
+
+
+@pytest.mark.parametrize("analysis, message", [
+    (lambda: ratio_test(build_series(4), 0.0), "need a table built to n_max >= 5"),
+    (lambda: fit_divergence_exponent(build_series(13)), "need n_max >= 14"),
+    # the x = 0 ratios run to n = n_max - 1
+    (lambda: chi_squared_estimate(build_series(8), 8), "no usable ratio at n = 8"),
+], ids=["ratio_test", "fit_divergence_exponent", "chi_squared_estimate"])
+def test_late_term_analyses_refuse_short_tables(analysis, message):
+    with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+        analysis()
 
 
 def test_extrapolants_form_cauchy_sequence(table30):
@@ -107,6 +121,15 @@ def test_ratio_at_origin_beyond_float_range():
     rows = ratio_test(table, 0.0)
     assert [n for n, _, _ in rows] == list(range(8))
     assert all(m == 1e100 for _, m, _ in rows)
+
+
+def test_ratio_skips_an_order_that_vanishes_at_x():
+    # u_3 = S - S^2 is 0 at x = 0 (S = 1): u_3/u_2 is 0, u_4/u_3 has no value
+    u = [SechPolynomial({n + 1: 1}) for n in range(7)]
+    u[3] = SechPolynomial({1: 1, 2: -1})
+    rows = ratio_test(SeriesTable(Fraction(1), u, [Fraction(0)] * 7), 0.0)
+    assert [n for n, _, _ in rows] == [0, 1, 2, 4, 5]
+    assert [m for _, m, _ in rows] == [1.0, 1.0, 0.0, 1.0, 1.0]
 
 
 def test_ratio_off_axis_follows_model_to_n_max():

@@ -351,6 +351,11 @@ def test_table_refuses_an_entry_off_its_gamma(entry):
         SeriesTable(F(3, 2), [SechPolynomial({1: 2}, F(3, 2)), entry], [4, 1])
 
 
+def test_table_refuses_u_and_c_of_unequal_length():
+    with pytest.raises(ValueError, match="^u and c must have equal length$"):
+        SeriesTable(F(1), [SechPolynomial({1: 2})], [4, 16])
+
+
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         build_series(10_000)

@@ -418,3 +418,25 @@ def test_smoothing_rhs_is_peak_of_late_term_rhs():
     f = frame(0.07, rho=0.4)
     assert smoothing_rhs(f, LINE) == pytest.approx(multiplier_rhs(f, LINE),
                                                    rel=1e-12)
+
+
+#: tolerances of the gamma map, fixed before it was measured: the amplitude
+#: and the jump to a few ulps, r/eps and rho (of size 10 to 30 and 1) to 1e-13
+MAP_RTOL, MAP_ATOL = 2e-15, 1e-13
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2 / 3, 2.0])
+@pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.12])
+def test_stokes_layer_is_the_gamma_one_layer_mapped(epsilon, gamma):
+    # u = gamma^2 U(gamma x; gamma eps) needs no map in this layer: each
+    # formula at (eps, gamma) is already U's at gamma eps, in closed form
+    assert tail_amplitude(epsilon, gamma) == pytest.approx(
+        gamma ** 2 * tail_amplitude(gamma * epsilon, 1), rel=MAP_RTOL, abs=0)
+    # the jump, eps^-2 Lam pi (-i), carries no gamma: U's times gamma^2
+    assert stokes_jump(epsilon) == pytest.approx(
+        gamma ** 2 * stokes_jump(gamma * epsilon), rel=MAP_RTOL, abs=0)
+    # the frame's r/eps and rho, all the forcing's damping and phase read
+    u_frame, unit_frame = frame_for(epsilon, gamma), frame_for(gamma * epsilon)
+    assert u_frame.r / u_frame.epsilon == pytest.approx(
+        unit_frame.r / unit_frame.epsilon, rel=0, abs=MAP_ATOL)
+    assert u_frame.rho == pytest.approx(unit_frame.rho, rel=0, abs=MAP_ATOL)
