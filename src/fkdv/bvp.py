@@ -15,10 +15,10 @@ result depends only on its own eps, gamma, L and mode count.
 
 The solver works at gamma = 1 only: u(x; eps, gamma) = gamma^2 U(gamma x;
 gamma eps) and c = gamma^2 c(gamma eps, 1), so `unit_config` maps a config
-(eps, gamma, L, h) to U's (gamma eps, 1, gamma L, gamma h). `solve` and
-`check_window` work on U and map back: coefficients, u and the values their
-checks state by gamma^2, residuals by gamma^4, x by 1/gamma. At gamma = 1 the
-map is the identity, bit for bit.
+(eps, gamma, L) to U's (gamma eps, 1, gamma L). `solve` and `check_window`
+work on U and map back: coefficients, u and the values their checks state by
+gamma^2, residuals by gamma^4, x by 1/gamma. At gamma = 1 the map is the
+identity, bit for bit.
 
 The mode count is a rule, not an option: M = ceil(MODES_PER_GAMMA gamma L /
 pi), so k_max ~ MODES_PER_GAMMA gamma follows the core's poles at +-i pi/(2
@@ -26,9 +26,9 @@ gamma), which set the spectrum's decay e^{-pi k/(2 gamma)}. Each solution
 vouches for it: the top fiftieth of its spectrum, where the series is cut,
 must sit below SPECTRUM_TOL max|u|, else ResolutionError. It guards against
 too few modes (half of them put it near 1e-6); it does not estimate a change
-of 1e-10 that more modes make to u. The grid spacing h sets only where the
-solution is sampled for output: the solve, L included, and measure_tail,
-which reads the coefficients, do not read it.
+of 1e-10 that more modes make to u. A solution is its coefficients and L;
+`sweep` alone samples it, on an output grid, and neither the solve
+nor measure_tail, which reads the coefficients, depends on that grid.
 
 Note on tolerances: an iterate of U is accepted when the Newton step that
 reached it moved U by at most STEP_TOL s and its residual is at most
@@ -40,7 +40,7 @@ discrete solution; the residual's roundoff floor is 1e-15 to 1e-14 (eps =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class WindowContaminatedError(ValueError):
 class FitQualityError(ArithmeticError):
     """Regression quality below the reliability threshold."""
 
-    def __init__(self, msg, slope=None, r_squared=None):
-        super().__init__(msg)
-        self.slope = slope
-        self.r_squared = r_squared
-
 
 def default_c(gamma: float, epsilon: float) -> float:
     """Exact series eigenvalue 4 g^2 + 16 g^4 eps^2 (all higher orders are 0)."""
@@ -107,7 +102,7 @@ SPECTRUM_TOL = 1e-10
 #: largest mode count (gamma L <= 402.1): C, the Newton matrix and LAPACK's
 #: copy hold 3 x 8 (M + 1)^2 bytes, 227 MB, and a Newton step takes 0.7 s
 MAX_MODES = 3072
-#: largest number of output samples N (each array 8 MB)
+#: largest number of samples N that sweep takes of a solution (each array 8 MB)
 MAX_SAMPLES = 2 ** 20
 #: gamma lies in [1/GAMMA_RANGE, GAMMA_RANGE]: the map's gamma^4 <= 2^256 keeps
 #: each of U's values between 2^-766 and 2^767 in size a normal double
@@ -121,19 +116,16 @@ FIT_TOL = 1e-2
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Domain, sampling step and eigenvalue for one solve, checked at
-    construction. L is half_length as given, else default_half_length, and
-    must reach 10/gamma + 20 pi eps, U's rule on gamma L (ten core widths and
-    ten tail wavelengths; the default is not widened for gamma < 1). The
-    sampling step h <= eps/10 (default eps/20) is the largest: the sample
-    count is the smallest 5-smooth number >= max(round(L/h), M), and h never
-    moves L. gamma is kept as its double, n_modes is M, c is default_c.
-    MAX_MODES, MAX_SAMPLES and GAMMA_RANGE apply before any allocation."""
+    """Domain and eigenvalue for one solve, checked at construction. L is
+    half_length as given, else default_half_length, and must reach 10/gamma +
+    20 pi eps, U's rule on gamma L (ten core widths and ten tail wavelengths;
+    the default is not widened for gamma < 1). gamma is kept as its double,
+    n_modes is M, c is default_c. MAX_MODES and GAMMA_RANGE apply before any
+    allocation."""
 
     epsilon: float
     gamma: float = 1.0
     half_length: float | None = None
-    grid_spacing: float | None = None
     n_modes: int = field(init=False)
     c_value: float = field(init=False)
 
@@ -141,22 +133,13 @@ class SolverConfig:
         check_epsilon(self.epsilon)
         g = check_gamma(self.gamma)
         object.__setattr__(self, "gamma", g)
-        if self.grid_spacing is None:
-            object.__setattr__(self, "grid_spacing", self.epsilon / 20.0)
-        if not 0 < self.grid_spacing < math.inf:
-            raise ValueError("grid_spacing must be positive and finite")
         if self.half_length is None:
             object.__setattr__(self, "half_length",
                                default_half_length(self.epsilon))
         elif not 0 < self.half_length < math.inf:
             raise ValueError("half_length must be positive and finite")
-        slack = 1.0 + 1e-9
-        if self.grid_spacing > self.epsilon / 10.0 * slack:
-            raise ResolutionError(
-                f"h = {self.grid_spacing} too coarse: need h <= eps/10 = "
-                f"{self.epsilon / 10.0} to sample the 2 pi eps wavelength")
         L, need = g * self.half_length, 10.0 + 20.0 * math.pi * (g * self.epsilon)
-        if L * slack < need:  # U's L and eps, as unit_config computes them
+        if L * (1.0 + 1e-9) < need:  # U's L and eps, as unit_config computes them
             raise ResolutionError(
                 f"L = {self.half_length} too short at gamma = {self.gamma}: "
                 f"need L >= {need / g} = 10/gamma + 20 pi eps")
@@ -165,33 +148,25 @@ class SolverConfig:
             raise ResolutionError(
                 f"gamma = {self.gamma}, L = {self.half_length}: {modes:.4g} "
                 f"cosine modes exceed the cap of {MAX_MODES}")
-        if not self.half_length / self.grid_spacing <= MAX_SAMPLES:
-            raise ResolutionError(
-                f"L = {self.half_length}, h = {self.grid_spacing}: "
-                f"{self.half_length / self.grid_spacing:.4g} samples exceed "
-                f"the cap of {MAX_SAMPLES}")
         if not 1.0 / GAMMA_RANGE <= g <= GAMMA_RANGE:  # then c <= 628 gamma^2
             raise ResolutionError(f"gamma = {self.gamma} lies outside "
                                   "[2^-64, 2^64], where the map stays in range")
         object.__setattr__(self, "n_modes", math.ceil(modes))
         object.__setattr__(self, "c_value", default_c(g, self.epsilon))
 
-    @property
-    def n_cells(self) -> int:
-        return int(round(self.half_length / self.grid_spacing))
-
 
 def unit_config(config: SolverConfig) -> SolverConfig:
-    """U's config (gamma eps, 1, gamma L, gamma h): the one map to gamma = 1."""
+    """U's config (gamma eps, 1, gamma L): the one map to gamma = 1."""
     g = config.gamma
-    return SolverConfig(g * config.epsilon, 1.0, g * config.half_length,
-                        g * config.grid_spacing)
+    return SolverConfig(g * config.epsilon, 1.0, g * config.half_length)
 
 
 @dataclass
 class GridSolution:
-    """The solution sampled at `nodes` (x_i = i L/N), with its cosine
-    coefficients a_m of u = sum a_m cos(m pi x / L) when it came from solve."""
+    """The solution's values u at `nodes`, which end at L: solve's
+    collocation points x_j = j L/M, or sweep's samples x_i = i L/N. A
+    solution from solve also holds its cosine coefficients a_m of u = sum
+    a_m cos(m pi x / L)."""
 
     nodes: np.ndarray
     u: np.ndarray
@@ -272,15 +247,15 @@ def initial_guess(config: SolverConfig) -> np.ndarray:
     return 2.0 * S + eps * eps * (30.0 * S * S - 20.0 * S)
 
 
-def _sample(a: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _sample(a: np.ndarray, L: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(x_i, u(x_i)) at x_i = i L/N, N the smallest 5-smooth integer at or
-    above max(n_cells, M), by one zero-padded irfft."""
-    N = _five_smooth(max(config.n_cells, len(a) - 1))
+    above max(round(L/h), M), by one zero-padded irfft."""
+    N = _five_smooth(max(round(L / h), len(a) - 1))
     spectrum = np.zeros(N + 1)
     spectrum[:len(a)] = N * a
     spectrum[[0, N]] *= 2.0  # the ends of the DCT-I carry half weight
     u = np.fft.irfft(spectrum, 2 * N)[:N + 1]
-    return np.linspace(0.0, config.half_length, N + 1), u
+    return np.linspace(0.0, L, N + 1), u
 
 
 def _five_smooth(n: int) -> int:
@@ -293,6 +268,7 @@ def _five_smooth(n: int) -> int:
 def solve(config: SolverConfig) -> GridSolution:
     """Newton iteration on U's cosine coefficients from initial_guess until
     the step and the residual both meet their targets (module docstring).
+    The solution holds u at the collocation points, from the last iteration.
 
     Converging off the wave's branch U(0) >= 1, STALL_ITERS steps without a
     new smallest residual, or MAX_ITERS steps short of the targets, raises
@@ -336,9 +312,9 @@ def solve(config: SolverConfig) -> GridSolution:
         raise NonConvergenceError(
             f"converged to u(0) = {g2 * u[0]:.3e} below the wave's branch u(0) "
             f">= gamma^2 = {g2:g} after {len(history)} iterations", history)
-    a = g2 * a
-    _check_spectrum(a, g2 * u, unit)
-    return GridSolution(*_sample(a, config), rn, it, history, target, a)
+    a, u = g2 * a, g2 * u
+    _check_spectrum(a, u, unit)
+    return GridSolution(collocation_points(config), u, rn, it, history, target, a)
 
 
 def _check_spectrum(a: np.ndarray, u: np.ndarray, unit: SolverConfig) -> None:
@@ -447,9 +423,8 @@ def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
     ss_tot = float(((Y - Y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < 0.99:
-        raise FitQualityError(
-            f"r^2 = {r2:.4f} below 0.99; measurements unreliable",
-            slope=float(slope), r_squared=r2)
+        raise FitQualityError(f"r^2 = {r2:.4f} below 0.99 (slope {slope:.4f}); "
+                              "measurements unreliable")
     return ExponentFit(float(slope), float(intercept), r2)
 
 
@@ -458,16 +433,34 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
     """Solve and measure for each epsilon: a list of (config, solution,
     measurement), ascending in epsilon.
 
-    The solution is sampled at the step eps / h_factor, which moves neither
-    L, the solve nor the measurement. A half_length of None takes the default
-    domain. Every configuration and its measurement window are checked
-    before the first solve, and each solve starts from its own initial_guess,
-    so a row does not depend on the other epsilons in the list.
+    Each solution is solve's, sampled by _sample at the step h = eps /
+    h_factor, which moves neither L, the solve nor the measurement. h must be
+    positive and finite (else ValueError), at most eps/10 to sample the 2 pi
+    eps wavelength, and L/h at most MAX_SAMPLES (else ResolutionError). A
+    half_length of None takes the default domain. Every configuration, its
+    step and its measurement window are checked before the first solve, and
+    each solve starts from its own initial_guess, so a row does not depend on
+    the other epsilons in the list.
     """
-    configs = []
+    checked = []
     for eps in sorted(epsilons):
-        config = SolverConfig(epsilon=eps, gamma=gamma, half_length=half_length,
-                              grid_spacing=eps / h_factor)
+        config = SolverConfig(epsilon=eps, gamma=gamma, half_length=half_length)
+        h = eps / h_factor if h_factor else math.nan
+        if not 0 < h < math.inf:
+            raise ValueError(f"the sampling step h = eps/h_factor = {h} must be "
+                             "positive and finite")
+        if h > eps / 10.0 * (1.0 + 1e-9):
+            raise ResolutionError(f"h = {h} too coarse: need h <= eps/10 = "
+                                  f"{eps / 10.0} to sample the 2 pi eps wavelength")
+        L = config.half_length
+        if not L / h <= MAX_SAMPLES:
+            raise ResolutionError(f"L = {L}, h = {h}: {L / h:.4g} samples exceed "
+                                  f"the cap of {MAX_SAMPLES}")
         check_window(config)
-        configs.append(config)
-    return [(c, sol, measure_tail(sol, c)) for c in configs for sol in [solve(c)]]
+        checked.append((config, h))
+    rows = []
+    for config, h in checked:
+        sol = solve(config)
+        nodes, u = _sample(sol.coefficients, config.half_length, h)
+        rows.append((config, replace(sol, nodes=nodes, u=u), measure_tail(sol, config)))
+    return rows

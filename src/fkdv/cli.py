@@ -3,8 +3,9 @@ late-term analysis, Stokes smoothing, and the direct BVP solve; `fkdv --help`
 lists the commands.
 
 Each command computes and returns its outputs, an ordered path -> text map;
-`main` alone writes them, each atomically, then a run manifest (<first
-output>.manifest.json) of parameters and files: a failed command writes nothing.
+`main` alone writes them and a run manifest (<first output>.manifest.json)
+of parameters and files, in one `atomic_write`: a failed command writes
+nothing, and neither does a write refused before its renames.
 Exit codes: 0 success, 1 math failure, 2 validation failure. Every exception
 class of the layers subclasses `ArithmeticError` (a math failure, as are
 `OverflowError` and `ZeroDivisionError`) or `ValueError` (a validation failure),
@@ -273,13 +274,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         outputs = args.func(args)
-        for path, text in outputs.items():
-            atomic_write(path, text)
-        atomic_write(Path(f"{next(iter(outputs))}.manifest.json"), _json_text({
+        manifest = _json_text({
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k != "func"},
             "version": __version__, "outputs": [str(p) for p in outputs],
-            "duration_seconds": time.perf_counter() - t0}))
+            "duration_seconds": time.perf_counter() - t0})
+        atomic_write({**outputs, Path(f"{next(iter(outputs))}.manifest.json"): manifest})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -453,22 +453,30 @@ def table_from_json(doc: dict) -> SeriesTable:
     return SeriesTable(gamma, u, c)
 
 
-def atomic_write(path, text: str) -> None:
-    """Write text to path via a temp file and rename, creating parent
-    directories; readers never see a partial file. The file gets the mode
-    a plain open() would give it (0o666 less the umask)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # O_EXCL on a random name: never clobbers another writer's temp file
-    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+def atomic_write(texts) -> None:
+    """Write an ordered path -> text mapping: every text to a temp file next
+    to its path, creating parent directories, then the renames in order.
+    Readers never see a partial file; a path that is a directory or a failed
+    write raises before any rename, and a failure removes the temp files. A
+    file gets the mode a plain open() would (0o666 less the umask)."""
+    temps = {}
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(f"Is a directory: {path}")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # O_EXCL on a random name: never clobbers another writer's temp file
+            tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            temps[tmp] = path
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -497,7 +505,7 @@ def _table_text(table: SeriesTable) -> str:
 
 def save_table(table: SeriesTable, path) -> None:
     """Atomic JSON dump of the exact table (text: `_table_text`)."""
-    atomic_write(path, _table_text(table))
+    atomic_write({path: _table_text(table)})
 
 
 def load_table(path) -> SeriesTable:

@@ -45,10 +45,6 @@ from .evaluation import check_epsilon, check_gamma, optimal_N, singularity
 class QuadratureError(ArithmeticError):
     """Adaptive refinement failed to reach the requested tolerance."""
 
-    def __init__(self, msg, worst_interval=None):
-        super().__init__(msg)
-        self.worst_interval = worst_interval
-
 
 #: the late-term constant Lam of the inner problem; every formula below reads
 #: this one Lam, the jump, forcing and tail at call time, the erf profile once
@@ -187,10 +183,9 @@ def integrate_multiplier(frame: StokesFrame,
             0.5 * h * (f[1:-1:2] * 2 + f[0:-2:2] + f[2::2])
             - h * (coarse[:-1] + coarse[1:]))
         j = int(np.argmax(panel_err))
-        worst = (lo + j * 2 * h, lo + (j + 1) * 2 * h)
         raise QuadratureError(
-            f"no convergence to rtol={RTOL} after {MAX_REFINEMENTS} doublings",
-            worst_interval=worst)
+            f"no convergence to rtol={RTOL} after {MAX_REFINEMENTS} doublings; "
+            f"worst panel theta in [{lo + j * 2 * h:.6f}, {lo + (j + 1) * 2 * h:.6f}]")
 
     cum = np.zeros(n + 1, dtype=complex)
     np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=cum[1:])

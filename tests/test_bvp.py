@@ -37,20 +37,34 @@ def test_default_c_includes_exact_correction():
 
 
 def test_config_defaults():
+    # the config is the problem alone; sweep samples at h = eps/20 by default
+    assert [f.name for f in dataclasses.fields(SolverConfig) if f.init] == [
+        "epsilon", "gamma", "half_length"]
     cfg = SolverConfig(epsilon=0.1)
-    assert cfg.grid_spacing == pytest.approx(0.005)
     assert cfg.half_length >= 10.0 + 20.0 * math.pi * 0.1
+    [(_, sol, _)] = sweep([0.1])
+    assert len(sol.nodes) - 1 == bvp._five_smooth(round(cfg.half_length / 0.005))
 
 
 def test_config_is_frozen():
     cfg = SolverConfig(epsilon=0.1)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.grid_spacing = 1.0
+        cfg.half_length = 1.0
 
 
-def test_too_coarse_grid_rejected_before_solve():
-    with pytest.raises(ResolutionError):
-        SolverConfig(epsilon=0.1, grid_spacing=0.1)
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    real_solve = bvp.solve
+    monkeypatch.setattr(bvp, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    return calls
+
+
+def test_too_coarse_grid_rejected_before_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ResolutionError, match=re.escape(
+            "h = 0.1 too coarse: need h <= eps/10 = 0.01")):
+        sweep([0.1], h_factor=1.0)
+    assert calls == []
 
 
 def test_too_short_domain_rejected():
@@ -61,8 +75,14 @@ def test_too_short_domain_rejected():
 @pytest.mark.parametrize("field", ["grid_spacing", "half_length"])
 @pytest.mark.parametrize("value", [0.0, -0.005, math.inf])
 def test_nonpositive_grid_or_domain_rejected(field, value):
-    with pytest.raises(ValueError, match=field):
-        SolverConfig(epsilon=0.1, **{field: value})
+    # the grid spacing is sweep's step h = eps/h_factor; h = inf is h_factor 0
+    if field == "half_length":
+        with pytest.raises(ValueError, match="half_length must be positive"):
+            SolverConfig(epsilon=0.1, half_length=value)
+    else:
+        with pytest.raises(ValueError, match="sampling step h = eps/h_factor = "
+                           r"\S+ must be positive and finite"):
+            sweep([0.1], h_factor=0.1 / value if value else math.inf)
 
 
 @pytest.mark.parametrize("gamma, need", [(0.5, 20.0), (0.1, 100.0)])
@@ -111,23 +131,27 @@ def test_eigenvalue_at_the_edge_of_the_mode_cap(epsilon, gamma, modes, c):
     assert cfg.c_value == default_c(gamma, epsilon) == pytest.approx(c)
 
 
-@pytest.mark.parametrize("epsilon, grid_spacing", [(1e80, None), (0.1, 1e-90)])
-def test_stencil_beyond_double_range_rejected(epsilon, grid_spacing):
+@pytest.mark.parametrize("epsilon, step", [(1e80, None), (0.1, 1e-90)])
+def test_stencil_beyond_double_range_rejected(monkeypatch, epsilon, step):
     # L = 6.3e81 asks for 4.8e82 modes, h = 1e-90 for 1.6e91 samples: the
-    # config itself refuses, before any array is built
+    # config or sweep refuses, before any array is built
+    calls = _count_solves(monkeypatch)
     with pytest.raises(ResolutionError, match=r"(modes|samples) exceed the cap"):
-        SolverConfig(epsilon=epsilon, grid_spacing=grid_spacing)
+        sweep([epsilon], h_factor=epsilon / step if step else 20.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kwargs, what", [
-    (dict(epsilon=0.1, gamma=1000.0), "1.244e+05 cosine modes"),
-    (dict(epsilon=0.1, half_length=1e6), "7.639e+06 cosine modes"),
-    (dict(epsilon=0.1, half_length=500.0), "3820 cosine modes"),  # gamma L > 402.1
-    (dict(epsilon=1e-6), "2e+08 samples"),  # M = 77, but N = L/h = 2e8
+    (dict(epsilons=[0.1], gamma=1000.0), "1.244e+05 cosine modes"),
+    (dict(epsilons=[0.1], half_length=1e6), "7.639e+06 cosine modes"),
+    (dict(epsilons=[0.1], half_length=500.0), "3820 cosine modes"),  # gamma L > 402.1
+    (dict(epsilons=[1e-6]), "2e+08 samples"),  # M = 77, but N = L/h = 2e8
 ])
-def test_modes_and_samples_are_capped_before_allocating(kwargs, what):
+def test_modes_and_samples_are_capped_before_allocating(monkeypatch, kwargs, what):
+    calls = _count_solves(monkeypatch)
     with pytest.raises(ResolutionError, match=re.escape(what) + " exceed the cap"):
-        SolverConfig(**kwargs)
+        sweep(**kwargs)
+    assert calls == []
 
 
 def test_recorded_half_length_is_the_solved_one():
@@ -135,7 +159,7 @@ def test_recorded_half_length_is_the_solved_one():
     # to and recorded as given; h sets only the sample count, at least round(L/h)
     [(cfg, sol, _)] = sweep([0.15], h_factor=30.0, half_length=22.003)
     assert cfg.half_length == collocation_points(cfg)[-1] == sol.nodes[-1] == 22.003
-    assert cfg.n_cells == 4401 and len(sol.nodes) - 1 >= cfg.n_cells
+    assert len(sol.nodes) - 1 >= round(22.003 / 0.005) == 4401
     assert check_window(cfg) == cfg.half_length - 4.0 * math.pi * 0.15
 
 
@@ -143,11 +167,11 @@ def test_recorded_half_length_is_the_solved_one():
 def test_sampling_step_leaves_the_solve_unchanged(epsilon):
     # the default L is 10 + 20 pi eps rounded up to a whole number of eps/20
     # whatever h is, so every h solves the same problem bit for bit
-    sols = [solve(SolverConfig(epsilon, grid_spacing=epsilon / f))
-            for f in (20, 40, 160)]
-    for sol in sols:
+    rows = [sweep([epsilon], h_factor=f)[0] for f in (20, 40, 160)]
+    for cfg, sol, meas in rows:
         assert sol.nodes[-1] == bvp.default_half_length(epsilon)
-        assert np.array_equal(sol.coefficients, sols[0].coefficients)
+        assert np.array_equal(sol.coefficients, rows[0][1].coefficients)
+        assert (cfg, meas) == rows[0][::2]
 
 
 def test_check_window_accepts_long_domain():
@@ -183,13 +207,35 @@ def test_sweep_row_depends_only_on_its_own_epsilon(request, sweep_fixture):
 
 
 def test_sweep_checks_every_config_before_solving(monkeypatch):
-    calls = []
-    real_solve = bvp.solve
-    monkeypatch.setattr(bvp, "solve",
-                        lambda *a: calls.append(a) or real_solve(*a))
+    calls = _count_solves(monkeypatch)
     with pytest.raises(WindowContaminatedError):
         sweep([0.15, 0.03])
     assert calls == []
+
+
+@pytest.mark.parametrize("h_factor, error, message", [
+    (0.0, ValueError, "h = eps/h_factor = nan must be positive and finite"),
+    (5.0, ResolutionError, "h = 0.016 too coarse: need h <= eps/10 = 0.008"),
+    (1e89, ResolutionError, "samples exceed the cap of 1048576"),
+])
+def test_sweep_checks_every_step_before_solving(monkeypatch, h_factor, error, message):
+    # sweep alone samples, so it alone checks h = eps/h_factor, for every eps
+    # before the first solve (h_factor = 0 once raised ZeroDivisionError)
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(error, match=re.escape(message)):
+        sweep([0.15, 0.08], h_factor=h_factor)
+    assert calls == []
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_solve_holds_u_at_its_collocation_points(gamma):
+    # no sampling in solve: nodes are x_j = j L/M and u the last Newton
+    # iterate's values there, gamma^2 times U's bit for bit
+    cfg = SolverConfig(epsilon=0.1, gamma=gamma)
+    sol, sol1 = solve(cfg), solve(bvp.unit_config(cfg))
+    assert np.array_equal(sol.nodes, collocation_points(cfg))
+    assert np.array_equal(sol.u, gamma ** 2 * sol1.u)
+    assert np.abs(sol.evaluate(sol.nodes) - sol.u).max() <= 1e-13 * sol.u[0]
 
 
 def test_predicted_amplitude_is_half_the_one_sided_tail():
@@ -245,7 +291,7 @@ def test_sine_tail_even_about_L_iff_stationary():
 
 
 def test_solve_matches_series_at_origin():
-    cfg = SolverConfig(epsilon=0.05, half_length=15.0, grid_spacing=0.004)
+    cfg = SolverConfig(epsilon=0.05, half_length=15.0)
     sol = solve(cfg)
     # series through n = 2: u(0) = 2 + 10 eps^2 + 60 eps^4
     assert sol.u[0] == pytest.approx(2.0 + 10 * 0.05**2 + 60 * 0.05**4, abs=2e-3)
@@ -310,8 +356,9 @@ def test_narrow_wave_meets_the_gamma_one_tolerances(gamma, epsilon, half_length)
     assert abs(narrow.u[0] / g2 - wide.u[0]) <= 1e-14
 
 
-#: (eps, gamma, L, M, samples, u(0), tail amplitude) as the solver gave them
-#: when it carried gamma through its guess, tolerances and rules (git acb67ee)
+#: (eps, gamma, L, M, samples at h = eps/20, u(0), tail amplitude) as the
+#: solver gave them when it carried gamma through its guess, tolerances and
+#: rules (git acb67ee)
 GAMMA_POINTS = [
     (0.1, 1.5, None, 187, 3376, 4.911933322766097, 0.15857401162605442),
     (0.08, 1.5, None, 173, 3841, 4.8978757734032685, 0.01779412259658388),
@@ -330,7 +377,8 @@ def test_solve_at_gamma_is_the_mapped_unit_solve(epsilon, gamma, half_length,
     sol, sol1 = solve(cfg), solve(unit)
     g2 = gamma ** 2
     assert cfg.n_modes == unit.n_modes == len(sol.coefficients) - 1 == modes
-    assert len(sol.nodes) == samples and sol.nodes[-1] == cfg.half_length
+    nodes, _ = bvp._sample(sol.coefficients, cfg.half_length, epsilon / 20)
+    assert len(nodes) == samples and nodes[-1] == cfg.half_length
     assert np.array_equal(sol.coefficients, g2 * sol1.coefficients)
     assert sol.iterations == sol1.iterations
     assert sol.residual_history == tuple(gamma ** 4 * r
@@ -349,7 +397,7 @@ def test_solve_at_gamma_is_the_mapped_unit_solve(epsilon, gamma, half_length,
 @pytest.mark.parametrize("gamma", [bvp.GAMMA_RANGE, 1 / bvp.GAMMA_RANGE])
 def test_the_map_is_exact_at_the_edges_of_the_gamma_range(gamma):
     # a power of two scales every double exactly: at gamma = 2^+-64 the
-    # solve, its samples and its tail are U's times gamma^2 bit for bit
+    # solve, its u, its samples and its tail are U's times gamma^2 bit for bit
     L = bvp.default_half_length(0.1)
     cfg = SolverConfig(0.1 / gamma, gamma, half_length=L / gamma)
     unit = bvp.unit_config(cfg)
@@ -358,6 +406,9 @@ def test_the_map_is_exact_at_the_edges_of_the_gamma_range(gamma):
     g2 = gamma ** 2
     assert np.array_equal(sol.coefficients, g2 * sol1.coefficients)
     assert np.array_equal(sol.u, g2 * sol1.u)
+    x, u = bvp._sample(sol.coefficients, cfg.half_length, 0.005 / gamma)
+    x1, u1 = bvp._sample(sol1.coefficients, L, 0.005)
+    assert np.array_equal(x, x1 / gamma) and np.array_equal(u, g2 * u1)
     assert sol.residual_norm == gamma ** 4 * sol1.residual_norm
     meas, meas1 = measure_tail(sol, cfg), measure_tail(sol1, unit)
     assert meas.amplitude_measured == g2 * meas1.amplitude_measured
@@ -367,14 +418,13 @@ def test_the_map_is_exact_at_the_edges_of_the_gamma_range(gamma):
 @pytest.mark.parametrize("gamma", [1e100, 2.0 ** 64 * (1 + 2 ** -52), 1e-100,
                                    2.0 ** -64 * (1 - 2 ** -53)])
 def test_gamma_the_map_cannot_carry_is_refused_before_allocating(gamma):
-    # gamma eps = 1 and gamma L = 100 meet U's rules (764 modes, 2000
-    # samples), but beyond 2^+-64 the map's gamma^4 leaves the double range
-    # (1e400 at gamma = 1e100)
+    # gamma eps = 1 and gamma L = 100 meet U's rules (764 modes), but
+    # beyond 2^+-64 the map's gamma^4 leaves the double range (1e400 at
+    # gamma = 1e100)
     with pytest.raises(ResolutionError, match=re.escape(
             f"gamma = {gamma} lies outside [2^-64, 2^64]")):
         SolverConfig(1.0 / gamma, gamma, half_length=100.0 / gamma)
-    unit = SolverConfig(1.0, half_length=100.0)
-    assert (unit.n_modes, unit.n_cells) == (764, 2000)
+    assert SolverConfig(1.0, half_length=100.0).n_modes == 764
 
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.4, 2.0), (1.0, 1.0)])
@@ -495,7 +545,7 @@ def test_resolution_check_passes_across_the_paper_range(epsilon):
 def test_samples_are_the_cosine_interpolant(tail_sweep):
     # the zero-padded irfft and the direct cosine sum agree at every sample
     for cfg, sol, _ in tail_sweep:
-        assert len(sol.nodes) - 1 >= cfg.n_cells
+        assert len(sol.nodes) - 1 >= round(cfg.half_length / (cfg.epsilon / 20))
         assert sol.nodes[-1] == cfg.half_length
         assert np.abs(sol.evaluate(sol.nodes) - sol.u).max() <= 1e-13
 

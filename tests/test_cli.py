@@ -256,6 +256,22 @@ def test_compare_stencil_beyond_double_range_is_validation_failure(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_only_tails_samples_the_solution(tmp_path, capsys):
+    # compare reads the interpolant and takes no samples, so the cap on
+    # L/h = 1.2e6 samples at h = eps/20 (it once refused compare too, though
+    # M = 459) applies to tails alone, whose sweep samples every solution
+    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.001",
+                               "--domain-length", "60", "--n-max", "12",
+                               "--out-dir", str(tmp_path / "compare"))
+    assert (code, stderr) == (0, "")
+    assert "u_bvp(0.0) = 2.0000100001" in stdout
+    code, _, stderr = run(capsys, "tails", "--epsilon", "0.001", "--domain-length",
+                          "60", "--out-dir", str(tmp_path / "tails"))
+    assert (code, stderr) == (2, "error: L = 60.0, h = 5e-05: 1.2e+06 samples "
+                                 "exceed the cap of 1048576\n")
+    assert not (tmp_path / "tails").exists()
+
+
 def test_compare_solves_before_building_the_series(tmp_path, capsys, monkeypatch):
     # Newton fails at eps = 1; the series build it would have wasted never runs
     calls = []
@@ -594,9 +610,11 @@ def test_commands_compute_and_main_writes(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv, message", [
     (["tails", "--epsilon", "0.08", "0.09", "0.10", "0.11", "0.12", "0.13",
       "0.14", "0.15", "--dump-solutions"],
-     "math failure: r^2 = 0.9700 below 0.99; measurements unreliable\n"),
+     "math failure: r^2 = 0.9700 below 0.99 (slope -1.5135); measurements "
+     "unreliable\n"),
     (["stokes-profile", "--epsilon", "0.1", "1e-14"],
-     "math failure: no convergence to rtol=1e-08 after 8 doublings\n"),
+     "math failure: no convergence to rtol=1e-08 after 8 doublings; worst panel "
+     "theta in [-1.570804, -1.570796]\n"),
 ], ids=["tails", "stokes-profile"])
 def test_a_failed_run_writes_nothing(tmp_path, capsys, argv, message):
     # both once left every file solved before the failure, and no manifest:
@@ -605,6 +623,17 @@ def test_a_failed_run_writes_nothing(tmp_path, capsys, argv, message):
     code, _, stderr = run(capsys, *argv, "--out-dir", str(out))
     assert (code, stderr) == (1, message)
     assert not out.exists()
+
+
+def test_a_write_refused_before_its_renames_writes_nothing(tmp_path):
+    # a directory in the way of the CSV once left the report and no manifest:
+    # every temp file is written, and every path checked, before any rename
+    (tmp_path / "r.csv").mkdir()
+    with pytest.raises(IsADirectoryError, match="r.csv"):
+        main(["lambda", "--n-max", "14", "--emit-csv", "--out",
+              str(tmp_path / "r.json")])
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+    assert list((tmp_path / "r.csv").iterdir()) == []
 
 
 @pytest.mark.parametrize("env", [True, False], ids=["FKDV_OUT_DIR", "cwd"])

@@ -387,9 +387,21 @@ def test_save_table_mode_follows_umask(tmp_path):
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
-    with pytest.raises(TypeError):
-        atomic_write(tmp_path / "out.json", None)
+    # the second text fails to write: the first is not renamed either
+    with pytest.raises(TypeError, match="write.. argument must be str"):
+        atomic_write({tmp_path / "a.json": "{}", tmp_path / "out.json": None})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_onto_a_directory_is_refused_before_any_rename(tmp_path):
+    (tmp_path / "d").mkdir()
+    texts = {tmp_path / "a.json": "{}", tmp_path / "d": "x", tmp_path / "b.json": "y"}
+    with pytest.raises(IsADirectoryError, match="Is a directory: .*d$"):
+        atomic_write(texts)
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    del texts[tmp_path / "d"]
+    atomic_write(texts)  # in order, each path its own text
+    assert {p: p.read_text() for p in texts} == texts
 
 
 def test_json_shape():

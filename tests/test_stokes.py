@@ -289,11 +289,16 @@ def test_span_must_contain_line():
 
 
 def test_quadrature_nonconvergence_reports_interval(monkeypatch):
+    # the message names the panel of the largest local error, two fine steps
+    # of 2/4000 wide inside -pi/2 +- 1
     monkeypatch.setattr(stokes, "RTOL", 1e-16)
     monkeypatch.setattr(stokes, "MAX_REFINEMENTS", 1)
-    with pytest.raises(QuadratureError) as err:
+    with pytest.raises(QuadratureError,
+                       match="after 1 doublings; worst panel theta in ") as err:
         integrate_multiplier(frame(0.05))
-    assert err.value.worst_interval is not None
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]$", str(err.value)).groups())
+    assert hi - lo == pytest.approx(2.0 / 2000, abs=2e-6)
+    assert -math.pi / 2 - 1 <= lo < hi <= -math.pi / 2 + 1
 
 
 @pytest.mark.parametrize("integrand", ["smoothing", "late_term"])
