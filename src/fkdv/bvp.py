@@ -376,8 +376,12 @@ def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
     amplitude leaves out the mean (the nonlinear offset 3 A^2/(2c)) and the
     second harmonic. Unless the largest residual is below FIT_TOL times the
     amplitude, as a wrong k or core in the window breaks it,
-    WindowContaminatedError is raised.
+    WindowContaminatedError is raised. A solution whose nodes end at another
+    L than config's is refused with ValueError.
     """
+    if sol.nodes[-1] != config.half_length:
+        raise ValueError(f"the solution ends at L = {sol.nodes[-1]}, the config "
+                         f"at L = {config.half_length}")
     check_window(config)
     k = tail_wavenumber(config)
     t = np.arange(1 - TAIL_POINTS, 1) * (4.0 * math.pi / TAIL_POINTS)
@@ -408,11 +412,12 @@ class ExponentFit:
 def fit_exponent(measurements: list[TailMeasurement]) -> ExponentFit:
     """Regress log(amplitude eps^2) on 1/eps; the model slope is -pi/(2 gamma).
 
-    Requires at least four measurements; raises FitQualityError when the fit
+    Requires measurements at four or more distinct epsilons (copies of one
+    epsilon's row fit a line exactly); raises FitQualityError when the fit
     explains less than 99% of the variance.
     """
-    if len(measurements) < 4:
-        raise InsufficientDataError("need at least 4 measurements for the fit")
+    if len({m.epsilon for m in measurements}) < 4:
+        raise InsufficientDataError("need at least 4 distinct epsilons for the fit")
     X = np.array([1.0 / m.epsilon for m in measurements])
     Y = np.array([math.log(m.amplitude_measured * m.epsilon ** 2)
                   for m in measurements])

@@ -2,10 +2,11 @@
 late-term analysis, Stokes smoothing, and the direct BVP solve; `fkdv --help`
 lists the commands.
 
-Each command computes and returns its outputs, an ordered path -> text map;
-`main` alone writes them and a run manifest (<first output>.manifest.json)
-of parameters and files, in one `atomic_write`: a failed command writes
-nothing, and neither does a write refused before its renames.
+Each command computes and returns its outputs, an ordered path -> text map,
+and its report, the lines for stdout. `main` alone writes the outputs and a
+run manifest (<first output>.manifest.json) of parameters and files, in one
+`atomic_write`, and only then prints the report: a failed command, or a write
+refused before its renames, writes nothing and prints only its error (stderr).
 Exit codes: 0 success, 1 math failure, 2 validation failure. Every exception
 class of the layers subclasses `ArithmeticError` (a math failure, as are
 `OverflowError` and `ZeroDivisionError`) or `ValueError` (a validation failure),
@@ -94,15 +95,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def cmd_series(args) -> dict[Path, str]:
+def cmd_series(args) -> tuple[dict[Path, str], list[str]]:
     table = build_series(args.n_max, _gamma(args))
     out = _out_path(args, "series_table.json")
-    print("c =", "[" + ", ".join(str(ci) for ci in table.c) + "]")
-    print(f"wrote {out} ({table.n_max + 1} orders, gamma = {table.gamma})")
-    return {out: _table_text(table)}
+    return {out: _table_text(table)}, [
+        "c = [" + ", ".join(str(ci) for ci in table.c) + "]",
+        f"wrote {out} ({table.n_max + 1} orders, gamma = {table.gamma})"]
 
 
-def cmd_lambda(args) -> dict[Path, str]:
+def cmd_lambda(args) -> tuple[dict[Path, str], list[str]]:
     check_report_data(args.n_max, args.order)
     out = _out_path(args, "lambda_report.json")
     if args.emit_csv and out.with_suffix(".csv") == out:
@@ -113,30 +114,29 @@ def cmd_lambda(args) -> dict[Path, str]:
     if args.emit_csv:
         outputs[out.with_suffix(".csv")] = _csv_text(
             ["n", "lambda_n"], enumerate(report.lambda_sequence))
-    print(f"lambda_final = {report.lambda_final:.6f} "
-          f"+/- {report.lambda_error:.2e} (order {args.order}, "
-          f"n_max {args.n_max}); beta = {report.beta_selected}")
-    return outputs
+    return outputs, [f"lambda_final = {report.lambda_final:.6f} "
+                     f"+/- {report.lambda_error:.2e} (order {args.order}, "
+                     f"n_max {args.n_max}); beta = {report.beta_selected}"]
 
 
-def cmd_stokes_profile(args) -> dict[Path, str]:
+def cmd_stokes_profile(args) -> tuple[dict[Path, str], list[str]]:
     from .stokes import frame_for, integrate_multiplier, profile_csv_rows
     gamma = _gamma(args)
     paths = _per_epsilon_paths(args, "stokes_profile_eps", args.epsilon)
     # all frames before any integration: a bad eps late in the list costs no work
     frames = [frame_for(eps, gamma) for eps in args.epsilon]
-    outputs = {}
+    outputs, lines = {}, []
     for frame, out in zip(frames, paths):
         profile = integrate_multiplier(frame)
         outputs[out] = _csv_text(["eta", "re_S", "im_S", "re_S_closed", "im_S_closed"],
                                  profile_csv_rows(profile, frame))
         ratio = abs(profile.jump_numeric / profile.jump_closed_form)
-        print(f"eps = {frame.epsilon:g}: jump_numeric/jump_closed = {ratio:.6f} "
-              f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
-    return outputs
+        lines.append(f"eps = {frame.epsilon:g}: jump_numeric/jump_closed = {ratio:.6f} "
+                     f"(|jump| = {abs(profile.jump_numeric):.6e}), wrote {out}")
+    return outputs, lines
 
 
-def cmd_tails(args) -> dict[Path, str]:
+def cmd_tails(args) -> tuple[dict[Path, str], list[str]]:
     from .bvp import fit_exponent, sweep
     gamma = float(_gamma(args))
     epsilons = sorted(set(args.epsilon))
@@ -146,10 +146,10 @@ def cmd_tails(args) -> dict[Path, str]:
     if out in dumps:
         raise ValueError(f"--dump-solutions would overwrite the measurements {out}")
     results = sweep(epsilons, gamma, half_length=args.domain_length)
-    for _, _, meas in reversed(results):
-        print(f"eps = {meas.epsilon:g}: amplitude = {meas.amplitude_measured:.6e} "
-              f"(predicted {meas.amplitude_predicted:.6e}), "
-              f"wavelength = {meas.wavelength_measured:.4f}")
+    lines = [f"eps = {meas.epsilon:g}: amplitude = {meas.amplitude_measured:.6e} "
+             f"(predicted {meas.amplitude_predicted:.6e}), "
+             f"wavelength = {meas.wavelength_measured:.4f}"
+             for _, _, meas in reversed(results)]
 
     outputs = {out: "".join(json.dumps({
         **asdict(meas), "iterations": sol.iterations,
@@ -160,14 +160,14 @@ def cmd_tails(args) -> dict[Path, str]:
     if len(results) >= 4:
         fit = fit_exponent([meas for _, _, meas in reversed(results)])
         target = -math.pi / (2.0 * gamma)
-        print(f"fit: slope = {fit.slope:.4f} (model {target:.4f}), "
-              f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
+        lines.append(f"fit: slope = {fit.slope:.4f} (model {target:.4f}), "
+                     f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
     else:
-        print("fewer than 4 measurements: skipping the exponent fit")
-    return outputs
+        lines.append("fewer than 4 measurements: skipping the exponent fit")
+    return outputs, lines
 
 
-def cmd_compare(args) -> dict[Path, str]:
+def cmd_compare(args) -> tuple[dict[Path, str], list[str]]:
     from .bvp import SolverConfig, predicted_amplitude, solve
     gamma = _gamma(args)
     eps = args.epsilon
@@ -189,20 +189,19 @@ def cmd_compare(args) -> dict[Path, str]:
         ps = partial_sum(table, point, N)
         errors.append((N, abs(ps.value - u_bvp)))
     err_opt = dict(errors).get(n_opt)
-    print(f"optimal_N = {n_opt}, empirical argmin of terms at n = {n_emp}")
-    print(f"u_bvp({args.x}) = {u_bvp:.10f}")
-    for N, e in errors:
-        marker = "  <- optimal" if N == n_opt else ""
-        print(f"  N = {N:2d}: |partial - u_bvp| = {e:.6e}{marker}")
+    lines = [f"optimal_N = {n_opt}, empirical argmin of terms at n = {n_emp}",
+             f"u_bvp({args.x}) = {u_bvp:.10f}"]
+    lines += [f"  N = {N:2d}: |partial - u_bvp| = {e:.6e}"
+              + ("  <- optimal" if N == n_opt else "") for N, e in errors]
     if err_opt is not None and scale > 0:
-        print(f"err(optimal) / tail scale = {err_opt / scale:.3f} "
-              f"(scale {scale:.3e})")
+        lines.append(f"err(optimal) / tail scale = {err_opt / scale:.3f} "
+                     f"(scale {scale:.3e})")
     return {_out_path(args, "compare.json"): _json_text({
         "epsilon": eps, "x": args.x, "optimal_N": n_opt,
         "empirical_argmin": n_emp, "u_bvp": u_bvp,
         "errors": [[N, e] for N, e in errors],
         "tail_scale": scale,
-    })}
+    })}, lines
 
 
 DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10 + 20 pi eps rounded "
@@ -273,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        outputs = args.func(args)
+        outputs, lines = args.func(args)
         manifest = _json_text({
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k != "func"},
@@ -286,5 +285,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"math failure: {exc}", file=sys.stderr)
         return EXIT_MATH
+    print(*lines, sep="\n")
     return EXIT_OK
 

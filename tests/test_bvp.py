@@ -663,6 +663,18 @@ def test_window_contamination_detected():
         measure_tail(sol, cfg)
 
 
+def test_measurement_refuses_a_solution_from_another_domain():
+    # the default-L solution read against L + 1.3 once passed its fit and
+    # reported the shorter member's amplitude, not the longer one's
+    cfg = SolverConfig(epsilon=0.1)
+    longer = SolverConfig(epsilon=0.1, half_length=cfg.half_length + 1.3)
+    sol = solve(cfg)
+    with pytest.raises(ValueError, match=f"L = {cfg.half_length}, the config "
+                                         f"at L = {longer.half_length}"):
+        measure_tail(sol, longer)
+    assert measure_tail(sol, cfg) != measure_tail(solve(longer), longer)
+
+
 def _measurement(epsilon, amplitude):
     return TailMeasurement(epsilon, amplitude, 0.0, 2 * math.pi * epsilon,
                            0.0, amplitude, 0.0)
@@ -679,9 +691,13 @@ def test_fit_exact_on_synthetic_amplitudes():
 
 
 def test_fit_requires_four_measurements():
+    # rows, not epsilons, once counted: four copies of one eps's row, or two
+    # eps twice each, fitted a line exactly (r^2 = 1) and returned its slope
     assert InsufficientDataError is late_terms.InsufficientDataError
-    with pytest.raises(InsufficientDataError):
-        fit_exponent([_measurement(0.1, 1e-3)])
+    for epsilons in [(0.1,), (0.1,) * 4, (0.1, 0.12) * 2, (0.08, 0.1, 0.12, 0.1)]:
+        with pytest.raises(InsufficientDataError, match="4 distinct epsilons"):
+            fit_exponent([_measurement(e, 2e3 * math.exp(-math.pi / (2 * e)))
+                          for e in epsilons])
 
 
 def test_fit_flags_bad_data():

@@ -582,6 +582,17 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
     assert outputs and all(Path(p).exists() for p in outputs)
 
 
+#: sha256 of the stdout of each run below from --out-dir out, as it was when
+#: each command printed its own report
+REPORT_SHA256 = {
+    "series": "36d4d0f8634422437741cdf27a936406fe23968b30011c3b3a476a90af49cba2",
+    "lambda": "35b0d9401e0c13dbebdfed7b5ebd88d343430a7a7e1e76b2c436dd662874a3dc",
+    "stokes-profile": "34bd2f360fb9365e09759ecbcc6d772041e71a22e1836bd72ee4cf94e3df049a",
+    "tails": "9ab528a3b9fb354cdb36e92d6587844e6c474bbfd1e9bb9d1a5b1f03e8055872",
+    "compare": "08d92a427f53985cf6e721b104c460cd774c19fcc2553b14be10022a95aa7760",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--n-max", "2"],
     ["lambda", "--n-max", "14", "--emit-csv"],
@@ -590,18 +601,23 @@ def test_every_command_writes_a_manifest(tmp_path, capsys, argv):
     ["compare", "--epsilon", "0.1", "--n-max", "8"],
 ], ids=lambda argv: argv[0])
 def test_commands_compute_and_main_writes(tmp_path, capsys, monkeypatch, argv):
-    # a command returns its outputs as path -> text; only main writes them
+    # a command returns its outputs as path -> text and its report as lines,
+    # and neither writes nor prints: main writes, then prints the report
     def no_write(*args):
         raise AssertionError("a command wrote a file")
 
-    monkeypatch.setattr(cli, "atomic_write", no_write)
-    monkeypatch.setattr(series, "atomic_write", no_write)
-    args = cli.build_parser().parse_args([*argv, "--out-dir", str(tmp_path)])
-    outputs = args.func(args)
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "atomic_write", no_write)
+        m.setattr(series, "atomic_write", no_write)
+        args = cli.build_parser().parse_args([*argv, "--out-dir", "out"])
+        outputs, lines = args.func(args)
+    assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.undo()
-    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
-    manifest, = tmp_path.glob("*.manifest.json")
+    code, stdout, stderr = run(capsys, *argv, "--out-dir", "out")
+    assert (code, stdout, stderr) == (0, "".join(f"{line}\n" for line in lines), "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256[argv[0]]
+    manifest, = Path("out").glob("*.manifest.json")
     assert manifest.name == f"{next(iter(outputs)).name}.manifest.json"
     assert json.loads(manifest.read_text())["outputs"] == [str(p) for p in outputs]
     assert {p: p.read_text() for p in outputs} == outputs
@@ -618,20 +634,24 @@ def test_commands_compute_and_main_writes(tmp_path, capsys, monkeypatch, argv):
 ], ids=["tails", "stokes-profile"])
 def test_a_failed_run_writes_nothing(tmp_path, capsys, argv, message):
     # both once left every file solved before the failure, and no manifest:
-    # eight solution dumps and the measurements, or the eps = 0.1 profile
+    # eight solution dumps and the measurements, or the eps = 0.1 profile;
+    # and both once printed their report first: eight tails lines, or the
+    # eps = 0.1 line that claims its profile was written
     out = tmp_path / "out"
-    code, _, stderr = run(capsys, *argv, "--out-dir", str(out))
-    assert (code, stderr) == (1, message)
+    code, stdout, stderr = run(capsys, *argv, "--out-dir", str(out))
+    assert (code, stdout, stderr) == (1, "", message)
     assert not out.exists()
 
 
-def test_a_write_refused_before_its_renames_writes_nothing(tmp_path):
+def test_a_write_refused_before_its_renames_writes_nothing(tmp_path, capsys):
     # a directory in the way of the CSV once left the report and no manifest:
-    # every temp file is written, and every path checked, before any rename
+    # every temp file is written, and every path checked, before any rename;
+    # nor is the lambda_final line printed, as it once was before the write
     (tmp_path / "r.csv").mkdir()
     with pytest.raises(IsADirectoryError, match="r.csv"):
         main(["lambda", "--n-max", "14", "--emit-csv", "--out",
               str(tmp_path / "r.json")])
+    assert capsys.readouterr().out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
     assert list((tmp_path / "r.csv").iterdir()) == []
 
