@@ -46,11 +46,12 @@ class RecurrenceError(ArithmeticError):
     """Structural failure of the order-by-order linear solve.
 
     Raised when a solved order does not have degree n + 1, when a solved
-    order does not satisfy its full equation exactly at gamma = 1, or when
-    an order of the rescaled table is not gamma^{2n+2} times that checked
-    order. The last two name the order ("nonzero exact residual at order
-    n"). Every condition indicates an implementation bug, not a legitimate
-    math case.
+    order does not satisfy its full equation exactly at gamma = 1, when an
+    order of the rescaled table is not gamma^{2n+2} times that checked
+    order ("nonzero exact residual at order n"), or when the Cauchy product
+    of order n interpolates to a polynomial that is not an integer one
+    ("inexact interpolation at order n"). Every condition indicates an
+    implementation bug, not a legitimate math case.
     """
 
 
@@ -59,10 +60,10 @@ class ResourceLimitError(ValueError):
 
 
 #: Orders beyond this are refused: coefficient sizes grow like O(n log n)
-#: digits, and build_series(n) takes 0.007 s at n = 30, 0.094 s at 60, 0.71 s
-#: at 90 and 5.5 s at 128 (Python 3.11.7, one core of a 2-core machine,
-#: minimum process time of 3 to 7 runs), 96 % of it at n = 128 the Cauchy
-#: products of the right-hand sides.
+#: digits, and build_series(n) takes 0.007 s at n = 30, 0.049 s at 60, 0.20 s
+#: at 90 and 0.85 s at 128 (Python 3.11.7, one core of a 2-core machine,
+#: minimum process time of 3 to 5 runs), about 80 % of it at n = 128 the
+#: Cauchy products of the right-hand sides.
 N_MAX_LIMIT = 128
 
 
@@ -178,32 +179,84 @@ def _combine(terms) -> tuple[list[int], int]:
     return out, den
 
 
-def _cauchy(u, n: int) -> tuple[list[int], int]:
-    """sum_{k=0..n} u_k u_{n-k} over integer forms u; each pair k < n - k
-    is multiplied once and counted twice, the middle term k = n/2 once.
+def _values(nums, vals: list[int], count: int) -> None:
+    """Extend vals, the values of the integer form nums over S, v(s) =
+    sum_m nums[m] s^{m-1}, to at least count points in the order s = 0, 1,
+    -1, 2, -2, ...: the first d + 1 of them are consecutive for every d.
+    One pass per |s|: v(+-s) = E(s^2) +- s O(s^2), with E and O the even
+    and odd parts of v, each by Horner's rule."""
+    even, odd = nums[-1:0:-2], nums[-2:0:-2]  # highest power first
+    if len(nums) % 2:
+        even, odd = odd, even
+    if not vals:
+        vals.append(nums[1])
+    for s in range(len(vals) // 2 + 1, count // 2 + 1):
+        t, e, o = s * s, 0, 0
+        for x in even:
+            e = e * t + x
+        for x in odd:
+            o = o * t + x
+        o *= s
+        vals += (e + o, e - o)
 
-    Each pair is multiplied on its raw numerators, skipping the S^0 entry of
-    u_{n-k} (0 in every integer form), and its product is then scaled to the
-    common denominator once: scaling a row first would carry the factor,
-    up to a few hundred bits, through every inner product. Kronecker
-    substitution (one big-integer product per pair, packed and unpacked)
-    is not used: it measured 1.5x slower at n = 40 and at n = 90-128.
+
+def _cauchy(u, n: int, vals: dict) -> tuple[list[int], int]:
+    """sum_{k=0..n} u_k u_{n-k} over integer forms u; each pair k < n - k
+    counts twice, the middle term k = n/2 once.
+
+    The sum is found from its values at integer points. Over the common
+    denominator and S^2 it is an integer polynomial w(s) in s = S, of
+    degree d, the largest degree of v_k v_{n-k}, v_k = u_k / S, read off
+    the lengths of the forms. Its values at the d + 1 points s = -h..d - h,
+    h = floor(d / 2), are sums of products of the values of the v_k, each
+    pair's product scaled to the common denominator. Newton's forward
+    differences from s = -h give its
+    coefficients c_i = Delta^i w / i! in the falling-factorial basis, exact
+    integers for an integer polynomial; a nonzero remainder raises
+    RecurrenceError naming the order. Multiplying out into powers of s and
+    shifting by S^2 gives the sum. That is O(n^2) big-integer products per
+    order against the O(n^3) of multiplying coefficient by coefficient.
+
+    vals[k] caches the values of the nonzero u[k] (_values), extended as a
+    wider product needs them: a build, whose orders never change once
+    solved, keeps one cache across its orders, so each order is evaluated
+    once per point. Kronecker substitution (one big-integer product per
+    pair, packed and unpacked through bytes) is not used: its builds
+    measured 1.45-1.65x slower than coefficient by coefficient at n = 40-128,
+    and 1.9-7.8x slower than this, as the rows of small k are padded to
+    the widest coefficient's width.
     """
     ks = range(n // 2 + 1)
     den = math.lcm(*(u[k][1] * u[n - k][1] for k in ks))
-    acc = [0] * max(len(u[k][0]) + len(u[n - k][0]) - 1 for k in ks)
-    for k in ks:
-        (a, da), (b, db) = u[k], u[n - k]
-        prod = [0] * (len(a) + len(b) - 1)
-        b = b[1:]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i + 1):
-                    prod[j] += x * y
-        f = den // (da * db) * (1 if 2 * k == n else 2)
-        for m, x in enumerate(prod):
-            acc[m] += f * x
-    return acc, den
+    pairs = [k for k in ks if len(u[k][0]) > 1 and len(u[n - k][0]) > 1]
+    if not pairs:
+        return [0], den
+    d = max(len(u[k][0]) + len(u[n - k][0]) for k in pairs) - 4
+    h = d // 2
+    for k in {*pairs, *(n - k for k in pairs)}:
+        v = vals.setdefault(k, [])
+        if len(v) <= d:
+            _values(u[k][0], v, d + 1)
+    w = [0] * (d + 1)  # zip stops at the first d + 1 points
+    for k in pairs:
+        f = den // (u[k][1] * u[n - k][1]) * (1 if 2 * k == n else 2)
+        w = [x + f * y * z for x, y, z in zip(w, vals[k], vals[n - k])]
+    w = w[2 * h::-2] + w[1::2]  # s = -h..d - h in ascending order
+    # Newton's forward differences: w[i] becomes Delta^i w at s = -h
+    for i in range(1, d + 1):
+        w[i:] = [y - x for x, y in zip(w[i - 1:], w[i:])]
+    fact = 1
+    for i in range(2, d + 1):
+        fact *= i
+        w[i], r = divmod(w[i], fact)
+        if r:
+            raise RecurrenceError(f"inexact interpolation at order {n}")
+    # w(s) = w[0] + (s + h)(w[1] + (s + h - 1)(w[2] + ...)), into powers of s
+    p = [w[d]]
+    for i in range(d - 1, -1, -1):
+        a = i - h
+        p = [w[i] - a * p[0], *[x - a * y for x, y in zip(p, p[1:])], p[-1]]
+    return [0, 0, *p], den
 
 
 def second_derivative(p: SechPolynomial) -> SechPolynomial:
@@ -250,11 +303,12 @@ class SeriesTable:
         return Fraction(nums[n + 1], den)
 
 
-def _residual(u, c, gamma: Fraction, n: int) -> tuple[list[int], int]:
-    """order_residual over the integer forms u of orders 0..n."""
+def _residual(u, c, gamma: Fraction, n: int, vals: dict) -> tuple[list[int], int]:
+    """order_residual over the integer forms u of orders 0..n; vals is the
+    cache of point values _cauchy keeps."""
     g2 = gamma * gamma
     nums, den = u[n]
-    terms = [(g2.numerator, _d2(nums), den * g2.denominator), (3, *_cauchy(u, n))]
+    terms = [(g2.numerator, _d2(nums), den * g2.denominator), (3, *_cauchy(u, n, vals))]
     if n >= 1:
         prev, dprev = u[n - 1]
         terms.append((g2.numerator ** 2, _d2(_d2(prev)), dprev * g2.denominator ** 2))
@@ -272,10 +326,13 @@ def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
                                 - sum_{k=0..n} c_k u_{n-k} = 0,
 
     the complete Cauchy products of 3u^2 and c u. A correctly solved table
-    returns the zero polynomial for every n <= n_max.
+    returns the zero polynomial for every n <= n_max; an n outside 0..n_max
+    raises ValueError.
     """
+    if not 0 <= n <= table.n_max:
+        raise ValueError(f"order n = {n} outside 0..n_max = {table.n_max}")
     u = [p.int_form for p in table.u[:n + 1]]
-    return _poly(*_residual(u, table.c, table.gamma, n), table.gamma)
+    return _poly(*_residual(u, table.c, table.gamma, n, {}), table.gamma)
 
 
 def _solve_order(F: list[int], R: int, n: int) -> tuple[tuple[list[int], int], Fraction]:
@@ -357,11 +414,12 @@ def build_series(n_max: int, gamma=Fraction(1)) -> SeriesTable:
         raise ResourceLimitError(f"n_max = {n_max} exceeds limit {N_MAX_LIMIT}")
     g = _gamma(gamma)
     u, c = [([0, 2], 1)], [Fraction(4)]  # u_0 = 2 S, c_0 = 4 at gamma = 1
-    if any(_residual(u, c, Fraction(1), 0)[0]):
+    vals = {}  # the point values of the solved orders, kept for every product
+    if any(_residual(u, c, Fraction(1), 0, vals)[0]):
         raise RecurrenceError("nonzero exact residual at order 0")
     for n in range(1, n_max + 1):
         # rhs of L u_n = c_n u_0 + F / R: minus the residual at u_n = c_n = 0
-        F, R = _residual([*u, ([0], 1)], [*c, Fraction(0)], Fraction(1), n)
+        F, R = _residual([*u, ([0], 1)], [*c, Fraction(0)], Fraction(1), n, vals)
         F = [-x for x in F]
         u_n, c_n = _solve_order(F, R, n)
         if any(_order_equation(u_n, c_n, F, R)):

@@ -270,6 +270,96 @@ def test_exact_residual_catches_a_perturbed_order(delta_u, delta_c):
     assert all(order_residual(bad, n).is_zero for n in range(7))
 
 
+def test_deep_table_is_pinned(tmp_path):
+    # digest of the N_MAX_LIMIT table taken from the coefficient-by-coefficient
+    # Cauchy products, before they were replaced by interpolation
+    t = build_series(series.N_MAX_LIMIT)
+    save_table(t, tmp_path / "table.json")
+    assert hashlib.sha256((tmp_path / "table.json").read_bytes()).hexdigest() == \
+        "9ba93da6e98430188c941fe67b8de6486f9d83391c2650d73cb1dada1bce748b"
+    assert order_residual(t, 127).is_zero and order_residual(t, 128).is_zero
+
+
+@pytest.mark.parametrize("n", [7, -1, -3, 100])
+def test_order_residual_refuses_an_order_outside_the_table(n):
+    # these raised IndexError or "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match=f"^order n = {n} outside 0..n_max = 6$"):
+        order_residual(build_series(6), n)
+
+
+def _reference_cauchy(u, n):
+    # sum_k u_k u_{n-k} coefficient by coefficient in Fractions, over
+    # integer forms (nums, den)
+    out = {}
+    for k in range(n + 1):
+        (a, da), (b, db) = u[k], u[n - k]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out.get(i + j, F(0)) + F(x * y, da * db)
+    return {m: x for m, x in out.items() if x}
+
+
+def _as_coeffs(nums, den):
+    return {m: F(x, den) for m, x in enumerate(nums) if x}
+
+
+# integer forms of degree 0 (the zero polynomial) to 9, above n + 1 for n < 8
+INT_FORMS = st.builds(lambda nums, den: ([0, *nums], den),
+                      st.lists(st.integers(-10**40, 10**40), max_size=9),
+                      st.integers(1, 10**12))
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(INT_FORMS, min_size=n + 1,
+                                                    max_size=n + 1)))
+@settings(max_examples=200, deadline=None)
+def test_cauchy_matches_the_schoolbook_product(u):
+    n = len(u) - 1
+    assert _as_coeffs(*series._cauchy(u, n, {})) == _reference_cauchy(u, n)
+
+
+@given(st.integers(0, 6), st.fractions(max_denominator=10**6).filter(bool))
+@settings(max_examples=30, deadline=None)
+def test_order_residual_reads_a_power_above_the_degree_invariant(n, extra):
+    # u_n carries an extra S^{n+3}: every order from n on must see it
+    t = build_series(6, F(3, 2))
+    u = list(t.u)
+    u[n] = SechPolynomial({**u[n].coeffs, n + 3: extra}, t.gamma)
+    bad = SeriesTable(t.gamma, u, t.c)
+    forms = [p.int_form for p in u]
+    for m in range(n, 7):
+        # u_{m-1}'''' + u_m'' + 3 sum_k u_k u_{m-k} - sum_k c_k u_{m-k}
+        terms = [(1, second_derivative(u[m]))]
+        terms += [(-ck, u[m - k]) for k, ck in enumerate(t.c[:m + 1])]
+        if m:
+            terms.append((1, fourth_derivative(u[m - 1])))
+        ref = {j: 3 * x for j, x in _reference_cauchy(forms, m).items()}
+        for scale, p in terms:
+            for j, x in p.coeffs.items():
+                ref[j] = ref.get(j, F(0)) + scale * x
+        assert order_residual(bad, m).coeffs == {j: x for j, x in ref.items() if x}
+    assert all(order_residual(bad, m).is_zero for m in range(n))
+
+
+@pytest.mark.parametrize("k, index", [(1, 0), (1, 2), (4, 5), (9, 0), (12, 17)])
+def test_build_refuses_a_wrong_point_value(monkeypatch, k, index):
+    # one stored value of v_k = u_k / S (index in the order s = 0, 1, -1,
+    # 2, ...) off by 1: the interpolated Cauchy product is then no integer
+    # polynomial, and the build raises instead of returning a table
+    values = series._values
+    hit = []
+
+    def off_by_one(nums, vals, count):
+        values(nums, vals, count)
+        if len(nums) == k + 2 and len(vals) > index and not hit:
+            vals[index] += 1
+            hit.append(index)
+
+    monkeypatch.setattr(series, "_values", off_by_one)
+    with pytest.raises(RecurrenceError, match="^inexact interpolation at order "):
+        build_series(20, F(3, 2))
+    assert hit
+
+
 @PERTURBATIONS
 def test_build_verifies_the_rescaled_table(monkeypatch, delta_u, delta_c):
     # the exact check runs on the finished gamma table, so an error in the
