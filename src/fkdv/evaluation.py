@@ -1,6 +1,8 @@
 """Evaluation of the exact series at real and complex points: exact in
 integers at the double S = sech^2(gamma x), each output rounded once, so the
-one error is the rounding of S, the problem's own conditioning in x.
+one error is the rounding of S, the problem's own conditioning in x. One
+reader, `_exact`, reads a table's orders at a point; it computes S once per
+call, and none for zero orders, so an empty sum is 0 even at a pole.
 
 Every denominator met here other than a table's own is a power of two: a
 double's `as_integer_ratio()` always gives one, for eps and for both parts of
@@ -74,12 +76,11 @@ class EvalPoint:
 @dataclass(frozen=True)
 class PartialSum:
     value: complex
-    N: int
     term_magnitudes: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.term_magnitudes) != self.N:
-            raise ValueError("term_magnitudes must have length N")
+    @property
+    def N(self) -> int:
+        return len(self.term_magnitudes)
 
 
 def singularity(gamma) -> complex:
@@ -118,16 +119,18 @@ def _horner(nums, den: int, sr: int, si: int, q: int) -> tuple[int, int, int]:
     return re, im, den << sh
 
 
-def _exact(p: SechPolynomial, x: complex) -> tuple[int, int, int]:
-    """Integers (re, im, den) with sum a_m S^m = (re + i im) / den exactly at
-    the double S = sech_squared(x, gamma); many orders at one x share `_point`."""
-    return _horner(*p.int_form, *_point(x, p.gamma))
+def _exact(polys, x: complex, gamma) -> list[tuple[int, int, int]]:
+    """Integers (re, im, den) of each polynomial in polys, sum a_m S^m =
+    (re + i im) / den exactly at the one double S = sech_squared(x, gamma);
+    an empty polys computes no S, so it reads nothing even at a pole."""
+    s = _point(x, gamma) if polys else None
+    return [_horner(*p.int_form, *s) for p in polys]
 
 
 def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
     """sum a_m S^m at S = sech^2(gamma x), exact at the double S and rounded
     once; raises OverflowError if the value itself leaves double range."""
-    re, im, den = _exact(p, x)
+    [(re, im, den)] = _exact((p,), x, p.gamma)
     return complex(re / den, im / den)
 
 
@@ -149,15 +152,13 @@ def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
     e, d = point.epsilon.as_integer_ratio()
     p2, e2 = 2 * (d.bit_length() - 1), e * e  # eps^2 = e^2 / 2^p2
     w = 1  # e^(2n)
-    s = _point(point.x, table.gamma) if N else None
-    for n in range(N):
-        re, im, den = _horner(*table.u[n].int_form, *s)
+    for n, (re, im, den) in enumerate(_exact(table.u[:N], point.x, table.gamma)):
         wd = den << (p2 * n)
         term = complex(re * w / wd, im * w / wd)
         value += term
         mags.append(abs(term))
         w *= e2
-    return PartialSum(value, N, tuple(mags))
+    return PartialSum(value, tuple(mags))
 
 
 def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:
@@ -166,10 +167,8 @@ def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:
     and an order is squared only when it can be the new smallest."""
     e, d = point.epsilon.as_integer_ratio()
     p4, e4 = 4 * (d.bit_length() - 1), e ** 4  # eps^4 = e^4 / 2^p4
-    s = _point(point.x, table.gamma)
     b, a_b, D_b, ek = 0, None, None, 1  # ek = e^(4 (n - b))
-    for n, p in enumerate(table.u):
-        re, im, den = _horner(*p.int_form, *s)
+    for n, (re, im, den) in enumerate(_exact(table.u, point.x, table.gamma)):
         if a_b is not None:
             ek *= e4
             # |eps^{2n} u_n|^2 < |eps^{2b} u_b|^2, cross-multiplied: L < R with

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluation import _horner, _point, singularity
+from .evaluation import _exact, singularity
 from .series import SeriesTable
 
 
@@ -115,10 +115,9 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     model = [(-1) ** n * 2.0 * (z ** -(2 * n + 2)).real
              for n in range(table.n_max + 1)]
 
-    # u_n(x) = re / den exactly (im = 0 on the real axis); in doubles the a_m
-    # cancel down n/2 digits and u_n(0) overflows near n = 93
-    s = _point(x, table.gamma)
-    u = [_horner(*p.int_form, *s) for p in table.u]
+    # u_n(x) = re / den exactly at one S (im = 0 on the real axis); in
+    # doubles the a_m cancel down n/2 digits and u_n(0) overflows near n = 93
+    u = _exact(table.u, x, table.gamma)
     ratios = [(re1 * den) / (den1 * re) if re else None
               for (re, _, den), (re1, _, den1) in zip(u, u[1:])]
     out = []

@@ -49,9 +49,9 @@ class RecurrenceError(ArithmeticError):
     order does not satisfy its full equation exactly at gamma = 1, when an
     order of the rescaled table is not gamma^{2n+2} times that checked
     order ("nonzero exact residual at order n"), or when the Cauchy product
-    of order n interpolates to a polynomial that is not an integer one
-    ("inexact interpolation at order n"). Every condition indicates an
-    implementation bug, not a legitimate math case.
+    of order n does not interpolate to one integer polynomial through all
+    its points ("inexact interpolation at order n"). Every condition
+    indicates an implementation bug, not a legitimate math case.
     """
 
 
@@ -207,15 +207,15 @@ def _cauchy(u, n: int, vals: dict) -> tuple[list[int], int]:
     The sum is found from its values at integer points. Over the common
     denominator and S^2 it is an integer polynomial w(s) in s = S, of
     degree d, the largest degree of v_k v_{n-k}, v_k = u_k / S, read off
-    the lengths of the forms. Its values at the d + 1 points s = -h..d - h,
-    h = floor(d / 2), are sums of products of the values of the v_k, each
-    pair's product scaled to the common denominator. Newton's forward
-    differences from s = -h give its
-    coefficients c_i = Delta^i w / i! in the falling-factorial basis, exact
-    integers for an integer polynomial; a nonzero remainder raises
-    RecurrenceError naming the order. Multiplying out into powers of s and
-    shifting by S^2 gives the sum. That is O(n^2) big-integer products per
-    order against the O(n^3) of multiplying coefficient by coefficient.
+    the lengths of the forms. Its values at the d + 2 points s = -h..d + 1 - h,
+    h = floor((d + 1) / 2), are sums of products of the values of the v_k,
+    each pair's product scaled to the common denominator. Newton's forward
+    differences from s = -h give its coefficients c_i = Delta^i w / i! in
+    the falling-factorial basis, exact integers for an integer polynomial,
+    and Delta^{d+1} w = 0, which one wrong value anywhere breaks; a nonzero
+    remainder or top difference raises RecurrenceError naming the order.
+    Multiplying out into powers of s and shifting by S^2 gives the sum: O(n^2)
+    big-integer products per order against the O(n^3) of the schoolbook way.
 
     vals[k] caches the values of the nonzero u[k] (_values), extended as a
     wider product needs them: a build, whose orders never change once
@@ -232,19 +232,21 @@ def _cauchy(u, n: int, vals: dict) -> tuple[list[int], int]:
     if not pairs:
         return [0], den
     d = max(len(u[k][0]) + len(u[n - k][0]) for k in pairs) - 4
-    h = d // 2
+    h = (d + 1) // 2
     for k in {*pairs, *(n - k for k in pairs)}:
         v = vals.setdefault(k, [])
-        if len(v) <= d:
-            _values(u[k][0], v, d + 1)
-    w = [0] * (d + 1)  # zip stops at the first d + 1 points
+        if len(v) <= d + 1:
+            _values(u[k][0], v, d + 2)
+    w = [0] * (d + 2)  # zip stops at the first d + 2 points
     for k in pairs:
         f = den // (u[k][1] * u[n - k][1]) * (1 if 2 * k == n else 2)
         w = [x + f * y * z for x, y, z in zip(w, vals[k], vals[n - k])]
-    w = w[2 * h::-2] + w[1::2]  # s = -h..d - h in ascending order
+    w = w[2 * h::-2] + w[1::2]  # s = -h..d + 1 - h in ascending order
     # Newton's forward differences: w[i] becomes Delta^i w at s = -h
-    for i in range(1, d + 1):
+    for i in range(1, d + 2):
         w[i:] = [y - x for x, y in zip(w[i - 1:], w[i:])]
+    if w.pop():  # a polynomial of degree d has Delta^{d+1} w = 0
+        raise RecurrenceError(f"inexact interpolation at order {n}")
     fact = 1
     for i in range(2, d + 1):
         fact *= i
@@ -298,7 +300,10 @@ class SeriesTable:
         return len(self.u) - 1
 
     def top_coefficient(self, n: int) -> Fraction:
-        """Coefficient of S^{n+1} in u_n (the degree invariant pins it)."""
+        """Coefficient of S^{n+1} in u_n (the degree invariant pins it); an
+        n outside 0..n_max raises ValueError."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"order n = {n} outside 0..n_max = {self.n_max}")
         nums, den = self.u[n].int_form
         return Fraction(nums[n + 1], den)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fkdv import (
     EvalPoint,
+    PartialSum,
     PoleProximityError,
     SechPolynomial,
     SeriesTable,
@@ -67,8 +68,18 @@ def test_partial_sum_examples(table8):
 
 
 def test_partial_sum_empty(table8):
-    p = partial_sum(table8, EvalPoint(0.0, 0.1), 0)
-    assert p.value == 0 and p.N == 0 and p.term_magnitudes == ()
+    # zero orders compute no S, so the empty sum is 0 even at the pole
+    for x in (0.0, 1j * math.pi / 2):
+        p = partial_sum(table8, EvalPoint(x, 0.1), 0)
+        assert p.value == 0 and p.N == 0 and p.term_magnitudes == ()
+    with pytest.raises(PoleProximityError):
+        partial_sum(table8, EvalPoint(1j * math.pi / 2, 0.1), 1)
+
+
+def test_partial_sum_N_counts_its_terms(table8):
+    for N in range(10):
+        assert partial_sum(table8, EvalPoint(0.5, 0.1), N).N == N
+    assert PartialSum(1j, (1.0, 2.0, 0.5)).N == 3
 
 
 def test_partial_sum_bounds(table8):
@@ -190,10 +201,8 @@ def _first_argmin(table, x, eps):
     """Brute force: the first index of the smallest |eps^{2n} u_n(x)|^2, as
     exact Fractions."""
     e4 = Fraction(eps) ** 4
-    mags = []
-    for n, p in enumerate(table.u):
-        re, im, den = _exact(p, x)
-        mags.append(Fraction(re * re + im * im, den * den) * e4 ** n)
+    mags = [Fraction(re * re + im * im, den * den) * e4 ** n
+            for n, (re, im, den) in enumerate(_exact(table.u, x, table.gamma))]
     return mags.index(min(mags))
 
 

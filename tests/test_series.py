@@ -287,6 +287,14 @@ def test_order_residual_refuses_an_order_outside_the_table(n):
         order_residual(build_series(6), n)
 
 
+def test_top_coefficient_refuses_an_order_outside_the_table():
+    # a negative n would index from the end (-2 read u_4), and 6 lies past it
+    t = build_series(5)
+    for n in (-1, -2, 6):
+        with pytest.raises(ValueError, match=f"^order n = {n} outside 0..n_max = 5$"):
+            t.top_coefficient(n)
+
+
 def _reference_cauchy(u, n):
     # sum_k u_k u_{n-k} coefficient by coefficient in Fractions, over
     # integer forms (nums, den)
@@ -343,21 +351,24 @@ def test_order_residual_reads_a_power_above_the_degree_invariant(n, extra):
 @pytest.mark.parametrize("k, index", [(1, 0), (1, 2), (4, 5), (9, 0), (12, 17)])
 def test_build_refuses_a_wrong_point_value(monkeypatch, k, index):
     # one stored value of v_k = u_k / S (index in the order s = 0, 1, -1,
-    # 2, ...) off by 1: the interpolated Cauchy product is then no integer
-    # polynomial, and the build raises instead of returning a table
+    # 2, ...) off by 1, so the interpolated Cauchy product is no integer
+    # polynomial, or off by 60!, which keeps every Delta^i w / i! an integer
+    # (i <= d <= 20 here) and leaves only the top difference Delta^{d+1} w != 0:
+    # either way the build raises instead of returning a table
     values = series._values
-    hit = []
+    for offset in (1, math.factorial(60)):
+        hit = []
 
-    def off_by_one(nums, vals, count):
-        values(nums, vals, count)
-        if len(nums) == k + 2 and len(vals) > index and not hit:
-            vals[index] += 1
-            hit.append(index)
+        def off_by(nums, vals, count):
+            values(nums, vals, count)
+            if len(nums) == k + 2 and len(vals) > index and not hit:
+                vals[index] += offset
+                hit.append(index)
 
-    monkeypatch.setattr(series, "_values", off_by_one)
-    with pytest.raises(RecurrenceError, match="^inexact interpolation at order "):
-        build_series(20, F(3, 2))
-    assert hit
+        monkeypatch.setattr(series, "_values", off_by)
+        with pytest.raises(RecurrenceError, match="^inexact interpolation at order "):
+            build_series(20, F(3, 2))
+        assert hit
 
 
 @PERTURBATIONS
