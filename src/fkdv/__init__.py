@@ -27,16 +27,15 @@ _NAMES = {
         "table_to_json"),
     "evaluation": (
         "POLE_THRESHOLD", "EvalPoint", "PartialSum", "PoleProximityError",
-        "empirical_optimum", "eval_coefficient", "optimal_N", "partial_sum",
-        "sech_squared", "singularity"),
+        "empirical_optimum", "optimal_N", "partial_sum", "sech_squared",
+        "singularity"),
     "late_terms": (
         "SingulantReport", "chi_squared_estimate", "fit_divergence_exponent",
-        "ratio_test", "richardson_extrapolate", "singulant_report"),
+        "ratio_test", "singulant_report"),
     "stokes": (
         "DEFAULT_LAMBDA", "QuadratureError", "StokesFrame", "StokesProfile",
-        "erf_profile", "exp_tail", "frame_for", "integrate_multiplier",
-        "multiplier_rhs", "one_sided_remainder", "smoothing_rhs",
-        "stokes_jump", "tail_amplitude"),
+        "erf_profile", "frame_for", "integrate_multiplier", "multiplier_rhs",
+        "smoothing_rhs", "stokes_jump", "tail_amplitude"),
     "bvp": (
         "ExponentFit", "FitQualityError", "GridSolution", "IllConditionedError",
         "NonConvergenceError", "ResolutionError", "SolverConfig",

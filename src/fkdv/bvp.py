@@ -91,6 +91,7 @@ def default_half_length(epsilon: float) -> float:
 NEWTON_TOL = 1e-12
 #: Newton step target relative to max(1, |U|)
 STEP_TOL = 1e-6
+#: most Newton steps a solve takes, each one's iterate evaluated
 MAX_ITERS = 50
 #: steps without a new smallest residual before Newton gives up (7 seen in a
 #: solve that converged: eps = 0.16, gamma = 3/2)
@@ -164,17 +165,24 @@ def unit_config(config: SolverConfig) -> SolverConfig:
 @dataclass
 class GridSolution:
     """The solution's values u at `nodes`, which end at L: solve's
-    collocation points x_j = j L/M, or sweep's samples x_i = i L/N. A
-    solution from solve also holds its cosine coefficients a_m of u = sum
-    a_m cos(m pi x / L)."""
+    collocation points x_j = j L/M, or sweep's samples x_i = i L/N. Its
+    residual_history is initial_guess's residual and then each Newton step's:
+    iterations counts the steps. A solution from solve also holds its cosine
+    coefficients a_m of u = sum a_m cos(m pi x / L)."""
 
     nodes: np.ndarray
     u: np.ndarray
-    residual_norm: float
-    iterations: int
-    residual_history: tuple[float, ...] = ()
+    residual_history: tuple[float, ...]
     residual_target: float = 0.0
     coefficients: np.ndarray | None = None
+
+    @property
+    def residual_norm(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
 
     def evaluate(self, x):
         """The cosine interpolant at x (a float or an array) in [0, L]."""
@@ -268,21 +276,21 @@ def _five_smooth(n: int) -> int:
 def solve(config: SolverConfig) -> GridSolution:
     """Newton iteration on U's cosine coefficients from initial_guess until
     the step and the residual both meet their targets (module docstring).
-    The solution holds u at the collocation points, from the last iteration.
+    The solution holds u at the collocation points, from the last step.
 
     Converging off the wave's branch U(0) >= 1, STALL_ITERS steps without a
     new smallest residual, or MAX_ITERS steps short of the targets, raises
-    NonConvergenceError with the history. IllConditionedError is raised for
-    a non-finite residual, a singular Newton matrix or a non-finite Newton
-    correction; ResolutionError when the top fiftieth of the spectrum
-    exceeds SPECTRUM_TOL max|u|.
+    NonConvergenceError with the history and the number of steps taken.
+    IllConditionedError is raised for a non-finite residual, a singular
+    Newton matrix or a non-finite Newton correction; ResolutionError when
+    the top fiftieth of the spectrum exceeds SPECTRUM_TOL max|u|.
     """
     unit = unit_config(config)
     col = _Collocation(unit)
     a = cosine_coefficients(initial_guess(unit))
     step = math.inf
     history = []
-    for it in range(MAX_ITERS):
+    for it in range(MAX_ITERS + 1):  # it = Newton steps taken
         u, F = col.residual(a)
         rn = float(np.abs(F).max())
         history.append(rn)
@@ -292,7 +300,8 @@ def solve(config: SolverConfig) -> GridSolution:
         scale = max(1.0, float(np.abs(u).max()))
         target = NEWTON_TOL * scale * scale
         converged = rn <= target and step <= STEP_TOL * scale
-        if converged or len(history) - 1 - int(np.argmin(history)) >= STALL_ITERS:
+        if (converged or it == MAX_ITERS
+                or it - int(np.argmin(history)) >= STALL_ITERS):
             break
         try:
             da = np.linalg.solve(col.jacobian(u), -F)
@@ -303,18 +312,18 @@ def solve(config: SolverConfig) -> GridSolution:
         step = float(np.abs(col.C @ da).max())
         a = a + da
     g2, g4 = config.gamma ** 2, config.gamma ** 4
-    rn, target, history = g4 * rn, g4 * target, tuple(g4 * r for r in history)
+    target, history = g4 * target, tuple(g4 * r for r in history)
     if not converged:
         raise NonConvergenceError(
-            f"residual {rn:.3e} after {len(history)} iterations "
+            f"residual {history[-1]:.3e} after {it} Newton steps "
             f"(smallest {min(history):.3e}, target {target:.3e})", history)
     if not u[0] >= 1.0:  # e.g. the trivial u = 0
         raise NonConvergenceError(
             f"converged to u(0) = {g2 * u[0]:.3e} below the wave's branch u(0) "
-            f">= gamma^2 = {g2:g} after {len(history)} iterations", history)
+            f">= gamma^2 = {g2:g} after {it} Newton steps", history)
     a, u = g2 * a, g2 * u
     _check_spectrum(a, u, unit)
-    return GridSolution(collocation_points(config), u, rn, it, history, target, a)
+    return GridSolution(collocation_points(config), u, history, target, a)
 
 
 def _check_spectrum(a: np.ndarray, u: np.ndarray, unit: SolverConfig) -> None:

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .series import SechPolynomial, SeriesTable
+from .series import SeriesTable
 
 #: evaluation refuses points with |cosh(gamma x)| below this
 POLE_THRESHOLD = 1e-8
@@ -125,13 +125,6 @@ def _exact(polys, x: complex, gamma) -> list[tuple[int, int, int]]:
     an empty polys computes no S, so it reads nothing even at a pole."""
     s = _point(x, gamma) if polys else None
     return [_horner(*p.int_form, *s) for p in polys]
-
-
-def eval_coefficient(p: SechPolynomial, x: complex) -> complex:
-    """sum a_m S^m at S = sech^2(gamma x), exact at the double S and rounded
-    once; raises OverflowError if the value itself leaves double range."""
-    [(re, im, den)] = _exact((p,), x, p.gamma)
-    return complex(re / den, im / den)
 
 
 def optimal_N(x: complex, epsilon: float, gamma) -> int:

@@ -85,17 +85,6 @@ def _extrapolants(seq, max_order: int) -> list[Fraction]:
     return out
 
 
-def richardson_extrapolate(seq: list[float], order: int) -> tuple[float, float]:
-    """(estimate, error bound) after eliminating 1/n powers up to the order.
-
-    The error bound is the exact difference of the last two extrapolants.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    tab = _extrapolants(seq, order)
-    return float(tab[-1]), float(abs(tab[-1] - tab[-2]))
-
-
 def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     """(n, measured, predicted) consecutive-term ratios u_{n+1}(x)/u_n(x).
 

@@ -131,10 +131,6 @@ class SechPolynomial:
     def is_zero(self) -> bool:
         return not any(self.int_form[0])
 
-    def terms(self) -> list[tuple[int, Fraction]]:
-        """(power, coefficient) pairs in ascending power order."""
-        return sorted(self.coeffs.items())
-
 
 def _store(p: SechPolynomial, nums, den: int, gamma: Fraction) -> SechPolynomial:
     """Store sum nums[m] S^m / den in p in canonical form: one gcd for the

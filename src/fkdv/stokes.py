@@ -17,6 +17,10 @@ becomes an error function; the resulting jump is
 
     [S] = Lam pi e^{3 i pi / 2} / eps^beta            (beta = 2 here).
 
+Past the Stokes line the switched remainder [S] e^{-i (x - sigma)/eps} has
+size |[S]| e^{-pi/(2 gamma eps)} on the real axis; with its conjugate it
+gives the real tail, whose amplitude `tail_amplitude` is twice that.
+
 `multiplier_rhs` keeps every factor of the finite-N forcing (the slow phases
 included), which is what the per-point examples pin down. `integrate_multiplier`
 defaults to the inner-zone normal form: exact damping, phases at their
@@ -33,7 +37,6 @@ is never positive, so no theta needs a guard.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -209,22 +212,6 @@ def erf_profile(eta: float, frame: StokesFrame) -> complex:
     """
     integral = _SQRT_HALF_PI * (1.0 + math.erf(frame._sqrt_r * eta / _SQRT2))
     return frame._erf_prefactor * integral
-
-
-def one_sided_remainder(x: float, epsilon: float, gamma=1) -> complex:
-    """Remainder switched on past the upper Stokes line: [S] e^{-i(x-sigma)/eps}."""
-    sigma = singularity(gamma)
-    return (stokes_jump(epsilon)
-            * cmath.exp(-1j * (complex(x) - sigma) / epsilon))
-
-
-def exp_tail(x: float, epsilon: float, gamma=1) -> float:
-    """Real tail from the conjugate pair of crossings:
-    -(2 Lam pi / eps^2) e^{-pi/(2 gamma eps)} sin(x/eps). x/eps is the
-    leading-order phase: the BVP's tail runs at k, the root of
-    eps^2 k^4 - k^2 - c = 0 (k = sqrt(104) = 10.198 at eps = 0.1)."""
-    amp = math.copysign(tail_amplitude(epsilon, gamma), -DEFAULT_LAMBDA)
-    return amp * math.sin(x / epsilon)
 
 
 def tail_amplitude(epsilon: float, gamma=1) -> float:

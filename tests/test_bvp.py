@@ -18,7 +18,6 @@ from fkdv import (
     build_series,
     check_window,
     default_c,
-    eval_coefficient,
     fit_exponent,
     initial_guess,
     measure_tail,
@@ -29,6 +28,7 @@ from fkdv import (
 )
 from fkdv import bvp, late_terms
 from fkdv.bvp import InsufficientDataError, collocation_points, cosine_coefficients
+from fkdv.evaluation import _exact
 
 
 def test_default_c_includes_exact_correction():
@@ -190,8 +190,8 @@ def test_initial_guess_is_the_outer_series_through_u1(gamma):
     u = initial_guess(cfg)
     assert np.array_equal(u, initial_guess(unit))
     for x, uj in zip(collocation_points(unit), u):
-        exact = (eval_coefficient(table.u[0], x)
-                 + unit.epsilon ** 2 * eval_coefficient(table.u[1], x)).real
+        (r0, _, d0), (r1, _, d1) = _exact(table.u[:2], x, table.gamma)
+        exact = r0 / d0 + unit.epsilon ** 2 * (r1 / d1)
         assert abs(uj - exact) <= 8 * math.ulp(exact), x
 
 
@@ -260,7 +260,7 @@ def test_cosine_coefficients_interpolate_the_guess():
     u = initial_guess(cfg)
     a = cosine_coefficients(u)
     x = collocation_points(cfg)
-    sol = GridSolution(x, u, 0.0, 0, coefficients=a)
+    sol = GridSolution(x, u, residual_history=(0.0,), coefficients=a)
     assert np.abs(sol.evaluate(x) - u).max() <= 1e-14 * np.abs(u).max()
     assert np.abs(bvp._Collocation(cfg).C @ a - u).max() <= 1e-14 * np.abs(u).max()
 
@@ -270,7 +270,8 @@ def test_symmetric_guess_has_zero_odd_derivatives_at_origin():
     cfg = SolverConfig(epsilon=0.1)
     a = cosine_coefficients(initial_guess(cfg))
     L = cfg.half_length
-    sol = GridSolution(np.array([0.0, L]), np.zeros(2), 0.0, 0, coefficients=a)
+    sol = GridSolution(np.array([0.0, L]), np.zeros(2), residual_history=(0.0,),
+                       coefficients=a)
     t = np.linspace(0.0, 0.5, 11)
     assert np.array_equal(sol.evaluate(-t), sol.evaluate(t))
     assert np.abs(sol.evaluate(L - t) - sol.evaluate(L + t)).max() <= 1e-14
@@ -315,16 +316,17 @@ def test_newton_exhausted_states_its_iterations(epsilon, gamma):
     best = int(np.argmin(history))
     assert best <= 2
     assert len(history) == best + 1 + bvp.STALL_ITERS < bvp.MAX_ITERS
-    assert f"after {len(history)} iterations (smallest {history[best]:.3e}" \
+    assert f"after {len(history) - 1} Newton steps (smallest {history[best]:.3e}" \
         in str(info.value)
 
 
 def test_newton_stops_at_max_iters(monkeypatch):
-    # eps = 0.1 converges in more than two steps, each a new smallest residual
+    # eps = 0.1 converges in more than two steps, each a new smallest
+    # residual: two steps are taken and the iterate each reaches is evaluated
     monkeypatch.setattr(bvp, "MAX_ITERS", 2)
-    with pytest.raises(NonConvergenceError, match="after 2 iterations") as info:
+    with pytest.raises(NonConvergenceError, match="after 2 Newton steps") as info:
         solve(SolverConfig(epsilon=0.1))
-    assert len(info.value.history) == 2
+    assert len(info.value.history) == 3
 
 
 def test_newton_converges_after_a_run_without_a_new_best():
@@ -435,7 +437,7 @@ def test_newton_refuses_the_trivial_branch(epsilon, gamma):
         solve(SolverConfig(epsilon=epsilon, gamma=gamma))
     history = info.value.history
     assert len(history) < bvp.MAX_ITERS
-    assert f"after {len(history)} iterations" in str(info.value)
+    assert f"after {len(history) - 1} Newton steps" in str(info.value)
 
 
 def test_collocation_jacobian_applies_the_residual_derivative():
@@ -605,8 +607,8 @@ def test_measurement_calibration_synthetic_sine():
     cfg = SolverConfig(epsilon=0.1, half_length=53 * math.pi / k)
     a = np.zeros(cfg.n_modes + 1)
     a[[0, 53, 106]] = 3.6e-7, -1e-3, 2e-5
-    sol = GridSolution(np.array([0.0, cfg.half_length]), np.zeros(2), 0.0, 0,
-                       coefficients=a)
+    sol = GridSolution(np.array([0.0, cfg.half_length]), np.zeros(2),
+                       residual_history=(0.0,), coefficients=a)
     meas = measure_tail(sol, cfg)
     assert meas.amplitude_measured == pytest.approx(1e-3, rel=1e-6)
     assert meas.value_at_L == pytest.approx(1e-3, rel=1e-6)
@@ -622,7 +624,7 @@ def test_measurement_reads_only_the_coefficients(tail_sweep, tail_sweep_half):
         assert len(sol40.nodes) > len(sol.nodes)
         assert m40 == m20, cfg.epsilon
         bare = GridSolution(np.array([0.0, cfg.half_length]), np.full(2, np.nan),
-                            0.0, 0, coefficients=sol.coefficients)
+                            residual_history=(0.0,), coefficients=sol.coefficients)
         assert measure_tail(bare, cfg) == m20, cfg.epsilon
 
 
@@ -658,7 +660,8 @@ def test_window_contamination_detected():
     # at eps = 0.03 the predicted tail is ~1e-18, far below the sech^2 core
     # at the window start: the measurement window cannot be trusted
     cfg = SolverConfig(epsilon=0.03)
-    sol = GridSolution(collocation_points(cfg), initial_guess(cfg), 0.0, 0)
+    sol = GridSolution(collocation_points(cfg), initial_guess(cfg),
+                       residual_history=(0.0,))
     with pytest.raises(WindowContaminatedError):
         measure_tail(sol, cfg)
 

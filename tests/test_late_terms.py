@@ -12,11 +12,15 @@ from fkdv import (
     chi_squared_estimate,
     fit_divergence_exponent,
     ratio_test,
-    richardson_extrapolate,
     singulant_report,
 )
 from fkdv.evaluation import singularity
-from fkdv.late_terms import InsufficientDataError, inner_coefficients, report_to_json
+from fkdv.late_terms import (
+    InsufficientDataError,
+    _extrapolants,
+    inner_coefficients,
+    report_to_json,
+)
 
 
 def test_lambda_first_entries(table30):
@@ -39,29 +43,25 @@ def test_lambda_requires_depth():
 
 
 def test_lambda_approaches_quoted_constant(table30):
-    est, err = richardson_extrapolate(
-        singulant_report(table30).lambda_aligned[1:], 3)
-    assert est == pytest.approx(-19.97, abs=0.1)
-    assert err < 0.05
+    report = singulant_report(table30)
+    assert report.lambda_final == pytest.approx(-19.97, abs=0.1)
+    assert report.lambda_error < 0.05
 
 
 def test_richardson_constant_sequence():
-    est, err = richardson_extrapolate([3.25] * 10, 2)
-    assert est == pytest.approx(3.25)
-    assert err == pytest.approx(0.0, abs=1e-12)
+    assert _extrapolants([3.25] * 10, 2) == [Fraction(13, 4)] * 3
 
 
 def test_richardson_eliminates_1_over_n():
-    seq = [1.0 + 1.0 / n for n in range(1, 11)]
-    est, _ = richardson_extrapolate(seq, 1)
-    assert est == pytest.approx(1.0, abs=1e-10)
+    seq = [1 + Fraction(1, n) for n in range(1, 11)]
+    assert _extrapolants(seq, 1)[-1] == 1
 
 
 @given(st.floats(-5, 5), st.floats(-3, 3), st.floats(-3, 3))
 @settings(max_examples=40)
 def test_richardson_exact_on_model(L, b1, b2):
     seq = [L + b1 / n + b2 / n**2 for n in range(1, 13)]
-    est, _ = richardson_extrapolate(seq, 2)
+    est = float(_extrapolants(seq, 2)[-1])
     assert est == pytest.approx(L, abs=1e-7 * (1 + abs(L) + abs(b1) + abs(b2)))
 
 
@@ -71,16 +71,13 @@ def test_richardson_exact_on_tenth_order_model():
     bs = [Fraction((-1) ** k * 7 * k, k + 3) for k in range(1, 11)]
     seq = [L + sum(b / Fraction(n) ** k for k, b in enumerate(bs, 1))
            for n in range(1, 102)]
-    assert richardson_extrapolate(seq, 10)[0] == float(L)
-    assert richardson_extrapolate(seq, 8)[0] == pytest.approx(float(L), abs=1e-9)
+    assert _extrapolants(seq, 10)[-1] == L
+    assert float(_extrapolants(seq, 8)[-1]) == pytest.approx(float(L), abs=1e-9)
 
 
 def test_richardson_insufficient():
-    with pytest.raises(InsufficientDataError):
-        richardson_extrapolate([1.0, 2.0], 3)
-    # order 0 leaves no second extrapolant for the error bound
-    with pytest.raises(ValueError, match="^order must be >= 1$"):
-        richardson_extrapolate([1.0, 2.0], 0)
+    with pytest.raises(InsufficientDataError, match="need more than 3 entries, got 2"):
+        _extrapolants([1.0, 2.0], 3)
 
 
 @pytest.mark.parametrize("analysis, message", [

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,16 +17,15 @@ PUBLIC = {
                "save_table", "second_derivative", "table_from_json",
                "table_to_json"],
     "evaluation": ["POLE_THRESHOLD", "EvalPoint", "PartialSum",
-                   "PoleProximityError", "empirical_optimum",
-                   "eval_coefficient", "optimal_N", "partial_sum",
-                   "sech_squared", "singularity"],
+                   "PoleProximityError", "empirical_optimum", "optimal_N",
+                   "partial_sum", "sech_squared", "singularity"],
     "late_terms": ["SingulantReport", "chi_squared_estimate",
                    "fit_divergence_exponent", "ratio_test",
-                   "richardson_extrapolate", "singulant_report"],
+                   "singulant_report"],
     "stokes": ["DEFAULT_LAMBDA", "QuadratureError", "StokesFrame",
-               "StokesProfile", "erf_profile", "exp_tail", "frame_for",
-               "integrate_multiplier", "multiplier_rhs", "one_sided_remainder",
-               "smoothing_rhs", "stokes_jump", "tail_amplitude"],
+               "StokesProfile", "erf_profile", "frame_for",
+               "integrate_multiplier", "multiplier_rhs", "smoothing_rhs",
+               "stokes_jump", "tail_amplitude"],
     "bvp": ["ExponentFit", "FitQualityError", "GridSolution",
             "IllConditionedError", "NonConvergenceError", "ResolutionError",
             "SolverConfig", "TailMeasurement", "WindowContaminatedError",
@@ -46,6 +46,35 @@ def test_every_public_name_is_its_submodules_object():
             assert name in listed, name
             assert star[name] is obj, name
     assert sorted(fkdv.__all__) == sorted(n for ns in PUBLIC.values() for n in ns)
+
+
+#: public names with no caller in the chain, kept as checks of it:
+#: order_residual, the exactness check of a built table; table_to_json, the
+#: tests' byte reference for save_table's text; fourth_derivative, which with
+#: second_derivative checks the closed-basis derivative by finite differences
+UNCALLED = {"order_residual", "table_to_json", "fourth_derivative"}
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is a load of the name, an attribute of that name or an import
+    # of it in the package's modules, the acceptance criteria or perfbench
+    root = Path(fkdv.__file__).resolve().parents[2]
+    files = [*(p for p in (root / "src" / "fkdv").glob("*.py")
+               if p.name != "__init__.py"),
+             root / "tests" / "test_acceptance.py",
+             *(root / "perfbench").glob("*.py")]
+    called = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                called.update(alias.name for alias in node.names)
+    uncalled = set(fkdv.__all__) - called
+    assert sorted(uncalled - UNCALLED) == []
+    assert uncalled >= UNCALLED  # an exempt name that gained a caller leaves the set
 
 
 def _fresh_interpreter(script: str) -> None:

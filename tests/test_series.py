@@ -38,7 +38,7 @@ def poly(coeffs, gamma=1):
 
 def eval_poly(p, x):
     S = 1.0 / math.cosh(float(p.gamma) * x) ** 2
-    return sum(float(a) * S**m for m, a in p.terms())
+    return sum(float(a) * S**m for m, a in sorted(p.coeffs.items()))
 
 
 # --- the closed-basis derivative, checked against finite differences

@@ -17,11 +17,9 @@ from fkdv import (
     SolverConfig,
     StokesFrame,
     erf_profile,
-    exp_tail,
     frame_for,
     integrate_multiplier,
     multiplier_rhs,
-    one_sided_remainder,
     optimal_N,
     sech_squared,
     singularity,
@@ -152,9 +150,7 @@ _GAMMA_DOORS = {
     "sech_squared": lambda g: sech_squared(0.3, g),
     "optimal_N": lambda g: optimal_N(0.0, 0.1, g),
     "frame_for": lambda g: frame_for(0.1, g),
-    "one_sided_remainder": lambda g: one_sided_remainder(0.3, 0.1, g),
     "tail_amplitude": lambda g: tail_amplitude(0.1, g),
-    "exp_tail": lambda g: exp_tail(0.3, 0.1, g),
     "predicted_amplitude": lambda g: bvp.predicted_amplitude(
         SimpleNamespace(epsilon=0.1, gamma=g)),
     "default_c": lambda g: bvp.default_c(g, 0.1),
@@ -362,7 +358,7 @@ def test_every_formula_reads_the_one_lambda(monkeypatch):
 
     def predictions():
         f = frame(eps, rho=0.3)  # fresh: the frame fixes its erf prefactor when built
-        return [stokes_jump(eps), tail_amplitude(eps), exp_tail(x, eps),
+        return [stokes_jump(eps), tail_amplitude(eps),
                 bvp.predicted_amplitude(config), multiplier_rhs(f, theta),
                 erf_profile(0.2, f)]
 
@@ -374,8 +370,7 @@ def test_every_formula_reads_the_one_lambda(monkeypatch):
 # --- the assembled tail
 
 def test_tail_example_eps_01():
-    v = exp_tail(math.pi * 0.1 / 2, 0.1)
-    assert v == pytest.approx(1.8896e-3, rel=1e-3)
+    assert tail_amplitude(0.1) == pytest.approx(1.8896e-3, rel=1e-3)
 
 
 def test_tail_example_eps_005():
@@ -384,34 +379,14 @@ def test_tail_example_eps_005():
     assert tail_amplitude(0.05) == pytest.approx(1.1399e-9, rel=1e-3)
 
 
-@pytest.mark.parametrize("lam", [-19.97, 7.5, 0.0])
-def test_tail_is_signed_tail_amplitude(monkeypatch, lam):
-    # bit-identical to the closed form -(2 Lam pi / eps^2) e^{-pi/(2 eps)}
-    monkeypatch.setattr(stokes, "DEFAULT_LAMBDA", lam)
-    eps, x = 0.1, 0.37
-    amp = -2.0 * lam * math.pi / eps ** 2 * math.exp(-math.pi / (2.0 * eps))
-    assert exp_tail(x, eps) == amp * math.sin(x / eps)
-
-
-def test_tail_node_at_origin():
-    assert exp_tail(0.0, 0.1) == 0.0
-
-
 def test_tail_is_sum_of_conjugate_halves():
-    # one switched remainder per Stokes line; the pair sums to the real tail
-    for x in (0.3, 1.7, -2.2):
-        z = one_sided_remainder(x, 0.1)
-        assembled = z + z.conjugate()
-        assert assembled.imag == 0.0
-        assert assembled.real == pytest.approx(exp_tail(x, 0.1), rel=1e-10)
-
-
-@given(st.floats(-20.0, 20.0), st.floats(0.05, 0.3))
-@settings(max_examples=50)
-def test_tail_periodicity(x, eps):
-    period = 2.0 * math.pi * eps
-    a, b = exp_tail(x, eps), exp_tail(x + period, eps)
-    assert b == pytest.approx(a, abs=1e-9 * tail_amplitude(eps) + 1e-30)
+    # the switched remainder [S] e^{-i (x - sigma)/eps} has size |[S]|
+    # e^{-pi/(2 gamma eps)} on the real axis, and with its conjugate it gives
+    # the tail's amplitude: the jump and the tail agree within a few ulp
+    for eps in (0.05, 0.1, 0.15):
+        for gamma in (1, Fraction(3, 2), Fraction(2, 3)):
+            half = abs(stokes_jump(eps)) * math.exp(-math.pi / (2 * float(gamma) * eps))
+            assert tail_amplitude(eps, gamma) == pytest.approx(2 * half, rel=4e-16)
 
 
 def test_tail_amplitude_quadruples_then_some():
