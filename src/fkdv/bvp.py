@@ -56,9 +56,9 @@ class ResolutionError(ValueError):
 class NonConvergenceError(ArithmeticError):
     """Newton iteration exhausted, or converged off the wave's branch."""
 
-    def __init__(self, msg, history=None):
+    def __init__(self, msg, history):
         super().__init__(msg)
-        self.history = tuple(history or ())
+        self.history = tuple(history)
 
 
 class IllConditionedError(ArithmeticError):
@@ -80,11 +80,11 @@ def default_c(gamma: float, epsilon: float) -> float:
     return 4.0 * g * g + 16.0 * g ** 4 * epsilon * epsilon
 
 
-def default_half_length(epsilon: float) -> float:
-    """Core decay plus ten tail oscillations, 10 + 20 pi eps, rounded up to a
-    whole number of eps/20."""
-    step = epsilon / 20.0
-    return math.ceil((10.0 + 10.0 * (2.0 * math.pi * epsilon)) / step) * step
+def default_half_length(epsilon: float, gamma: float) -> float:
+    """Ten core widths and ten tail oscillations, 10/min(1, gamma) + 20 pi eps,
+    rounded up to a whole number of eps/20, with gamma clamped to GAMMA_RANGE."""
+    step, core = epsilon / 20.0, 10.0 / min(1.0, max(gamma, 1.0 / GAMMA_RANGE))
+    return math.ceil((core + 10.0 * (2.0 * math.pi * epsilon)) / step) * step
 
 
 #: residual target relative to max(1, |U|)^2
@@ -120,7 +120,7 @@ class SolverConfig:
     """Domain and eigenvalue for one solve, checked at construction. L is
     half_length as given, else default_half_length, and must reach 10/gamma +
     20 pi eps, U's rule on gamma L (ten core widths and ten tail wavelengths;
-    the default is not widened for gamma < 1). gamma is kept as its double,
+    the default is widened for gamma < 1 only). gamma is kept as its double,
     n_modes is M, c is default_c. MAX_MODES and GAMMA_RANGE apply before any
     allocation."""
 
@@ -136,7 +136,7 @@ class SolverConfig:
         object.__setattr__(self, "gamma", g)
         if self.half_length is None:
             object.__setattr__(self, "half_length",
-                               default_half_length(self.epsilon))
+                               default_half_length(self.epsilon, g))
         elif not 0 < self.half_length < math.inf:
             raise ValueError("half_length must be positive and finite")
         L, need = g * self.half_length, 10.0 + 20.0 * math.pi * (g * self.epsilon)
@@ -167,14 +167,14 @@ class GridSolution:
     """The solution's values u at `nodes`, which end at L: solve's
     collocation points x_j = j L/M, or sweep's samples x_i = i L/N. Its
     residual_history is initial_guess's residual and then each Newton step's:
-    iterations counts the steps. A solution from solve also holds its cosine
-    coefficients a_m of u = sum a_m cos(m pi x / L)."""
+    iterations counts the steps. `coefficients` are the cosine coefficients
+    a_m of u = sum a_m cos(m pi x / L), which every solution holds."""
 
     nodes: np.ndarray
     u: np.ndarray
     residual_history: tuple[float, ...]
+    coefficients: np.ndarray
     residual_target: float = 0.0
-    coefficients: np.ndarray | None = None
 
     @property
     def residual_norm(self) -> float:
@@ -185,8 +185,12 @@ class GridSolution:
         return len(self.residual_history) - 1
 
     def evaluate(self, x):
-        """The cosine interpolant at x (a float or an array) in [0, L]."""
-        k = np.arange(len(self.coefficients)) * (math.pi / self.nodes[-1])
+        """The cosine interpolant at x (a float or an array) with |Re x| <= L."""
+        L = self.nodes[-1]
+        beyond = np.asarray(x)[~(np.abs(np.real(x)) <= L)]
+        if beyond.size:
+            raise ValueError(f"x = {beyond.flat[0]} lies beyond the domain |x| <= L = {L}")
+        k = np.arange(len(self.coefficients)) * (math.pi / L)
         return np.cos(np.multiply.outer(x, k)) @ self.coefficients
 
 
@@ -323,7 +327,8 @@ def solve(config: SolverConfig) -> GridSolution:
             f">= gamma^2 = {g2:g} after {it} Newton steps", history)
     a, u = g2 * a, g2 * u
     _check_spectrum(a, u, unit)
-    return GridSolution(collocation_points(config), u, history, target, a)
+    return GridSolution(collocation_points(config), u, residual_history=history,
+                        coefficients=a, residual_target=target)
 
 
 def _check_spectrum(a: np.ndarray, u: np.ndarray, unit: SolverConfig) -> None:
@@ -448,24 +453,20 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
     measurement), ascending in epsilon.
 
     Each solution is solve's, sampled by _sample at the step h = eps /
-    h_factor, which moves neither L, the solve nor the measurement. h must be
-    positive and finite (else ValueError), at most eps/10 to sample the 2 pi
-    eps wavelength, and L/h at most MAX_SAMPLES (else ResolutionError). A
-    half_length of None takes the default domain. Every configuration, its
-    step and its measurement window are checked before the first solve, and
-    each solve starts from its own initial_guess, so a row does not depend on
-    the other epsilons in the list.
+    h_factor, which moves neither L, the solve nor the measurement. h_factor
+    must lie in [10, inf) for h <= eps/10 to sample the 2 pi eps wavelength,
+    and L/h at most MAX_SAMPLES (else ResolutionError). A half_length of
+    None takes the default domain. h_factor, then every configuration, its
+    step and its window are checked before the first solve; each solve
+    starts from its own initial_guess, so a row depends on its eps alone.
     """
+    if not 10.0 <= h_factor < math.inf:
+        raise ResolutionError(f"h_factor = {h_factor} outside [10, inf): the step "
+                              "h = eps/h_factor samples 2 pi eps only at h <= eps/10")
     checked = []
     for eps in sorted(epsilons):
         config = SolverConfig(epsilon=eps, gamma=gamma, half_length=half_length)
-        h = eps / h_factor if h_factor else math.nan
-        if not 0 < h < math.inf:
-            raise ValueError(f"the sampling step h = eps/h_factor = {h} must be "
-                             "positive and finite")
-        if h > eps / 10.0 * (1.0 + 1e-9):
-            raise ResolutionError(f"h = {h} too coarse: need h <= eps/10 = "
-                                  f"{eps / 10.0} to sample the 2 pi eps wavelength")
+        h = eps / h_factor
         L = config.half_length
         if not L / h <= MAX_SAMPLES:
             raise ResolutionError(f"L = {L}, h = {h}: {L / h:.4g} samples exceed "

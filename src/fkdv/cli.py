@@ -10,8 +10,8 @@ refused before its renames, writes nothing and prints only its error (stderr).
 Exit codes: 0 success, 1 math failure, 2 validation failure. Every exception
 class of the layers subclasses `ArithmeticError` (a math failure, as are
 `OverflowError` and `ZeroDivisionError`) or `ValueError` (a validation failure),
-and `main` catches only these two. The default output directory is
-$FKDV_OUT_DIR, else the working directory.
+and `main` catches only these two and `OSError`, an unwritable output (exit 2).
+The default output directory is $FKDV_OUT_DIR, else the working directory.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def cmd_compare(args) -> tuple[dict[Path, str], list[str]]:
     })}, lines
 
 
-DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10 + 20 pi eps rounded "
-                      "up to a multiple of eps/20; >= 10/gamma + 20 pi eps)")
+DOMAIN_LENGTH_HELP = ("half length L, solved as given (default 10/min(1, gamma) + 20 pi "
+                      "eps rounded up to a multiple of eps/20; >= 10/gamma + 20 pi eps)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
             "version": __version__, "outputs": [str(p) for p in outputs],
             "duration_seconds": time.perf_counter() - t0})
         atomic_write({**outputs, Path(f"{next(iter(outputs))}.manifest.json"): manifest})
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

@@ -160,9 +160,8 @@ def fit_divergence_exponent(table: SeriesTable) -> tuple[int, dict[int, float]]:
 
 @dataclass(frozen=True)
 class SingulantReport:
-    sigma: complex
-    chi_prime: int
-    beta_exponent: int
+    """What singulant_report measured: the Lam sequences and ladder, the beta fit."""
+
     lambda_sequence: tuple[float, ...]
     lambda_aligned: tuple[float, ...]
     lambda_extrapolants: tuple[float, ...]
@@ -197,9 +196,6 @@ def singulant_report(table: SeriesTable, order: int = 3) -> SingulantReport:
     extrap = _extrapolants(aligned[1:], order)
     beta_sel, slopes = fit_divergence_exponent(table)
     return SingulantReport(
-        sigma=singularity(table.gamma),
-        chi_prime=+1,
-        beta_exponent=2,
         lambda_sequence=tuple(map(float, raw)),
         lambda_aligned=tuple(map(float, aligned)),
         lambda_extrapolants=tuple(map(float, extrap)),
@@ -212,10 +208,12 @@ def singulant_report(table: SeriesTable, order: int = 3) -> SingulantReport:
 
 def report_to_json(report: SingulantReport, table: SeriesTable) -> dict:
     ratio_rows = ratio_test(table, 0.0)
+    sigma = singularity(table.gamma)
     return {
-        "sigma": [report.sigma.real, report.sigma.imag],
-        "chi_prime": report.chi_prime,
-        "beta_exponent": report.beta_exponent,
+        # the model's constants, not measurements: beta = 2 by u_0's double pole
+        "sigma": [sigma.real, sigma.imag],
+        "chi_prime": 1,
+        "beta_exponent": 2,
         "lambda_sequence": list(report.lambda_sequence),
         "lambda_aligned": list(report.lambda_aligned),
         "extrapolants": list(report.lambda_extrapolants),

@@ -102,20 +102,19 @@ class SechPolynomial:
     The storage is the canonical integer form `int_form`, (nums, den): a_m =
     nums[m] / den, with nums[0] = 0 for the absent constant term, den > 0,
     gcd(den, *nums) = 1 and no trailing zero numerator, so the zero
-    polynomial is ((0,), 1). Equal polynomials have equal forms, and
-    equality compares (int_form, gamma). `coeffs`, the {power: Fraction} map
-    of the nonzero coefficients, is built only when first read.
+    polynomial is ((0,), 1). Equal polynomials have equal forms, which
+    equality compares; gamma is the table's. `coeffs`, the {power: Fraction}
+    map of the nonzero coefficients, is built only when first read.
     """
 
     int_form: tuple[tuple[int, ...], int]
-    gamma: Fraction
 
-    def __init__(self, coeffs, gamma=Fraction(1)):
+    def __init__(self, coeffs):
         terms = {m: _rat(a).as_integer_ratio() for m, a in coeffs.items()}
         for m in terms:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"powers must be integers >= 1, got {m!r}")
-        _store(self, *_int_form(terms), _gamma(gamma))
+        _store(self, *_int_form(terms))
 
     @cached_property
     def coeffs(self) -> dict[int, Fraction]:
@@ -132,7 +131,7 @@ class SechPolynomial:
         return not any(self.int_form[0])
 
 
-def _store(p: SechPolynomial, nums, den: int, gamma: Fraction) -> SechPolynomial:
+def _store(p: SechPolynomial, nums, den: int) -> SechPolynomial:
     """Store sum nums[m] S^m / den in p in canonical form: one gcd for the
     whole polynomial, the sign on the numerators, trailing zeros dropped."""
     g = math.gcd(den, *nums)
@@ -142,16 +141,15 @@ def _store(p: SechPolynomial, nums, den: int, gamma: Fraction) -> SechPolynomial
     while top > 0 and not nums[top]:
         top -= 1
     object.__setattr__(p, "int_form", (tuple(x // g for x in nums[:top + 1]), den // g))
-    object.__setattr__(p, "gamma", gamma)
     return p
 
 
 # ---------------------------------------------------------------------------
 # arithmetic on integer forms (SechPolynomial.int_form)
 
-def _poly(nums: list[int], den: int, gamma: Fraction) -> SechPolynomial:
-    """The polynomial sum nums[m] S^m / den at a gamma already checked > 0."""
-    return _store(object.__new__(SechPolynomial), nums, den, gamma)
+def _poly(nums: list[int], den: int) -> SechPolynomial:
+    """The polynomial sum nums[m] S^m / den."""
+    return _store(object.__new__(SechPolynomial), nums, den)
 
 
 def _d2(nums: list[int]) -> list[int]:
@@ -257,24 +255,24 @@ def _cauchy(u, n: int, vals: dict) -> tuple[list[int], int]:
     return [0, 0, *p], den
 
 
-def second_derivative(p: SechPolynomial) -> SechPolynomial:
-    """Exact d^2/dx^2 in the S basis; degree rises by exactly one."""
-    g2 = p.gamma * p.gamma
+def second_derivative(p: SechPolynomial, gamma) -> SechPolynomial:
+    """Exact d^2/dx^2 of p in S = sech^2(gamma x); degree rises by exactly one."""
+    g2 = _gamma(gamma) ** 2
     nums, den = p.int_form
-    return _poly([g2.numerator * x for x in _d2(nums)], den * g2.denominator, p.gamma)
+    return _poly([g2.numerator * x for x in _d2(nums)], den * g2.denominator)
 
 
-def fourth_derivative(p: SechPolynomial) -> SechPolynomial:
+def fourth_derivative(p: SechPolynomial, gamma) -> SechPolynomial:
     """Exact d^4/dx^4; composition of second_derivative with itself."""
-    return second_derivative(second_derivative(p))
+    return second_derivative(second_derivative(p, gamma), gamma)
 
 
 @dataclass(frozen=True)
 class SeriesTable:
     """The family {u_n, c_n} for n = 0..n_max at a fixed rational gamma.
 
-    Every u_n is a SechPolynomial at the table's gamma, the only gamma a
-    saved file carries. Immutable once built; safe to share across threads.
+    Every u_n is a SechPolynomial in S = sech^2(gamma x), with gamma held
+    here alone, as a saved file holds it. Immutable; safe to share across threads.
     """
 
     gamma: Fraction
@@ -288,8 +286,8 @@ class SeriesTable:
         if len(self.u) != len(self.c):
             raise ValueError("u and c must have equal length")
         for n, p in enumerate(self.u):
-            if not isinstance(p, SechPolynomial) or p.gamma != self.gamma:
-                raise ValueError(f"u_{n} is not a SechPolynomial at gamma = {self.gamma}")
+            if not isinstance(p, SechPolynomial):
+                raise ValueError(f"u_{n} is not a SechPolynomial")
 
     @property
     def n_max(self) -> int:
@@ -297,10 +295,12 @@ class SeriesTable:
 
     def top_coefficient(self, n: int) -> Fraction:
         """Coefficient of S^{n+1} in u_n (the degree invariant pins it); an
-        n outside 0..n_max raises ValueError."""
+        n outside 0..n_max, or a u_n of degree below n + 1, raises ValueError."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"order n = {n} outside 0..n_max = {self.n_max}")
         nums, den = self.u[n].int_form
+        if len(nums) <= n + 1:
+            raise ValueError(f"u_{n} has degree {len(nums) - 1}, below n + 1 = {n + 1}")
         return Fraction(nums[n + 1], den)
 
 
@@ -333,7 +333,7 @@ def order_residual(table: SeriesTable, n: int) -> SechPolynomial:
     if not 0 <= n <= table.n_max:
         raise ValueError(f"order n = {n} outside 0..n_max = {table.n_max}")
     u = [p.int_form for p in table.u[:n + 1]]
-    return _poly(*_residual(u, table.c, table.gamma, n, {}), table.gamma)
+    return _poly(*_residual(u, table.c, table.gamma, n, {}))
 
 
 def _solve_order(F: list[int], R: int, n: int) -> tuple[tuple[list[int], int], Fraction]:
@@ -392,7 +392,7 @@ def _rescaled(u, c, gamma: Fraction) -> SeriesTable:
     polys, cs = [], []
     for n, ((nums, den), c_n) in enumerate(zip(u, c)):
         s = gamma ** (2 * n + 2)
-        polys.append(_poly([s.numerator * x for x in nums], s.denominator * den, gamma))
+        polys.append(_poly([s.numerator * x for x in nums], s.denominator * den))
         cs.append(s * c_n)
     return SeriesTable(gamma, polys, cs)
 
@@ -508,7 +508,7 @@ def table_from_json(doc: dict) -> SeriesTable:
                 terms[power] = _parse_ratio(a)
             except ValueError as e:
                 raise ValueError(f"order {n}, power {m}: {e}") from None
-        u.append(_poly(*_int_form(terms), gamma))  # reduced once by _poly
+        u.append(_poly(*_int_form(terms)))  # reduced once by _poly
     return SeriesTable(gamma, u, c)
 
 

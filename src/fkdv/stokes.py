@@ -133,7 +133,7 @@ class StokesProfile:
     samples: list[tuple[float, complex]]
     jump_numeric: complex
     jump_closed_form: complex
-    refinements: int = 0
+    refinements: int
 
 
 def stokes_jump(epsilon: float) -> complex:

@@ -62,7 +62,8 @@ def _count_solves(monkeypatch) -> list:
 def test_too_coarse_grid_rejected_before_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     with pytest.raises(ResolutionError, match=re.escape(
-            "h = 0.1 too coarse: need h <= eps/10 = 0.01")):
+            "h_factor = 1.0 outside [10, inf): the step h = eps/h_factor "
+            "samples 2 pi eps only at h <= eps/10")):
         sweep([0.1], h_factor=1.0)
     assert calls == []
 
@@ -80,17 +81,18 @@ def test_nonpositive_grid_or_domain_rejected(field, value):
         with pytest.raises(ValueError, match="half_length must be positive"):
             SolverConfig(epsilon=0.1, half_length=value)
     else:
-        with pytest.raises(ValueError, match="sampling step h = eps/h_factor = "
-                           r"\S+ must be positive and finite"):
+        with pytest.raises(ResolutionError, match=r"h_factor = \S+ outside "
+                           r"\[10, inf\)"):
             sweep([0.1], h_factor=0.1 / value if value else math.inf)
 
 
 @pytest.mark.parametrize("gamma, need", [(0.5, 20.0), (0.1, 100.0)])
 def test_domain_must_hold_ten_core_widths(gamma, need):
-    # the sech^2(gamma x) core is 1/gamma wide: L >= 10/gamma + 20 pi eps
+    # the sech^2(gamma x) core is 1/gamma wide: L >= 10/gamma + 20 pi eps,
+    # which the default L meets, rounded up to a whole number of eps/20
     L = need + 20.0 * math.pi * 0.1
-    with pytest.raises(ResolutionError, match=rf"gamma = {gamma}: need L >= "):
-        SolverConfig(epsilon=0.1, gamma=gamma)  # the default L is 10 + 20 pi eps
+    default = SolverConfig(epsilon=0.1, gamma=gamma).half_length
+    assert default == math.ceil(L / 0.005) * 0.005 >= L
     with pytest.raises(ResolutionError, match="too short"):
         SolverConfig(epsilon=0.1, gamma=gamma, half_length=0.99 * L)
     assert SolverConfig(epsilon=0.1, gamma=gamma, half_length=L).half_length >= L
@@ -169,7 +171,7 @@ def test_sampling_step_leaves_the_solve_unchanged(epsilon):
     # whatever h is, so every h solves the same problem bit for bit
     rows = [sweep([epsilon], h_factor=f)[0] for f in (20, 40, 160)]
     for cfg, sol, meas in rows:
-        assert sol.nodes[-1] == bvp.default_half_length(epsilon)
+        assert sol.nodes[-1] == bvp.default_half_length(epsilon, 1.0)
         assert np.array_equal(sol.coefficients, rows[0][1].coefficients)
         assert (cfg, meas) == rows[0][::2]
 
@@ -214,13 +216,14 @@ def test_sweep_checks_every_config_before_solving(monkeypatch):
 
 
 @pytest.mark.parametrize("h_factor, error, message", [
-    (0.0, ValueError, "h = eps/h_factor = nan must be positive and finite"),
-    (5.0, ResolutionError, "h = 0.016 too coarse: need h <= eps/10 = 0.008"),
+    (0.0, ResolutionError, "h_factor = 0.0 outside [10, inf)"),
+    (5.0, ResolutionError, "h_factor = 5.0 outside [10, inf)"),
     (1e89, ResolutionError, "samples exceed the cap of 1048576"),
 ])
 def test_sweep_checks_every_step_before_solving(monkeypatch, h_factor, error, message):
-    # sweep alone samples, so it alone checks h = eps/h_factor, for every eps
-    # before the first solve (h_factor = 0 once raised ZeroDivisionError)
+    # sweep alone samples, so it alone checks h = eps/h_factor: h_factor once,
+    # the sample cap for every eps, all before the first solve (h_factor = 0
+    # once raised ZeroDivisionError)
     calls = _count_solves(monkeypatch)
     with pytest.raises(error, match=re.escape(message)):
         sweep([0.15, 0.08], h_factor=h_factor)
@@ -274,7 +277,21 @@ def test_symmetric_guess_has_zero_odd_derivatives_at_origin():
                        coefficients=a)
     t = np.linspace(0.0, 0.5, 11)
     assert np.array_equal(sol.evaluate(-t), sol.evaluate(t))
-    assert np.abs(sol.evaluate(L - t) - sol.evaluate(L + t)).max() <= 1e-14
+    k = np.arange(len(a)) * (math.pi / L)
+    beyond = np.cos(np.multiply.outer(L + t, k)) @ a  # evaluate refuses x > L
+    assert np.abs(sol.evaluate(L - t) - beyond).max() <= 1e-14
+
+
+def test_evaluate_refuses_x_beyond_the_domain():
+    # beyond L the cosine sum is u's periodic even extension, not u: at x =
+    # 100 it read 0.0727 on L = 16.285
+    cfg = SolverConfig(epsilon=0.1)
+    sol, L = solve(cfg), cfg.half_length
+    assert sol.evaluate(-L) == sol.evaluate(L)  # measure_tail's last point
+    for x in (100.0, -L - 1e-9, np.array([0.0, 2 * L]), L + 1 + 0.5j, math.nan):
+        with pytest.raises(ValueError, match=rf"x = \S+ lies beyond the domain "
+                                             rf"\|x\| <= L = {L}"):
+            sol.evaluate(x)
 
 
 def test_sine_tail_even_about_L_iff_stationary():
@@ -400,7 +417,7 @@ def test_solve_at_gamma_is_the_mapped_unit_solve(epsilon, gamma, half_length,
 def test_the_map_is_exact_at_the_edges_of_the_gamma_range(gamma):
     # a power of two scales every double exactly: at gamma = 2^+-64 the
     # solve, its u, its samples and its tail are U's times gamma^2 bit for bit
-    L = bvp.default_half_length(0.1)
+    L = bvp.default_half_length(0.1, 1.0)
     cfg = SolverConfig(0.1 / gamma, gamma, half_length=L / gamma)
     unit = bvp.unit_config(cfg)
     assert (unit.epsilon, unit.half_length, unit.n_modes) == (0.1, L, cfg.n_modes)
@@ -661,7 +678,8 @@ def test_window_contamination_detected():
     # at the window start: the measurement window cannot be trusted
     cfg = SolverConfig(epsilon=0.03)
     sol = GridSolution(collocation_points(cfg), initial_guess(cfg),
-                       residual_history=(0.0,))
+                       residual_history=(0.0,),
+                       coefficients=cosine_coefficients(initial_guess(cfg)))
     with pytest.raises(WindowContaminatedError):
         measure_tail(sol, cfg)
 

@@ -310,8 +310,8 @@ def test_compare_singular_newton_matrix_is_math_failure(tmp_path, capsys,
     # 1e-300 = 1/10^300: its denominator is beyond GAMMA_BOUND
     (["compare", "--epsilon", "0.1", "--gamma", "1e-300"],
      "gamma must be positive, in lowest terms p/q with p, q < 2^32, not 1e-300"),
-    # the core is 10 wide: the default L = 16.285 cut it off
-    (["compare", "--epsilon", "0.1", "--gamma", "0.1"],
+    # the core is 10 wide: L = 16.285, gamma = 1's default, cuts it off
+    (["compare", "--epsilon", "0.1", "--gamma", "0.1", "--domain-length", "16.285"],
      "L = 16.285 too short at gamma = 0.1: need L >= 106.28"),
     # 1e300: its numerator is beyond GAMMA_BOUND
     (["tails", "--epsilon", "0.1", "--gamma", "1e300"],
@@ -646,14 +646,25 @@ def test_a_failed_run_writes_nothing(tmp_path, capsys, argv, message):
 def test_a_write_refused_before_its_renames_writes_nothing(tmp_path, capsys):
     # a directory in the way of the CSV once left the report and no manifest:
     # every temp file is written, and every path checked, before any rename;
-    # nor is the lambda_final line printed, as it once was before the write
+    # nor is the lambda_final line printed, as it once was before the write.
+    # The refusal is one line and exit 2, where it once ended in a traceback
     (tmp_path / "r.csv").mkdir()
-    with pytest.raises(IsADirectoryError, match="r.csv"):
-        main(["lambda", "--n-max", "14", "--emit-csv", "--out",
-              str(tmp_path / "r.json")])
-    assert capsys.readouterr().out == ""
+    code, stdout, stderr = run(capsys, "lambda", "--n-max", "14", "--emit-csv",
+                               "--out", str(tmp_path / "r.json"))
+    assert (code, stdout, stderr) == (2, "", f"error: Is a directory: {tmp_path}/r.csv\n")
     assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
     assert list((tmp_path / "r.csv").iterdir()) == []
+
+
+def test_an_output_under_a_file_is_refused_in_one_line(tmp_path, capsys):
+    # --out <a file>/x.json once ended in a FileExistsError traceback
+    (tmp_path / "f").write_text("kept")
+    code, stdout, stderr = run(capsys, "series", "--n-max", "3",
+                               "--out", str(tmp_path / "f" / "x.json"))
+    assert (code, stdout, stderr) == (
+        2, "", f"error: [Errno 17] File exists: '{tmp_path}/f'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert (tmp_path / "f").read_text() == "kept"
 
 
 @pytest.mark.parametrize("env", [True, False], ids=["FKDV_OUT_DIR", "cwd"])

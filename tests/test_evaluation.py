@@ -28,8 +28,9 @@ def table8():
 
 
 def _coefficient(p, x):
-    """sum a_m S^m of one polynomial at the double S of x, rounded once."""
-    [(re, im, den)] = _exact((p,), x, p.gamma)
+    """sum a_m S^m of one polynomial at the double S of x, rounded once, at
+    gamma = 1, the gamma of every table it reads."""
+    [(re, im, den)] = _exact((p,), x, 1)
     return complex(re / den, im / den)
 
 

@@ -164,12 +164,13 @@ def test_beta_fit_selects_two(table30):
 
 def test_report_assembly(table30):
     rep = singulant_report(table30, order=3)
-    assert rep.beta_exponent == 2
-    assert rep.chi_prime == 1
-    assert rep.sigma == pytest.approx(1j * math.pi / 2)
     assert rep.lambda_final == pytest.approx(-19.97, abs=0.1)
     assert rep.beta_selected == 2
     doc = report_to_json(rep, table30)
+    # the model's constants are the document's, not the report's
+    assert doc["beta_exponent"] == 2
+    assert doc["chi_prime"] == 1
+    assert doc["sigma"] == [0.0, math.pi / 2]
     assert set(doc) >= {"lambda_sequence", "extrapolants", "lambda_final",
                         "beta_fit", "ratio_table"}
     assert doc["lambda_final"] == rep.lambda_final

@@ -32,27 +32,27 @@ from fkdv.series import atomic_write
 F = Fraction
 
 
-def poly(coeffs, gamma=1):
-    return SechPolynomial({m: F(a) for m, a in coeffs.items()}, F(gamma))
+def poly(coeffs):
+    return SechPolynomial({m: F(a) for m, a in coeffs.items()})
 
 
-def eval_poly(p, x):
-    S = 1.0 / math.cosh(float(p.gamma) * x) ** 2
+def eval_poly(p, x, gamma=1):
+    S = 1.0 / math.cosh(float(gamma) * x) ** 2
     return sum(float(a) * S**m for m, a in sorted(p.coeffs.items()))
 
 
 # --- the closed-basis derivative, checked against finite differences
 
 def test_second_derivative_of_2S():
-    assert second_derivative(poly({1: 2})) == poly({1: 8, 2: -12})
+    assert second_derivative(poly({1: 2}), 1) == poly({1: 8, 2: -12})
 
 
 def test_second_derivative_of_S_squared():
-    assert second_derivative(poly({2: 1})) == poly({2: 16, 3: -20})
+    assert second_derivative(poly({2: 1}), 1) == poly({2: 16, 3: -20})
 
 
 def test_second_derivative_of_zero():
-    assert second_derivative(poly({})).is_zero
+    assert second_derivative(poly({}), 1).is_zero
 
 
 def test_second_derivative_matches_finite_differences():
@@ -61,7 +61,7 @@ def test_second_derivative_matches_finite_differences():
 
     rng = random.Random(7)
     p = poly({1: 2})
-    d2 = second_derivative(p)
+    d2 = second_derivative(p, 1)
     h = 1e-4
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0)
@@ -71,26 +71,26 @@ def test_second_derivative_matches_finite_differences():
 
 
 def test_fourth_derivative_of_2S():
-    assert fourth_derivative(poly({1: 2})) == poly({1: 32, 2: -240, 3: 240})
+    assert fourth_derivative(poly({1: 2}), 1) == poly({1: 32, 2: -240, 3: 240})
 
 
 def test_fourth_derivative_of_S():
-    assert fourth_derivative(poly({1: 1})) == poly({1: 16, 2: -120, 3: 120})
+    assert fourth_derivative(poly({1: 1}), 1) == poly({1: 16, 2: -120, 3: 120})
 
 
 def test_fourth_derivative_of_zero():
-    assert fourth_derivative(poly({})).is_zero
+    assert fourth_derivative(poly({}), 1).is_zero
 
 
 def test_fourth_derivative_against_wide_stencil():
-    p = poly({1: 1, 2: F(1, 3)}, gamma=F(3, 2))
-    d4 = fourth_derivative(p)
+    p, g = poly({1: 1, 2: F(1, 3)}), F(3, 2)
+    d4 = fourth_derivative(p, g)
     h = 1e-2
     for x in (0.3, -0.9, 1.7):
-        fd = (eval_poly(p, x - 2 * h) - 4 * eval_poly(p, x - h)
-              + 6 * eval_poly(p, x) - 4 * eval_poly(p, x + h)
-              + eval_poly(p, x + 2 * h)) / h**4
-        assert eval_poly(d4, x) == pytest.approx(fd, rel=2e-2, abs=1e-4)
+        fd = (eval_poly(p, x - 2 * h, g) - 4 * eval_poly(p, x - h, g)
+              + 6 * eval_poly(p, x, g) - 4 * eval_poly(p, x + h, g)
+              + eval_poly(p, x + 2 * h, g)) / h**4
+        assert eval_poly(d4, x, g) == pytest.approx(fd, rel=2e-2, abs=1e-4)
 
 
 @given(st.dictionaries(st.integers(1, 6),
@@ -102,8 +102,8 @@ def test_second_derivative_is_linear(coeffs):
     merged = dict(q.coeffs)
     for m, a in p.coeffs.items():
         merged[m] = merged.get(m, F(0)) + a
-    lhs = second_derivative(SechPolynomial(merged))
-    dp, dq = second_derivative(p), second_derivative(q)
+    lhs = second_derivative(SechPolynomial(merged), 1)
+    dp, dq = second_derivative(p, 1), second_derivative(q, 1)
     summed = dict(dq.coeffs)
     for m, a in dp.coeffs.items():
         summed[m] = summed.get(m, F(0)) + a
@@ -117,7 +117,7 @@ def test_degree_raises_by_one(coeffs):
     p = SechPolynomial(coeffs)
     if p.is_zero:
         return
-    assert second_derivative(p).degree == p.degree + 1
+    assert second_derivative(p, 1).degree == p.degree + 1
 
 
 def test_rejects_constant_term():
@@ -137,7 +137,7 @@ def test_leading_orders_gamma_1():
 
 def test_leading_order_gamma_2():
     t = build_series(0, gamma=2)
-    assert t.u[0] == poly({1: 8}, gamma=2)
+    assert t.gamma == 2 and t.u[0] == poly({1: 8})
     assert t.c[0] == 16
 
 
@@ -235,8 +235,8 @@ def test_table_json_hash_is_pinned(tmp_path, n_max, gamma, digest):
     build_series(0),
     build_series(5, F(7, 5)),
     # a zero polynomial is the entry []
-    SeriesTable(F(2, 3), [SechPolynomial({}, F(2, 3)),
-                          SechPolynomial({1: F(-3, 4), 3: 5}, F(2, 3))], [0, F(-1, 9)]),
+    SeriesTable(F(2, 3), [SechPolynomial({}), SechPolynomial({1: F(-3, 4), 3: 5})],
+                [0, F(-1, 9)]),
     SeriesTable(F(1), [], []),
 ], ids=["n_max=0", "gamma=7/5", "zero polynomial", "empty"])
 def test_save_table_writes_the_json_dumps_bytes(tmp_path, table):
@@ -252,7 +252,7 @@ def _perturbed(t, n, delta_u, delta_c):
     u = list(t.u)
     coeffs = dict(u[n].coeffs)
     coeffs[n + 1] += delta_u
-    u[n] = SechPolynomial(coeffs, t.gamma)
+    u[n] = SechPolynomial(coeffs)
     c = list(t.c)
     c[n] += delta_c
     return SeriesTable(t.gamma, u, c)
@@ -295,6 +295,15 @@ def test_top_coefficient_refuses_an_order_outside_the_table():
             t.top_coefficient(n)
 
 
+def test_top_coefficient_refuses_an_order_below_its_degree():
+    # a table not built by build_series may break the degree invariant: u_1
+    # of degree 1 once raised IndexError, neither exit class of the CLI
+    t = SeriesTable(1, [SechPolynomial({1: 2}), SechPolynomial({1: 3})], [4, 16])
+    assert t.top_coefficient(0) == 2
+    with pytest.raises(ValueError, match=r"^u_1 has degree 1, below n \+ 1 = 2$"):
+        t.top_coefficient(1)
+
+
 def _reference_cauchy(u, n):
     # sum_k u_k u_{n-k} coefficient by coefficient in Fractions, over
     # integer forms (nums, den)
@@ -331,15 +340,15 @@ def test_order_residual_reads_a_power_above_the_degree_invariant(n, extra):
     # u_n carries an extra S^{n+3}: every order from n on must see it
     t = build_series(6, F(3, 2))
     u = list(t.u)
-    u[n] = SechPolynomial({**u[n].coeffs, n + 3: extra}, t.gamma)
+    u[n] = SechPolynomial({**u[n].coeffs, n + 3: extra})
     bad = SeriesTable(t.gamma, u, t.c)
     forms = [p.int_form for p in u]
     for m in range(n, 7):
         # u_{m-1}'''' + u_m'' + 3 sum_k u_k u_{m-k} - sum_k c_k u_{m-k}
-        terms = [(1, second_derivative(u[m]))]
+        terms = [(1, second_derivative(u[m], t.gamma))]
         terms += [(-ck, u[m - k]) for k, ck in enumerate(t.c[:m + 1])]
         if m:
-            terms.append((1, fourth_derivative(u[m - 1])))
+            terms.append((1, fourth_derivative(u[m - 1], t.gamma)))
         ref = {j: 3 * x for j, x in _reference_cauchy(forms, m).items()}
         for scale, p in terms:
             for j, x in p.coeffs.items():
@@ -401,7 +410,7 @@ def test_build_verifies_no_stray_power_in_the_rescaled_table(monkeypatch, k):
     def stray(u, c, g):
         t = rescaled(u, c, g)
         polys = list(t.u)
-        polys[k] = SechPolynomial({**polys[k].coeffs, k + 2: F(1, 10**30)}, g)
+        polys[k] = SechPolynomial({**polys[k].coeffs, k + 2: F(1, 10**30)})
         return SeriesTable(g, polys, t.c)
 
     monkeypatch.setattr(series, "_rescaled", stray)
@@ -444,12 +453,12 @@ def test_table_refuses_a_nonpositive_gamma(gamma):
         SeriesTable(gamma, [SechPolynomial({1: 2})], [4])
 
 
-@pytest.mark.parametrize("entry", [SechPolynomial({1: 2}), {1: 2}, 2])
+@pytest.mark.parametrize("entry", [{1: 2}, 2])
 def test_table_refuses_an_entry_off_its_gamma(entry):
-    # a file carries only the table's gamma: a u_1 at gamma = 1 in a
-    # gamma = 3/2 table came back from a round trip as another table
-    with pytest.raises(ValueError, match="^u_1 is not a SechPolynomial at gamma = 3/2$"):
-        SeriesTable(F(3, 2), [SechPolynomial({1: 2}, F(3, 2)), entry], [4, 1])
+    # a polynomial holds no gamma, so every u_n is at the table's, the one
+    # gamma a file carries; an entry that is no polynomial is refused
+    with pytest.raises(ValueError, match="^u_1 is not a SechPolynomial$"):
+        SeriesTable(F(3, 2), [SechPolynomial({1: 2}), entry], [4, 1])
 
 
 def test_table_refuses_u_and_c_of_unequal_length():
@@ -535,7 +544,7 @@ def test_load_reduces_an_unreduced_ratio(tmp_path):
     t = _load_doc(tmp_path, {"gamma": "6/4", "c": ["18/2"],
                              "u": [[["1", "2/4"], ["2", "0/7"]]]})
     assert t.gamma == F(3, 2) and t.c == (9,)
-    assert t.u[0] == SechPolynomial({1: F(1, 2)}, F(3, 2))
+    assert t.u[0] == SechPolynomial({1: F(1, 2)})
     assert t.u[0].int_form == ((0, 1), 2)
 
 
@@ -614,16 +623,16 @@ def _assert_canonical(p):
 @given(COEFF_MAPS, COEFF_MAPS, st.sampled_from([F(1), F(3, 2), F(2, 3)]),
        st.integers(-30, 30).filter(bool), st.integers(0, 3))
 def test_integer_form_is_canonical(a, b, g, k, z):
-    p, q = SechPolynomial(a, g), SechPolynomial(b, g)
-    for r in (p, q, second_derivative(p)):
+    p, q = SechPolynomial(a), SechPolynomial(b)
+    for r in (p, q, second_derivative(p, g)):
         _assert_canonical(r)
-    assert SechPolynomial(p.coeffs, g) == p
+    assert SechPolynomial(p.coeffs) == p
     assert (p == q) == (p.coeffs == q.coeffs)
     # the same polynomial from a scaled form with trailing zeros
     nums, den = p.int_form
-    same = series._poly([k * x for x in nums] + [0] * z, k * den, g)
+    same = series._poly([k * x for x in nums] + [0] * z, k * den)
     assert same == p and same.int_form == p.int_form
-    assert SechPolynomial({**a, 7: 0}, g) == p
+    assert SechPolynomial({**a, 7: 0}) == p
 
 
 def test_build_save_load_and_report_never_make_coefficient_fractions(tmp_path):
