@@ -453,10 +453,11 @@ def test_table_refuses_a_nonpositive_gamma(gamma):
         SeriesTable(gamma, [SechPolynomial({1: 2})], [4])
 
 
-@pytest.mark.parametrize("entry", [{1: 2}, 2])
+@pytest.mark.parametrize("entry", [[["1", "2"]], {1: 2}, 2])
 def test_table_refuses_an_entry_off_its_gamma(entry):
     # a polynomial holds no gamma, so every u_n is at the table's, the one
-    # gamma a file carries; an entry that is no polynomial is refused
+    # gamma a file carries; an entry that is no polynomial is refused, the
+    # undecoded [m, a_{n,m}] pairs of a file among them
     with pytest.raises(ValueError, match="^u_1 is not a SechPolynomial$"):
         SeriesTable(F(3, 2), [SechPolynomial({1: 2}), entry], [4, 1])
 
