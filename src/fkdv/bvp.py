@@ -82,8 +82,8 @@ def default_c(gamma: float, epsilon: float) -> float:
 
 def default_half_length(epsilon: float, gamma: float) -> float:
     """Ten core widths and ten tail oscillations, 10/min(1, gamma) + 20 pi eps,
-    rounded up to a whole number of eps/20, with gamma clamped to GAMMA_RANGE."""
-    step, core = epsilon / 20.0, 10.0 / min(1.0, max(gamma, 1.0 / GAMMA_RANGE))
+    rounded up to a whole number of eps/20."""
+    step, core = epsilon / 20.0, 10.0 / min(1.0, gamma)
     return math.ceil((core + 10.0 * (2.0 * math.pi * epsilon)) / step) * step
 
 
@@ -121,8 +121,8 @@ class SolverConfig:
     half_length as given, else default_half_length, and must reach 10/gamma +
     20 pi eps, U's rule on gamma L (ten core widths and ten tail wavelengths;
     the default is widened for gamma < 1 only). gamma is kept as its double,
-    n_modes is M, c is default_c. MAX_MODES and GAMMA_RANGE apply before any
-    allocation."""
+    n_modes is M, c is default_c. GAMMA_RANGE applies first, MAX_MODES before
+    any allocation."""
 
     epsilon: float
     gamma: float = 1.0
@@ -133,6 +133,9 @@ class SolverConfig:
     def __post_init__(self):
         check_epsilon(self.epsilon)
         g = check_gamma(self.gamma)
+        if not 1.0 / GAMMA_RANGE <= g <= GAMMA_RANGE:  # then c <= 628 gamma^2
+            raise ResolutionError(f"gamma = {g} lies outside "
+                                  "[2^-64, 2^64], where the map stays in range")
         object.__setattr__(self, "gamma", g)
         if self.half_length is None:
             object.__setattr__(self, "half_length",
@@ -149,9 +152,6 @@ class SolverConfig:
             raise ResolutionError(
                 f"gamma = {self.gamma}, L = {self.half_length}: {modes:.4g} "
                 f"cosine modes exceed the cap of {MAX_MODES}")
-        if not 1.0 / GAMMA_RANGE <= g <= GAMMA_RANGE:  # then c <= 628 gamma^2
-            raise ResolutionError(f"gamma = {self.gamma} lies outside "
-                                  "[2^-64, 2^64], where the map stays in range")
         object.__setattr__(self, "n_modes", math.ceil(modes))
         object.__setattr__(self, "c_value", default_c(g, self.epsilon))
 
@@ -174,7 +174,7 @@ class GridSolution:
     u: np.ndarray
     residual_history: tuple[float, ...]
     coefficients: np.ndarray
-    residual_target: float = 0.0
+    residual_target: float
 
     @property
     def residual_norm(self) -> float:
@@ -466,10 +466,10 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
     checked = []
     for eps in sorted(epsilons):
         config = SolverConfig(epsilon=eps, gamma=gamma, half_length=half_length)
-        h = eps / h_factor
-        L = config.half_length
-        if not L / h <= MAX_SAMPLES:
-            raise ResolutionError(f"L = {L}, h = {h}: {L / h:.4g} samples exceed "
+        L, h = config.half_length, eps / h_factor
+        samples = L / eps * h_factor  # L / h, but inf where h underflows to 0
+        if not samples <= MAX_SAMPLES:
+            raise ResolutionError(f"L = {L}, h = {h}: {samples:.4g} samples exceed "
                                   f"the cap of {MAX_SAMPLES}")
         check_window(config)
         checked.append((config, h))

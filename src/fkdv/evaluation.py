@@ -10,8 +10,7 @@ S. So every scaling by one of them is done as a shift, never a multiply.
 
 The leading-order solution analytically continued off the real axis has double
 poles at x = +-i pi/(2 gamma), +-3 i pi/(2 gamma), ...; evaluation guards
-against landing too close to one. Partial sums record per-term magnitudes so
-the empirical optimal truncation point can be read off directly.
+against landing too close to one.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class EvalPoint:
 @dataclass(frozen=True)
 class PartialSum:
     value: complex
-    term_magnitudes: tuple[float, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.term_magnitudes)
 
 
 def singularity(gamma) -> complex:
@@ -135,23 +129,20 @@ def optimal_N(x: complex, epsilon: float, gamma) -> int:
 
 
 def partial_sum(table: SeriesTable, point: EvalPoint, N: int) -> PartialSum:
-    """Sum of the first N terms eps^{2n} u_n(x), each exact at one S, with magnitudes."""
+    """Sum of the first N terms eps^{2n} u_n(x), each exact at one S."""
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > table.n_max + 1:
         raise ValueError(f"N = {N} exceeds available orders (n_max = {table.n_max})")
     value = 0.0 + 0.0j
-    mags = []
     e, d = point.epsilon.as_integer_ratio()
     p2, e2 = 2 * (d.bit_length() - 1), e * e  # eps^2 = e^2 / 2^p2
     w = 1  # e^(2n)
     for n, (re, im, den) in enumerate(_exact(table.u[:N], point.x, table.gamma)):
         wd = den << (p2 * n)
-        term = complex(re * w / wd, im * w / wd)
-        value += term
-        mags.append(abs(term))
+        value += complex(re * w / wd, im * w / wd)
         w *= e2
-    return PartialSum(value, tuple(mags))
+    return PartialSum(value)
 
 
 def empirical_optimum(table: SeriesTable, point: EvalPoint) -> int:

@@ -121,15 +121,6 @@ class SechPolynomial:
         nums, den = self.int_form
         return {m: Fraction(x, den) for m, x in enumerate(nums) if x}
 
-    @property
-    def degree(self) -> int:
-        """Highest power of S present; 0 for the zero polynomial."""
-        return len(self.int_form[0]) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.int_form[0])
-
 
 def _store(p: SechPolynomial, nums, den: int) -> SechPolynomial:
     """Store sum nums[m] S^m / den in p in canonical form: one gcd for the

@@ -215,11 +215,10 @@ def erf_profile(eta: float, frame: StokesFrame) -> complex:
 
 
 def tail_amplitude(epsilon: float, gamma=1) -> float:
-    """One-sided tail amplitude 2 |Lam| pi eps^-2 e^{-pi/(2 gamma eps)}."""
-    check_epsilon(epsilon)
-    g = check_gamma(gamma)
-    return (2.0 * abs(DEFAULT_LAMBDA) * math.pi / epsilon ** 2
-            * math.exp(-math.pi / (2.0 * g * epsilon)))
+    """One-sided tail amplitude 2 |[S]| e^{-pi/(2 gamma eps)} = 2 |Lam| pi
+    eps^-2 e^{-pi/(2 gamma eps)}, [S] = stokes_jump(eps)."""
+    return (2.0 * abs(stokes_jump(epsilon))
+            * math.exp(-math.pi / (2.0 * check_gamma(gamma) * epsilon)))
 
 
 def profile_csv_rows(profile: StokesProfile, frame: StokesFrame):

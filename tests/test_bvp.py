@@ -115,11 +115,25 @@ def test_wide_gamma_keeps_the_default_domain(gamma):
 
 @pytest.mark.parametrize("epsilon, gamma", [(0.1, 1e300), (0.1, 1e100), (1e80, 1e60)])
 def test_eigenvalue_beyond_double_range_rejected(epsilon, gamma):
-    # g ** 4 would overflow (raising) or 16 g^4 eps^2 round to inf; the mode
-    # cap refuses such a gamma first, before c is computed
+    # g ** 4 would overflow (raising) or 16 g^4 eps^2 round to inf; the
+    # range rule refuses such a gamma first, before L or c is computed
     with pytest.raises(ResolutionError, match=re.escape(
-            f"gamma = {gamma}, L = ") + ".* cosine modes exceed the cap of 3072"):
+            f"gamma = {gamma} lies outside [2^-64, 2^64]")):
         SolverConfig(epsilon=epsilon, gamma=gamma)
+
+
+def test_gamma_range_is_checked_before_the_default_domain():
+    # with no L given, 2^65 was refused for 4.59e+21 cosine modes and 2^-65
+    # for a default L = 1.8e20 it never gave; inside the range the other
+    # rules decide: 2^-64's default L holds its core, 2^64's needs 2.3e21 modes
+    for gamma in (2.0 ** 65, 2.0 ** -65):
+        with pytest.raises(ResolutionError, match=re.escape(
+                f"gamma = {gamma} lies outside [2^-64, 2^64]")):
+            SolverConfig(0.1, gamma)
+    assert SolverConfig(0.1, 2.0 ** -64).n_modes == 77
+    with pytest.raises(ResolutionError, match=re.escape(
+            f"gamma = {2.0 ** 64}, L = 16.285: 2.295e+21 cosine modes exceed")):
+        SolverConfig(0.1, 2.0 ** 64)
 
 
 @pytest.mark.parametrize("epsilon, gamma, modes, c", [
@@ -148,6 +162,8 @@ def test_stencil_beyond_double_range_rejected(monkeypatch, epsilon, step):
     (dict(epsilons=[0.1], half_length=1e6), "7.639e+06 cosine modes"),
     (dict(epsilons=[0.1], half_length=500.0), "3820 cosine modes"),  # gamma L > 402.1
     (dict(epsilons=[1e-6]), "2e+08 samples"),  # M = 77, but N = L/h = 2e8
+    # h = eps/h_factor underflows to 0, where L/h raised ZeroDivisionError
+    (dict(epsilons=[1e-120], h_factor=1e300), "L = 10.0, h = 0.0: inf samples"),
 ])
 def test_modes_and_samples_are_capped_before_allocating(monkeypatch, kwargs, what):
     calls = _count_solves(monkeypatch)
@@ -263,7 +279,8 @@ def test_cosine_coefficients_interpolate_the_guess():
     u = initial_guess(cfg)
     a = cosine_coefficients(u)
     x = collocation_points(cfg)
-    sol = GridSolution(x, u, residual_history=(0.0,), coefficients=a)
+    sol = GridSolution(x, u, residual_history=(0.0,), coefficients=a,
+                       residual_target=0.0)
     assert np.abs(sol.evaluate(x) - u).max() <= 1e-14 * np.abs(u).max()
     assert np.abs(bvp._Collocation(cfg).C @ a - u).max() <= 1e-14 * np.abs(u).max()
 
@@ -274,7 +291,7 @@ def test_symmetric_guess_has_zero_odd_derivatives_at_origin():
     a = cosine_coefficients(initial_guess(cfg))
     L = cfg.half_length
     sol = GridSolution(np.array([0.0, L]), np.zeros(2), residual_history=(0.0,),
-                       coefficients=a)
+                       coefficients=a, residual_target=0.0)
     t = np.linspace(0.0, 0.5, 11)
     assert np.array_equal(sol.evaluate(-t), sol.evaluate(t))
     k = np.arange(len(a)) * (math.pi / L)
@@ -625,7 +642,7 @@ def test_measurement_calibration_synthetic_sine():
     a = np.zeros(cfg.n_modes + 1)
     a[[0, 53, 106]] = 3.6e-7, -1e-3, 2e-5
     sol = GridSolution(np.array([0.0, cfg.half_length]), np.zeros(2),
-                       residual_history=(0.0,), coefficients=a)
+                       residual_history=(0.0,), coefficients=a, residual_target=0.0)
     meas = measure_tail(sol, cfg)
     assert meas.amplitude_measured == pytest.approx(1e-3, rel=1e-6)
     assert meas.value_at_L == pytest.approx(1e-3, rel=1e-6)
@@ -641,7 +658,8 @@ def test_measurement_reads_only_the_coefficients(tail_sweep, tail_sweep_half):
         assert len(sol40.nodes) > len(sol.nodes)
         assert m40 == m20, cfg.epsilon
         bare = GridSolution(np.array([0.0, cfg.half_length]), np.full(2, np.nan),
-                            residual_history=(0.0,), coefficients=sol.coefficients)
+                            residual_history=(0.0,), coefficients=sol.coefficients,
+                            residual_target=0.0)
         assert measure_tail(bare, cfg) == m20, cfg.epsilon
 
 
@@ -679,7 +697,8 @@ def test_window_contamination_detected():
     cfg = SolverConfig(epsilon=0.03)
     sol = GridSolution(collocation_points(cfg), initial_guess(cfg),
                        residual_history=(0.0,),
-                       coefficients=cosine_coefficients(initial_guess(cfg)))
+                       coefficients=cosine_coefficients(initial_guess(cfg)),
+                       residual_target=0.0)
     with pytest.raises(WindowContaminatedError):
         measure_tail(sol, cfg)
 

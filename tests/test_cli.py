@@ -228,16 +228,18 @@ def test_compare_beyond_domain_is_validation_failure(tmp_path, capsys):
     assert "beyond" in stderr
 
 
-def test_compare_nan_x_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before x was checked")
-
-    monkeypatch.setattr(bvp, "solve", no_solve)
-    code, _, stderr = run(capsys, "compare", "--epsilon", "0.1", "--x", "nan",
-                          "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("x", ["-100", "inf", "nan"])
+def test_compare_x_beyond_the_domain_is_refused_before_the_series(
+        tmp_path, capsys, monkeypatch, x):
+    # the solution's evaluate refuses |x| > L, and a NaN x, before any table
+    calls = []
+    monkeypatch.setattr(cli, "build_series", lambda *a: calls.append(a))
+    code, stdout, stderr = run(capsys, "compare", "--epsilon", "0.1", "--x", x,
+                               "--out-dir", str(tmp_path))
     assert code == 2
-    assert "x = nan lies beyond the domain" in stderr
-    assert list(tmp_path.iterdir()) == []
+    assert stderr == (f"error: x = {abs(float(x))} lies beyond the domain "
+                      "|x| <= L = 16.285\n")
+    assert (stdout, calls, list(tmp_path.iterdir())) == ("", [], [])
 
 
 def test_compare_stencil_beyond_double_range_is_validation_failure(

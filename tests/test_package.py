@@ -2,8 +2,11 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from functools import cached_property
 from importlib import import_module
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -55,17 +58,22 @@ def test_every_public_name_is_its_submodules_object():
 UNCALLED = {"order_residual", "table_to_json", "fourth_derivative"}
 
 
-def test_every_public_name_has_a_caller():
-    # a caller is a load of the name, an attribute of that name or an import
-    # of it in the package's modules, the acceptance criteria or perfbench
+def _chain_trees():
+    """The parsed package modules, acceptance criteria and perfbench."""
     root = Path(fkdv.__file__).resolve().parents[2]
     files = [*(p for p in (root / "src" / "fkdv").glob("*.py")
                if p.name != "__init__.py"),
              root / "tests" / "test_acceptance.py",
              *(root / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text(), str(path)) for path in files]
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is a load of the name, an attribute of that name or an import
+    # of it in the package's modules, the acceptance criteria or perfbench
     called = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _chain_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 called.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -75,6 +83,43 @@ def test_every_public_name_has_a_caller():
     uncalled = set(fkdv.__all__) - called
     assert sorted(uncalled - UNCALLED) == []
     assert uncalled >= UNCALLED  # an exempt name that gained a caller leaves the set
+
+
+#: public members that no code outside their class reads, each with its reason
+UNREAD = {
+    ("GridSolution", "residual_history"): "residual_norm and iterations read it",
+    ("GridSolution", "residual_target"): "the convergence target a solve is "
+        "checked against, which the run manifest will record (ROADMAP item 13)",
+    ("TailMeasurement", "fit_residual"): "cmd_tails writes the record by asdict",
+    ("TailMeasurement", "value_at_L"): "cmd_tails writes the record by asdict",
+}
+
+
+def _attribute_loads(node, owner=None):
+    """(attribute, enclosing class name or None) of each attribute load."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield child.attr, owner
+        yield from _attribute_loads(
+            child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+def test_every_public_member_has_a_reader():
+    # the members of a public non-exception class are its dataclass fields,
+    # properties and public methods; a reader is an attribute load of the
+    # member's name outside its own class body, in the files the name rule scans
+    members = set()
+    for name in fkdv.__all__:
+        cls = getattr(fkdv, name)
+        if isinstance(cls, type) and not issubclass(cls, BaseException):
+            members.update((name, f.name) for f in fields(cls))
+            members.update((name, m) for m, v in vars(cls).items()
+                           if not m.startswith("_") and isinstance(
+                               v, (property, cached_property, FunctionType)))
+    loads = {load for tree in _chain_trees() for load in _attribute_loads(tree)}
+    unread = {(cls, m) for cls, m in members
+              if not any(attr == m and owner != cls for attr, owner in loads)}
+    assert sorted(unread) == sorted(UNREAD)
 
 
 def _fresh_interpreter(script: str) -> None:
