@@ -8,6 +8,11 @@ Every denominator met here other than a table's own is a power of two: a
 double's `as_integer_ratio()` always gives one, for eps and for both parts of
 S. So every scaling by one of them is done as a shift, never a multiply.
 
+Cost: `_horner` reads a polynomial of degree D in D steps, each one
+big-integer product on the real axis and two at a complex S, where the real
+polynomial is divided by S's real quadratic factor. Its integer triple is
+fixed by the value and its denominator, so neither loop changes a bit.
+
 The leading-order solution analytically continued off the real axis has double
 poles at x = +-i pi/(2 gamma), +-3 i pi/(2 gamma), ...; evaluation guards
 against landing too close to one.
@@ -104,13 +109,32 @@ def _point(x: complex, gamma) -> tuple[int, int, int]:
 
 def _horner(nums, den: int, sr: int, si: int, q: int) -> tuple[int, int, int]:
     """Integers (re, im, den') with sum nums[m] S^m / den = (re + i im) / den'
-    exactly at S = (sr + i si) / 2^q; on the real axis (si = 0) im stays 0."""
-    # homogeneous Horner: acc = sum_m a_m s^m 2^(q (D - m)), the value acc / 2^(q D)
-    re, im, sh = nums[-1], 0, 0
-    for a in reversed(nums[:-1]):
+    exactly at S = (sr + i si) / 2^q, den' = den 2^(q D) for the degree D.
+
+    Homogeneous in s = sr + i si: the value times 2^(q D) is sum_m a_m s^m
+    2^(q (D - m)). On the real axis (si = 0) Horner takes one big-integer
+    product per step and im is 0. At a complex s the real polynomial is
+    divided by the real quadratic s^2 - T s + M, T = 2 sr and M = sr^2 +
+    si^2 (Knuth, TAOCP 2, 4.6.4): B_D = a_D, B_(D+1) = 0, B_k = a_k
+    2^(q (D - k)) + T B_(k+1) - M B_(k+2) down to k = 1, two products per
+    step, and the remainder at s gives re = sr B_1 + a_0 2^(q D) - M B_2 and
+    im = si B_1. With den' fixed, re and im are the only integers that give
+    the value, so the triple does not depend on the loop that computes it."""
+    if len(nums) == 1:
+        return nums[0], 0, den
+    if not si:
+        re, sh = nums[-1], 0
+        for a in reversed(nums[:-1]):
+            sh += q
+            re = re * sr + (a << sh)
+        return re, 0, den << sh
+    t, m = 2 * sr, sr * sr + si * si
+    b1, b2, sh = nums[-1], 0, 0
+    for a in nums[-2:0:-1]:
         sh += q
-        re, im = re * sr - im * si + (a << sh), re * si + im * sr
-    return re, im, den << sh
+        b1, b2 = (a << sh) + t * b1 - m * b2, b1
+    sh += q
+    return sr * b1 + (nums[0] << sh) - m * b2, si * b1, den << sh
 
 
 def _exact(polys, x: complex, gamma) -> list[tuple[int, int, int]]:

@@ -19,7 +19,7 @@ from fkdv import (
     sech_squared,
     singularity,
 )
-from fkdv.evaluation import _exact
+from fkdv.evaluation import _exact, _horner
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,63 @@ def test_eval_coefficient_matches_mpmath_through_n40():
                 assert abs(got - complex(ref)) <= 1e-12 * abs(complex(ref))
 
 
+def _powers(sr, si, top):
+    """(Re, Im) of (sr + i si)^m for m = 0..top, in exact Fractions."""
+    pw = [(Fraction(1), Fraction(0))]
+    for _ in range(top):
+        pr, pi = pw[-1]
+        pw.append((pr * sr - pi * si, pr * si + pi * sr))
+    return pw
+
+
+def _oracle(polys, x, gamma):
+    """(Re, Im) of each sum a_m S^m in exact Fractions, with S the double
+    sech_squared(x, gamma) and each of its parts taken as an exact Fraction:
+    the reader's value, found without its integers."""
+    S = sech_squared(x, gamma)
+    top = max((len(p.int_form[0]) for p in polys), default=1) - 1
+    pw = _powers(Fraction(S.real), Fraction(S.imag), top)
+    return [(sum(a * pw[m][0] for m, a in p.coeffs.items()),
+             sum(a * pw[m][1] for m, a in p.coeffs.items())) for p in polys]
+
+
+def test_exact_matches_the_fraction_oracle(table40):
+    # every order at real points, near sigma, off both, at an S whose
+    # imaginary part is tiny (q = 101 at gamma = 1) and at the far point,
+    # where S is a subnormal or 0; each triple is the value over den 2^(q D)
+    sigma = singularity(table40.gamma)
+    points = [0j, 0.4 + 0j, -2.5 + 0j, sigma + 0.05 * cmath.exp(-1j),
+              sigma + 0.3 * cmath.exp(-2.2j), 0.7 + 0.3j, 3e-17 + 1.0708j, 400 + 0.3j]
+    for x in points:
+        S = sech_squared(x, table40.gamma)
+        q = max(Fraction(S.real).denominator, Fraction(S.imag).denominator).bit_length() - 1
+        got = _exact(table40.u, x, table40.gamma)
+        for n, ((re, im, den), (vr, vi)) in enumerate(zip(
+                got, _oracle(table40.u, x, table40.gamma))):
+            nums, d = table40.u[n].int_form
+            assert den == d << q * (len(nums) - 1), (x, n)
+            assert (Fraction(re, den), Fraction(im, den)) == (vr, vi), (x, n)
+
+
+@given(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=1, max_size=13)
+       | st.integers(1, 13).map(lambda k: [0] * k),
+       st.integers(1, 2 ** 80), st.integers(-2 ** 60, 2 ** 60),
+       st.just(0) | st.integers(-2 ** 60, 2 ** 60), st.integers(0, 120))
+@example([0], 1, 3, 5, 7)
+@example([5], 3, 7, 0, 9)
+@example([0, 0, -3, 1], 7, 0, 5, 4)
+@settings(max_examples=300, deadline=None)
+def test_horner_is_exact_on_any_form(nums, den, sr, si, q):
+    # degree 0 to 12, zero forms, a constant term, S real, imaginary or
+    # neither: the triple is the value over den 2^(q D), as the oracle sums it
+    re, im, den2 = _horner(tuple(nums), den, sr, si, q)
+    assert den2 == den << q * (len(nums) - 1)
+    pw = _powers(Fraction(sr, 1 << q), Fraction(si, 1 << q), len(nums) - 1)
+    vr = sum(Fraction(a, den) * pr for a, (pr, _) in zip(nums, pw))
+    vi = sum(Fraction(a, den) * pi for a, (_, pi) in zip(nums, pw))
+    assert (Fraction(re, den2), Fraction(im, den2)) == (vr, vi)
+
+
 @st.composite
 def small_tables(draw):
     """(table, eps): small hand-made orders, some zero, some exact ties and
@@ -197,12 +254,11 @@ def small_tables(draw):
     return SeriesTable(Fraction(1), u, [Fraction(0)] * len(u)), eps
 
 
-def _first_argmin(table, x, eps):
+def _first_argmin(values, eps):
     """Brute force: the first index of the smallest |eps^{2n} u_n(x)|^2, as
-    exact Fractions."""
+    exact Fractions from the oracle's values of u_n(x)."""
     e4 = Fraction(eps) ** 4
-    mags = [Fraction(re * re + im * im, den * den) * e4 ** n
-            for n, (re, im, den) in enumerate(_exact(table.u, x, table.gamma))]
+    mags = [(re * re + im * im) * e4 ** n for n, (re, im) in enumerate(values)]
     return mags.index(min(mags))
 
 
@@ -223,7 +279,8 @@ def test_empirical_optimum_is_first_exact_argmin(table_eps, x):
     # nl - nr = -2 with it larger (by 7e-4)
     table, eps = table_eps
     assume(abs(cmath.cosh(x)) > 1e-6)
-    assert empirical_optimum(table, EvalPoint(x, eps)) == _first_argmin(table, x, eps)
+    values = _oracle(table.u, x, table.gamma)
+    assert empirical_optimum(table, EvalPoint(x, eps)) == _first_argmin(values, eps)
 
 
 @pytest.fixture(scope="module", params=[Fraction(1), Fraction(3, 2), Fraction(2, 3)],
@@ -239,9 +296,10 @@ def test_empirical_optimum_is_first_exact_argmin_on_built_tables(table40):
                for d, phi in ((0.05, -1.0), (0.3, -2.2), (0.7, 0.5), (1.2, -0.4))]
     points += [0.7 + 0.3j, -1.1 + 0.8j, 0.2 - 1.9j]
     for x in points:
+        values = _oracle(table40.u, x, table40.gamma)
         for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.7):
             got = empirical_optimum(table40, EvalPoint(x, eps))
-            assert got == _first_argmin(table40, x, eps), (x, eps)
+            assert got == _first_argmin(values, eps), (x, eps)
 
 
 def _table(*orders):
@@ -267,7 +325,7 @@ def _table(*orders):
 ], ids=["band-low-edge", "band-high-edge", "zero", "first-zero", "late-zero",
         "tie-complex", "tie-real"])
 def test_empirical_optimum_hand_built(table, x, eps, n_star):
-    assert _first_argmin(table, x, eps) == n_star
+    assert _first_argmin(_oracle(table.u, x, table.gamma), eps) == n_star
     assert empirical_optimum(table, EvalPoint(x, eps)) == n_star
 
 
