@@ -270,14 +270,9 @@ def _sample(a: np.ndarray, L: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, L, N + 1), u
 
 
-#: 30^40, which every 2^a 3^b 5^c below 2^40 divides; a module constant, as
-#: the compiler folds no power of this size
-_SMOOTH = 30 ** 40
-
-
 def _five_smooth(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n (below 2^40, a divisor of _SMOOTH)."""
-    while _SMOOTH % n:
+    """The smallest 2^a 3^b 5^c >= n (below 2^40, a divisor of 30^40)."""
+    while 30 ** 40 % n:
         n += 1
     return n
 

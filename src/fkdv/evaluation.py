@@ -8,10 +8,7 @@ Every denominator met here other than a table's own is a power of two: a
 double's `as_integer_ratio()` always gives one, for eps and for both parts of
 S. So every scaling by one of them is done as a shift, never a multiply.
 
-Cost: `_horner` reads a polynomial of degree D in D steps, each one
-big-integer product on the real axis and two at a complex S, where the real
-polynomial is divided by S's real quadratic factor. Its integer triple is
-fixed by the value and its denominator, so neither loop changes a bit.
+`_horner` states what reading one polynomial costs.
 
 The leading-order solution analytically continued off the real axis has double
 poles at x = +-i pi/(2 gamma), +-3 i pi/(2 gamma), ...; evaluation guards
@@ -112,17 +109,14 @@ def _horner(nums, den: int, sr: int, si: int, q: int) -> tuple[int, int, int]:
     exactly at S = (sr + i si) / 2^q, den' = den 2^(q D) for the degree D.
 
     Homogeneous in s = sr + i si: the value times 2^(q D) is sum_m a_m s^m
-    2^(q (D - m)). On the real axis (si = 0) Horner takes one big-integer
-    product per step and im is 0. At a complex s the real polynomial is
-    divided by the real quadratic s^2 - T s + M, T = 2 sr and M = sr^2 +
-    si^2 (Knuth, TAOCP 2, 4.6.4): B_D = a_D, B_(D+1) = 0, B_k = a_k
-    2^(q (D - k)) + T B_(k+1) - M B_(k+2) down to k = 1, two products per
-    step, and the remainder at s gives re = sr B_1 + a_0 2^(q D) - M B_2 and
-    im = si B_1. With den' fixed, re and im are the only integers that give
-    the value, so the triple does not depend on the loop that computes it."""
+    2^(q (D - m)). Cost: D steps, one big-integer product each on the real
+    axis (si = 0, im = 0); at a complex s, two, as the real polynomial is
+    divided by the real quadratic s^2 - 2 sr s + |s|^2 and its remainder
+    read at s (Knuth, TAOCP 2, 4.6.4). With den' fixed, re and im are the
+    only integers that give the value, so neither loop changes a bit."""
     if len(nums) == 1:
         return nums[0], 0, den
-    if not si:
+    if not si:  # the quadratic loop is exact here too, at twice the products
         re, sh = nums[-1], 0
         for a in reversed(nums[:-1]):
             sh += q

@@ -1,4 +1,3 @@
-import bisect
 import dataclasses
 import math
 import re
@@ -45,13 +44,6 @@ def test_config_defaults():
     assert cfg.half_length >= 10.0 + 20.0 * math.pi * 0.1
     [(_, sol, _)] = sweep([0.1])
     assert len(sol.nodes) - 1 == bvp._five_smooth(round(cfg.half_length / 0.005))
-
-
-def test_five_smooth_is_the_next_2_3_5_smooth_number():
-    smooth = sorted(2 ** a * 3 ** b * 5 ** c
-                    for a in range(16) for b in range(10) for c in range(7))
-    for n in range(1, 20001):
-        assert bvp._five_smooth(n) == smooth[bisect.bisect_left(smooth, n)], n
 
 
 def test_config_is_frozen():
