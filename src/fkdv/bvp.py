@@ -7,8 +7,12 @@ ends: at 0 this selects the symmetric wave, at L it truncates the domain at
 a stationary point of the tail oscillation (so the tail depends on L mod pi
 eps). eps^2 d^4 + d^2 acts on a_m as the symbol s_m = eps^2 k_m^4 - k_m^2,
 so the discretization carries no grid error beyond the truncated spectrum.
-Newton's method on the coefficients handles the nonlinearity, each step one
-dense `numpy.linalg.solve`; c is held fixed at the exact series eigenvalue
+The collocation matrix C[j, m] = cos(pi j m / M) is gathered once per solve
+at the index j m from the 2M cosines cos(pi q / M) tiled past M^2, with no
+reduction mod 2M. Newton's method on the coefficients handles the
+nonlinearity, each step one dense `numpy.linalg.solve` of a Newton matrix
+assembled as its transpose and handed over as a Fortran-ordered view, the
+layout LAPACK factors; c is held fixed at the exact series eigenvalue
 c = 4 g^2 + 16 g^4 eps^2 (higher corrections vanish identically), and every
 solve starts from the outer series to that order, u_0 + eps^2 u_1, so a
 result depends only on its own eps, gamma, L and mode count.
@@ -18,7 +22,7 @@ gamma eps) and c = gamma^2 c(gamma eps, 1), so `unit_config` maps a config
 (eps, gamma, L) to U's (gamma eps, 1, gamma L). `solve` and `check_window`
 work on U and map back: coefficients, u and the values their checks state by
 gamma^2, residuals by gamma^4, x by 1/gamma. At gamma = 1 the map is the
-identity, bit for bit.
+identity, bit for bit, and `unit_config` returns the config itself.
 
 The mode count is a rule, not an option: M = ceil(MODES_PER_GAMMA gamma L /
 pi), so k_max ~ MODES_PER_GAMMA gamma follows the core's poles at +-i pi/(2
@@ -101,7 +105,8 @@ MODES_PER_GAMMA = 24.0
 #: bound on max |a_m| over the top fiftieth of the modes, relative to max |u|
 SPECTRUM_TOL = 1e-10
 #: largest mode count (gamma L <= 402.1): C, the Newton matrix and LAPACK's
-#: copy hold 3 x 8 (M + 1)^2 bytes, 227 MB, and a Newton step takes 0.7 s
+#: copy hold 3 x 8 (M + 1)^2 bytes, 227 MB, and a Newton step takes 0.7 s;
+#: C's gather holds no more (the tiled cosines, the index j m and C)
 MAX_MODES = 3072
 #: largest number of samples N that sweep takes of a solution (each array 8 MB)
 MAX_SAMPLES = 2 ** 20
@@ -157,8 +162,11 @@ class SolverConfig:
 
 
 def unit_config(config: SolverConfig) -> SolverConfig:
-    """U's config (gamma eps, 1, gamma L): the one map to gamma = 1."""
+    """U's config (gamma eps, 1, gamma L): the one map to gamma = 1, which
+    returns a gamma = 1 config itself."""
     g = config.gamma
+    if g == 1.0:
+        return config
     return SolverConfig(g * config.epsilon, 1.0, g * config.half_length)
 
 
@@ -210,14 +218,15 @@ class TailMeasurement:
 
 class _Collocation:
     """The DCT-I collocation of one config: C[j, m] = cos(m pi j / M),
-    gathered from the 2M cosines cos(pi q / M), and the symbol s."""
+    gathered at q = j m from the 2M cosines cos(pi q / M) tiled past M^2,
+    so that no index is reduced mod 2M, and the symbol s. C is exactly
+    symmetric: C[j, m] and C[m, j] are the same table entry."""
 
     def __init__(self, config: SolverConfig):
         M = config.n_modes
         j = np.arange(M + 1)
-        q = np.outer(j, j)
-        q %= 2 * M
-        self.C = np.cos(np.arange(2 * M) * (math.pi / M))[q]
+        cosines = np.tile(np.cos(np.arange(2 * M) * (math.pi / M)), M // 2 + 1)
+        self.C = cosines[np.outer(j, j)]
         k = j * (math.pi / config.half_length)
         self.s = config.epsilon ** 2 * k ** 4 - k ** 2
         self.c = config.c_value
@@ -229,10 +238,13 @@ class _Collocation:
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """dF/da = C diag(s) + diag(6u - c) C, entry by entry
-        C[j, m] (s_m + 6 u_j - c): one new (M + 1)^2 array."""
-        J = np.add.outer(6.0 * u - self.c, self.s)
-        J *= self.C
-        return J
+        C[j, m] (s_m + 6 u_j - c): one new (M + 1)^2 array, assembled as
+        its transpose in C order and returned as the Fortran-ordered view
+        that LAPACK factors without reordering. Each entry is the same
+        double either way, as the sum commutes and C is symmetric."""
+        JT = np.add.outer(self.s, 6.0 * u - self.c)
+        JT *= self.C
+        return JT.T
 
 
 def collocation_points(config: SolverConfig) -> np.ndarray:
@@ -270,9 +282,13 @@ def _sample(a: np.ndarray, L: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, L, N + 1), u
 
 
+#: every 2^a 3^b 5^c below 2^40 divides it
+_THIRTY_TO_40 = 30 ** 40
+
+
 def _five_smooth(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n (below 2^40, a divisor of 30^40)."""
-    while 30 ** 40 % n:
+    while _THIRTY_TO_40 % n:
         n += 1
     return n
 
@@ -305,7 +321,7 @@ def solve(config: SolverConfig) -> GridSolution:
         target = NEWTON_TOL * scale * scale
         converged = rn <= target and step <= STEP_TOL * scale
         if (converged or it == MAX_ITERS
-                or it - int(np.argmin(history)) >= STALL_ITERS):
+                or it - history.index(min(history)) >= STALL_ITERS):
             break
         try:
             da = np.linalg.solve(col.jacobian(u), -F)

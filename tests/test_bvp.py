@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import re
@@ -487,6 +488,73 @@ def test_collocation_jacobian_applies_the_residual_derivative():
     expected = (col.residual(a + v)[1] - col.residual(a - v)[1]) / 2.0
     scale = np.abs(col.C * col.s).sum(axis=1).max() * np.abs(v).max()
     assert np.abs(col.jacobian(u) @ v - expected).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("epsilon, half_length, modes", [
+    (0.08, None, 115), (0.10, None, 125), (0.12, None, 135), (0.15, None, 149),
+    (0.1, 100.0, 764)])
+def test_collocation_gather_is_the_reduced_gather(epsilon, half_length, modes):
+    # the tiled cosines give the bytes of the gather at j m mod 2M
+    cfg = SolverConfig(epsilon, half_length=half_length)
+    M = cfg.n_modes
+    assert M == modes
+    j = np.arange(M + 1)
+    reduced = np.cos(np.arange(2 * M) * (math.pi / M))[np.outer(j, j) % (2 * M)]
+    assert bvp._Collocation(cfg).C.tobytes() == reduced.tobytes()
+
+
+def test_jacobian_is_the_direct_assembly_in_fortran_order():
+    cfg = SolverConfig(epsilon=0.1)
+    col, u = bvp._Collocation(cfg), solve(cfg).u
+    J = col.jacobian(u)
+    assert J.flags.f_contiguous
+    direct = np.add.outer(6.0 * u - col.c, col.s) * col.C
+    assert np.ascontiguousarray(J).tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2 / 3])
+def test_every_newton_matrix_reaches_lapack_in_fortran_order(monkeypatch, gamma):
+    layouts = []
+    real_solve = np.linalg.solve
+
+    def recording_solve(A, b):
+        layouts.append(A.flags.f_contiguous)
+        return real_solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    sol = solve(SolverConfig(0.1, gamma))
+    assert layouts == [True] * sol.iterations
+
+
+def test_gamma_one_sweep_builds_one_config_per_epsilon(monkeypatch):
+    # unit_config returns a gamma = 1 config itself: solve, initial_guess
+    # and both window checks build none of their own
+    built = []
+    post_init = SolverConfig.__post_init__
+    monkeypatch.setattr(SolverConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    rows = sweep([0.08, 0.1, 0.12, 0.15])
+    assert built == [config for config, _, _ in rows]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2 / 3])
+def test_unit_config_builds_only_off_gamma_one(gamma):
+    cfg = SolverConfig(0.1, gamma)
+    unit = bvp.unit_config(cfg)
+    if gamma == 1.0:
+        assert unit is cfg
+    else:
+        assert unit is not cfg and (unit.epsilon, unit.gamma, unit.half_length) == (
+            gamma * 0.1, 1.0, gamma * cfg.half_length)
+
+
+def test_five_smooth_is_the_next_five_smooth_number():
+    # brute force: a < 16, b < 10 and c < 7 give every 2^a 3^b 5^c up to
+    # 2^15, past the largest answer, 20000
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(16) for b in range(10)
+                    for c in range(7))
+    assert all(bvp._five_smooth(n) == smooth[bisect.bisect_left(smooth, n)]
+               for n in range(1, 20001))
 
 
 def test_singular_newton_matrix_is_ill_conditioned(monkeypatch):
