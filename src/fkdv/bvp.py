@@ -44,7 +44,7 @@ discrete solution; the residual's roundoff floor is 1e-15 to 1e-14 (eps =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,7 +226,7 @@ class _Collocation:
         M = config.n_modes
         j = np.arange(M + 1)
         cosines = np.tile(np.cos(np.arange(2 * M) * (math.pi / M)), M // 2 + 1)
-        self.C = cosines[np.outer(j, j)]
+        self.C = cosines[np.multiply.outer(j, j)]
         k = j * (math.pi / config.half_length)
         self.s = config.epsilon ** 2 * k ** 4 - k ** 2
         self.c = config.c_value
@@ -257,7 +257,8 @@ def cosine_coefficients(values: np.ndarray) -> np.ndarray:
     the even extension (a DCT-I)."""
     M = len(values) - 1
     a = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / M
-    a[[0, M]] /= 2.0
+    a[0] /= 2.0
+    a[M] /= 2.0
     return a
 
 
@@ -277,7 +278,8 @@ def _sample(a: np.ndarray, L: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     N = _five_smooth(max(round(L / h), len(a) - 1))
     spectrum = np.zeros(N + 1)
     spectrum[:len(a)] = N * a
-    spectrum[[0, N]] *= 2.0  # the ends of the DCT-I carry half weight
+    spectrum[0] *= 2.0  # the ends of the DCT-I carry half weight
+    spectrum[N] *= 2.0
     u = np.fft.irfft(spectrum, 2 * N)[:N + 1]
     return np.linspace(0.0, L, N + 1), u
 
@@ -396,6 +398,13 @@ def tail_wavenumber(config: SolverConfig) -> float:
                      / (2.0 * eps2))
 
 
+#: measure_tail's phases t = k (x - L) and its projection basis
+_TAIL_PHASES = np.arange(1 - TAIL_POINTS, 1) * (4.0 * math.pi / TAIL_POINTS)
+_TAIL_BASIS = np.array([np.ones_like(_TAIL_PHASES), np.cos(_TAIL_PHASES),
+                        np.sin(_TAIL_PHASES), np.cos(2.0 * _TAIL_PHASES),
+                        np.sin(2.0 * _TAIL_PHASES)])
+
+
 def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
     """The tail's fundamental over the last two periods 2 pi/k before L (a
     window check_window must pass), read off the cosine coefficients.
@@ -403,9 +412,10 @@ def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
     The interpolant at TAIL_POINTS equally spaced points ending at L is
     projected onto 1, cos t, sin t, cos 2t and sin 2t, t = k (x - L) with
     k = tail_wavenumber; on those points the five are orthogonal. The
-    amplitude leaves out the mean (the nonlinear offset 3 A^2/(2c)) and the
-    second harmonic. Unless the largest residual is below FIT_TOL times the
-    amplitude, as a wrong k or core in the window breaks it,
+    phases t and the basis are constants of TAIL_POINTS, built once at
+    import. The amplitude leaves out the mean (the nonlinear offset 3 A^2/(2c))
+    and the second harmonic. Unless the largest residual is below FIT_TOL
+    times the amplitude, as a wrong k or core in the window breaks it,
     WindowContaminatedError is raised. A solution whose nodes end at another
     L than config's is refused with ValueError.
     """
@@ -414,13 +424,10 @@ def measure_tail(sol: GridSolution, config: SolverConfig) -> TailMeasurement:
                          f"at L = {config.half_length}")
     check_window(config)
     k = tail_wavenumber(config)
-    t = np.arange(1 - TAIL_POINTS, 1) * (4.0 * math.pi / TAIL_POINTS)
-    u = sol.evaluate(config.half_length + t / k)
-    basis = np.array([np.ones_like(t), np.cos(t), np.sin(t),
-                      np.cos(2.0 * t), np.sin(2.0 * t)])
-    proj = basis @ u * (2.0 / TAIL_POINTS)
+    u = sol.evaluate(config.half_length + _TAIL_PHASES / k)
+    proj = _TAIL_BASIS @ u * (2.0 / TAIL_POINTS)
     proj[0] /= 2.0  # the mean
-    residual = float(np.abs(u - proj @ basis).max())
+    residual = float(np.abs(u - proj @ _TAIL_BASIS).max())
     amplitude = math.hypot(proj[1], proj[2])
     if not residual < FIT_TOL * amplitude:
         raise WindowContaminatedError(
@@ -468,13 +475,14 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
     """Solve and measure for each epsilon: a list of (config, solution,
     measurement), ascending in epsilon.
 
-    Each solution is solve's, sampled by _sample at the step h = eps /
-    h_factor, which moves neither L, the solve nor the measurement. h_factor
-    must lie in [10, inf) for h <= eps/10 to sample the 2 pi eps wavelength,
-    and L/h at most MAX_SAMPLES (else ResolutionError). A half_length of
-    None takes the default domain. h_factor, then every configuration, its
-    step and its window are checked before the first solve; each solve
-    starts from its own initial_guess, so a row depends on its eps alone.
+    Each solution is solve's, measured, then sampled by _sample at the step
+    h = eps / h_factor, whose nodes and u replace the collocation's; the step
+    moves neither L, the solve nor the measurement. h_factor must lie in
+    [10, inf) for h <= eps/10 to sample the 2 pi eps wavelength, and L/h at
+    most MAX_SAMPLES (else ResolutionError). A half_length of None takes the
+    default domain. h_factor, then every configuration, its step and its
+    window are checked before the first solve; each solve starts from its
+    own initial_guess, so a row depends on its eps alone.
     """
     if not 10.0 <= h_factor < math.inf:
         raise ResolutionError(f"h_factor = {h_factor} outside [10, inf): the step "
@@ -485,13 +493,15 @@ def sweep(epsilons, gamma: float = 1.0, h_factor: float = 20.0,
         L, h = config.half_length, eps / h_factor
         samples = L / eps * h_factor  # L / h, but inf where h underflows to 0
         if not samples <= MAX_SAMPLES:
-            raise ResolutionError(f"L = {L}, h = {h}: {samples:.4g} samples exceed "
-                                  f"the cap of {MAX_SAMPLES}")
+            raise ResolutionError(f"L = {L}, h = eps/h_factor = {eps}/{h_factor}: "
+                                  f"{samples:.4g} samples exceed the cap of "
+                                  f"{MAX_SAMPLES}")
         check_window(config)
         checked.append((config, h))
     rows = []
     for config, h in checked:
         sol = solve(config)
-        nodes, u = _sample(sol.coefficients, config.half_length, h)
-        rows.append((config, replace(sol, nodes=nodes, u=u), measure_tail(sol, config)))
+        measurement = measure_tail(sol, config)
+        sol.nodes, sol.u = _sample(sol.coefficients, config.half_length, h)
+        rows.append((config, sol, measurement))
     return rows

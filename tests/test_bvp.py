@@ -163,8 +163,10 @@ def test_stencil_beyond_double_range_rejected(monkeypatch, epsilon, step):
     (dict(epsilons=[0.1], half_length=1e6), "7.639e+06 cosine modes"),
     (dict(epsilons=[0.1], half_length=500.0), "3820 cosine modes"),  # gamma L > 402.1
     (dict(epsilons=[1e-6]), "2e+08 samples"),  # M = 77, but N = L/h = 2e8
-    # h = eps/h_factor underflows to 0, where L/h raised ZeroDivisionError
-    (dict(epsilons=[1e-120], h_factor=1e300), "L = 10.0, h = 0.0: inf samples"),
+    # h = eps/h_factor underflows to 0, where L/h raised ZeroDivisionError;
+    # the refusal names h by its quotient, not by its rounded 0.0
+    (dict(epsilons=[1e-120], h_factor=1e300),
+     "L = 10.0, h = eps/h_factor = 1e-120/1e+300: inf samples"),
 ])
 def test_modes_and_samples_are_capped_before_allocating(monkeypatch, kwargs, what):
     calls = _count_solves(monkeypatch)
@@ -745,6 +747,36 @@ def test_measured_mean_is_the_nonlinear_offset(epsilon):
     offset = 1.5 * meas.amplitude_measured ** 2 / cfg.c_value
     assert meas.mean - core == pytest.approx(offset, rel=1e-2)
     assert abs(meas.value_at_L) == pytest.approx(meas.amplitude_measured, rel=1e-6)
+
+
+@pytest.mark.parametrize("epsilon, amplitude", [
+    (0.06, 6.0519239e-08), (0.08, 2.1938550e-05), (0.10, 6.5716170e-04)])
+def test_tail_family_law_predicts_the_value_at_L(epsilon, amplitude):
+    # Beyond the core a solve on [0, L] carries the minimal member's tail and
+    # a multiple of the even homogeneous mode, so with u'(L) = 0 its value
+    # at L obeys v(L) = A_min / sin(kL - theta) to first order in the tail.
+    # Two flank solves at L_r -+ pi/(4k), kL_r = pi/2 + 6 eps (mod pi), fix
+    # A_min and theta; the solve at L_r must then agree. Bounds fixed before
+    # the run: the law's miss, 1e-9 to 5.4e-6 here, is the tail's own
+    # nonlinearity (about 10 A_min^2), which also defines A_min only to that
+    # relative size, so its pin is no tighter; theta sits 3e-4 to 5.5e-3 off
+    # 6 eps. The + 4 keeps the core clear of the window at small eps.
+    k = bvp.tail_wavenumber(SolverConfig(epsilon))
+    L0 = bvp.default_half_length(epsilon, 1.0) + (4.0 if epsilon < 0.07 else 0.0)
+    phase, quarter = math.pi / 2 + 6 * epsilon, math.pi / (4 * k)
+    L_r = (phase + math.ceil((k * (L0 + quarter) - phase) / math.pi) * math.pi) / k
+    v = {}
+    for L in (L_r - quarter, L_r + quarter, L_r):
+        cfg = SolverConfig(epsilon, half_length=L)
+        v[L] = measure_tail(solve(cfg), cfg).value_at_L
+    flanks = [L_r - quarter, L_r + quarter]
+    # 1/v = (sin kL cos theta - cos kL sin theta) / A_min
+    p, q = np.linalg.solve([[math.sin(k * L), -math.cos(k * L)] for L in flanks],
+                           [1 / v[L] for L in flanks])
+    a_min, theta = 1 / math.hypot(p, q), math.atan2(q, p)
+    assert abs(a_min / math.sin(k * L_r - theta) / v[L_r] - 1) <= 2e-5
+    assert abs(theta - 6 * epsilon) <= 1e-2
+    assert a_min == pytest.approx(amplitude, rel=1e-5)
 
 
 def test_wrong_wavenumber_fails_the_projection(tail_sweep, monkeypatch):

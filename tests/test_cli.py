@@ -162,7 +162,10 @@ def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
 
 
 #: sha256 of the gamma = 1 BVP outputs, which the gamma = 1 map leaves bit
-#: for bit as they were (manifests hold durations and are left out)
+#: for bit as they were (manifests hold durations and are left out). They pin
+#: OpenBLAS's default threads (two on the 2-core machine that took them):
+#: under OPENBLAS_NUM_THREADS=1, LAPACK's solve of the same Newton matrix
+#: differs in its last bits, and every digest here with it
 BVP_DIGESTS = {
     "tail_measurements.jsonl":
         "d90f1bc396a7e9bd4a8af32be0f4a76dd51e9c49f1511c0c56aa691fcad8010e",
@@ -179,16 +182,50 @@ BVP_DIGESTS = {
 }
 
 
+def _output_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir() if not p.name.endswith(".manifest.json")}
+
+
 @pytest.mark.parametrize("argv", [
     ["tails"], ["tails", "--dump-solutions"],
     ["compare", "--epsilon", "0.1", "--x", "0.5", "--n-max", "12"]])
 def test_gamma_one_bvp_bytes_are_pinned(tmp_path, capsys, argv):
     assert run(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
+    written = _output_digests(tmp_path)
     assert written == {name: BVP_DIGESTS[name] for name in written}
     assert len(written) == {"tails": 1 + 4 * ("--dump-solutions" in argv),
                             "compare": 1}[argv[0]]
+
+
+#: sha256 of the BVP outputs through the gamma map, at gamma = 3/2 and 2/3
+#: (manifests left out), under OpenBLAS's default threads as BVP_DIGESTS are
+GAMMA_MAP_DIGESTS = {
+    ("compare", "--epsilon", "0.1", "--gamma", "3/2"): {
+        "compare.json":
+            "4efd65a5fbc01d9077aa200d2ed98e096c62c6863004e16883e63f5cb369381e"},
+    ("compare", "--epsilon", "0.1", "--gamma", "2/3", "--x", "0.5"): {
+        "compare.json":
+            "e2beafbf16547e442fca83edc32580adac611acd571a4ea13879198133a8ef66"},
+    ("tails", "--gamma", "2/3", "--epsilon", "0.12", "0.15", "0.18", "0.21",
+     "--dump-solutions"): {
+        "tail_measurements.jsonl":
+            "28effa6a7bdfa541f63f0222efede0c94de762afaf1d9a5d836a7829dd148afa",
+        "bvp_solution_eps0.12.csv":
+            "9ba3f699f51752fbbef50c8ebce0157f17c03890c60a7126991c6ac04aed8114",
+        "bvp_solution_eps0.15.csv":
+            "f4c2692644c5b0840404d2d9091ff61ab95bacd46662338eccb9af24e99193b1",
+        "bvp_solution_eps0.18.csv":
+            "23cb7258dfae656ed6fc12da9afd9a1b2723e83ba8890f07ad951d9fbb7b5635",
+        "bvp_solution_eps0.21.csv":
+            "d41e7b7b39d3b3b20a7861c76a395697b75e7935c0d0d844b3203b460332b3b0"},
+}
+
+
+@pytest.mark.parametrize("argv", GAMMA_MAP_DIGESTS)
+def test_gamma_map_bvp_bytes_are_pinned(tmp_path, capsys, argv):
+    assert run(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
+    assert _output_digests(tmp_path) == GAMMA_MAP_DIGESTS[argv]
 
 
 def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
@@ -269,8 +306,8 @@ def test_only_tails_samples_the_solution(tmp_path, capsys):
     assert "u_bvp(0.0) = 2.0000100001" in stdout
     code, _, stderr = run(capsys, "tails", "--epsilon", "0.001", "--domain-length",
                           "60", "--out-dir", str(tmp_path / "tails"))
-    assert (code, stderr) == (2, "error: L = 60.0, h = 5e-05: 1.2e+06 samples "
-                                 "exceed the cap of 1048576\n")
+    assert (code, stderr) == (2, "error: L = 60.0, h = eps/h_factor = 0.001/20.0: "
+                                 "1.2e+06 samples exceed the cap of 1048576\n")
     assert not (tmp_path / "tails").exists()
 
 
