@@ -22,9 +22,8 @@ __version__ = "0.1.0"
 _NAMES = {
     "series": (
         "N_MAX_LIMIT", "RecurrenceError", "ResourceLimitError", "SechPolynomial",
-        "SeriesTable", "build_series", "fourth_derivative", "load_table",
-        "order_residual", "save_table", "second_derivative", "table_from_json",
-        "table_to_json"),
+        "SeriesTable", "build_series", "load_table", "order_residual",
+        "save_table", "second_derivative", "table_from_json", "table_to_json"),
     "evaluation": (
         "POLE_THRESHOLD", "EvalPoint", "PartialSum", "PoleProximityError",
         "empirical_optimum", "optimal_N", "partial_sum", "sech_squared",

@@ -31,7 +31,8 @@ from pathlib import Path
 from . import __version__
 from .series import _table_text, atomic_write, build_series
 from .evaluation import EvalPoint, empirical_optimum, optimal_N, partial_sum
-from .late_terms import check_report_data, report_to_json, singulant_report
+from .late_terms import (InsufficientDataError, check_report_data, report_to_json,
+                         singulant_report)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -157,13 +158,14 @@ def cmd_tails(args) -> tuple[dict[Path, str], list[str]]:
     }, sort_keys=True) + "\n" for cfg, sol, meas in results)}
     for (_, sol, _), path in reversed(list(zip(results, dumps))):  # both ascending in eps
         outputs[path] = _csv_text(["x", "u"], zip(sol.nodes.tolist(), sol.u.tolist()))
-    if len(results) >= 4:
+    try:
         fit = fit_exponent([meas for _, _, meas in reversed(results)])
+    except InsufficientDataError:
+        lines.append("fewer than 4 measurements: skipping the exponent fit")
+    else:
         target = -math.pi / (2.0 * gamma)
         lines.append(f"fit: slope = {fit.slope:.4f} (model {target:.4f}), "
                      f"log prefactor = {fit.log_prefactor:.3f}, r^2 = {fit.r_squared:.5f}")
-    else:
-        lines.append("fewer than 4 measurements: skipping the exponent fit")
     return outputs, lines
 
 

@@ -27,6 +27,8 @@ from .evaluation import _exact, singularity
 from .series import SeriesTable
 
 
+#: the late-term power shift beta, forced by u_0's double pole; stokes reads it
+BETA = 2
 #: candidate power shifts and the first order of the beta fit's window
 BETAS = (0, 1, 2, 3, 4)
 N_LO = 10
@@ -39,12 +41,12 @@ class InsufficientDataError(ValueError):
 
 def _lambda_exact(table: SeriesTable) -> list[Fraction]:
     """Raw per-order prefactor estimates, exactly: (-1)^{n+1} a_{n,n+1}
-    g^-(2n+2) / (2n+1)! matches u_n ~ a_{n,n+1} S^{n+1} against
-    Gamma(2n+2)/chi^{2n+2} without unwinding the (-1)^n late-term factor,
+    g^-(2n+2) / Gamma(2n+beta) matches u_n ~ a_{n,n+1} S^{n+1} against
+    Gamma(2n+beta)/chi^{2n+beta} without unwinding the (-1)^n late-term factor,
     so consecutive entries alternate in sign."""
     g = table.gamma
     return [(-1) ** (n + 1) * table.top_coefficient(n)
-            / (g ** (2 * n + 2) * math.factorial(2 * n + 1))
+            / (g ** (2 * n + 2) * math.factorial(2 * n + BETA - 1))
             for n in range(table.n_max + 1)]
 
 
@@ -89,8 +91,8 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     """(n, measured, predicted) consecutive-term ratios u_{n+1}(x)/u_n(x).
 
     The prediction uses the conjugate-pair late-term model
-    u_n ~ (-1)^n Gamma(2n+2) * 2 Re[(x - sigma)^-(2n+2)]; at x = 0 it reduces
-    to -(2n+2)(2n+3)/chi^2 with chi^2 = (x - sigma)^2 = -(pi/2 gamma)^2, i.e.
+    u_n ~ (-1)^n Gamma(2n+beta) * 2 Re[(x - sigma)^-(2n+beta)]; at x = 0 it
+    reduces to -(2n+beta)(2n+beta+1)/chi^2 with chi^2 = -(pi/2 gamma)^2, i.e.
     a positive ratio. The model raises only the phase chi/|chi|, so it never
     overflows. Orders where u_n(x) = 0 or a model value nearly vanishes are
     skipped (recorded as gaps).
@@ -100,8 +102,8 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
     x = float(x)
     chi = complex(x) - singularity(table.gamma)
     z = chi / abs(chi)
-    # the model over Gamma(2n+2) |chi|^-(2n+2): both cancel in the ratio
-    model = [(-1) ** n * 2.0 * (z ** -(2 * n + 2)).real
+    # the model over Gamma(2n+beta) |chi|^-(2n+beta): both cancel in the ratio
+    model = [(-1) ** n * 2.0 * (z ** -(2 * n + BETA)).real
              for n in range(table.n_max + 1)]
 
     # u_n(x) = re / den exactly at one S (im = 0 on the real axis); in
@@ -117,7 +119,7 @@ def ratio_test(table: SeriesTable, x: float) -> list[tuple[int, float, float]]:
         mn, mn1 = model[n], model[n + 1]
         if abs(mn) < 1e-12 or abs(mn1) < 1e-12:
             continue
-        predicted = (2 * n + 2) * (2 * n + 3) / r2 * (mn1 / mn)
+        predicted = (2 * n + BETA) * (2 * n + BETA + 1) / r2 * (mn1 / mn)
         out.append((n, measured, predicted))
     return out
 
@@ -127,7 +129,7 @@ def chi_squared_estimate(table: SeriesTable, n: int) -> float:
     ratios = dict((k, m) for k, m, _ in ratio_test(table, 0.0))
     if n not in ratios:
         raise InsufficientDataError(f"no usable ratio at n = {n}")
-    return -(2 * n + 2) * (2 * n + 3) / ratios[n]
+    return -(2 * n + BETA) * (2 * n + BETA + 1) / ratios[n]
 
 
 def fit_divergence_exponent(table: SeriesTable) -> tuple[int, dict[int, float]]:
@@ -210,10 +212,10 @@ def report_to_json(report: SingulantReport, table: SeriesTable) -> dict:
     ratio_rows = ratio_test(table, 0.0)
     sigma = singularity(table.gamma)
     return {
-        # the model's constants, not measurements: beta = 2 by u_0's double pole
+        # the model's constants, not measurements
         "sigma": [sigma.real, sigma.imag],
         "chi_prime": 1,
-        "beta_exponent": 2,
+        "beta_exponent": BETA,
         "lambda_sequence": list(report.lambda_sequence),
         "lambda_aligned": list(report.lambda_aligned),
         "extrapolants": list(report.lambda_extrapolants),

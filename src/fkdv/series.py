@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
-from numbers import Rational
 from pathlib import Path
 
 
@@ -70,10 +69,8 @@ N_MAX_LIMIT = 128
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, Rational):
-        return Fraction(x.numerator, x.denominator)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -251,11 +248,6 @@ def second_derivative(p: SechPolynomial, gamma) -> SechPolynomial:
     g2 = _gamma(gamma) ** 2
     nums, den = p.int_form
     return _poly([g2.numerator * x for x in _d2(nums)], den * g2.denominator)
-
-
-def fourth_derivative(p: SechPolynomial, gamma) -> SechPolynomial:
-    """Exact d^4/dx^4; composition of second_derivative with itself."""
-    return second_derivative(second_derivative(p, gamma), gamma)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import check_epsilon, check_gamma, optimal_N, singularity
+from .late_terms import BETA
 
 
 class QuadratureError(ArithmeticError):
@@ -54,8 +55,6 @@ class QuadratureError(ArithmeticError):
 #: per frame (StokesFrame._erf_prefactor, set when the frame is built)
 DEFAULT_LAMBDA = -19.97
 STOKES_ANGLE = -math.pi / 2
-#: late-term power shift, forced by the double pole of u_0
-BETA = 2
 #: steps of the start grid on the span STOKES_ANGLE +- 1, read at call time
 STEPS = 2000
 #: quadrature tolerance (relative change between doublings) and doubling

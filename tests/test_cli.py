@@ -162,10 +162,10 @@ def test_tails_single_epsilon_measurement_only(tmp_path, capsys):
 
 
 #: sha256 of the gamma = 1 BVP outputs, which the gamma = 1 map leaves bit
-#: for bit as they were (manifests hold durations and are left out). They pin
-#: OpenBLAS's default threads (two on the 2-core machine that took them):
-#: under OPENBLAS_NUM_THREADS=1, LAPACK's solve of the same Newton matrix
-#: differs in its last bits, and every digest here with it
+#: for bit as they were (manifests hold durations and are left out). The
+#: canonical bytes are OpenBLAS's at two threads, the default on the 2-core
+#: machine that took them: LAPACK's solve of the same Newton matrix differs in
+#: its last bits under OPENBLAS_NUM_THREADS=1, and every digest here with it
 BVP_DIGESTS = {
     "tail_measurements.jsonl":
         "d90f1bc396a7e9bd4a8af32be0f4a76dd51e9c49f1511c0c56aa691fcad8010e",
@@ -187,19 +187,8 @@ def _output_digests(directory):
             for p in directory.iterdir() if not p.name.endswith(".manifest.json")}
 
 
-@pytest.mark.parametrize("argv", [
-    ["tails"], ["tails", "--dump-solutions"],
-    ["compare", "--epsilon", "0.1", "--x", "0.5", "--n-max", "12"]])
-def test_gamma_one_bvp_bytes_are_pinned(tmp_path, capsys, argv):
-    assert run(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
-    written = _output_digests(tmp_path)
-    assert written == {name: BVP_DIGESTS[name] for name in written}
-    assert len(written) == {"tails": 1 + 4 * ("--dump-solutions" in argv),
-                            "compare": 1}[argv[0]]
-
-
 #: sha256 of the BVP outputs through the gamma map, at gamma = 3/2 and 2/3
-#: (manifests left out), under OpenBLAS's default threads as BVP_DIGESTS are
+#: (manifests left out), the two-thread bytes as BVP_DIGESTS are
 GAMMA_MAP_DIGESTS = {
     ("compare", "--epsilon", "0.1", "--gamma", "3/2"): {
         "compare.json":
@@ -220,12 +209,43 @@ GAMMA_MAP_DIGESTS = {
         "bvp_solution_eps0.21.csv":
             "d41e7b7b39d3b3b20a7861c76a395697b75e7935c0d0d844b3203b460332b3b0"},
 }
+GAMMA_ONE_ARGV = [("tails",), ("tails", "--dump-solutions"),
+                  ("compare", "--epsilon", "0.1", "--x", "0.5", "--n-max", "12")]
+
+
+@pytest.fixture(scope="module")
+def pinned_bvp_runs(tmp_path_factory):
+    """argv -> output digests of each pinned BVP command. All of them run in
+    one child process with OpenBLAS fixed at two threads, so the pins hold
+    whatever thread setting the suite runs under; with one CPU available,
+    OpenBLAS caps the count at one and the pins fail."""
+    runs = [(str(tmp_path_factory.mktemp("bvp")), argv)
+            for argv in [*GAMMA_ONE_ARGV, *GAMMA_MAP_DIGESTS]]
+    script = """
+import json, sys
+from fkdv.cli import main
+for out, argv in json.loads(sys.argv[1]):
+    if main([*argv, "--out-dir", out]) != 0:
+        sys.exit(f"{argv} failed")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {argv: _output_digests(Path(out)) for out, argv in runs}
+
+
+@pytest.mark.parametrize("argv", GAMMA_ONE_ARGV)
+def test_gamma_one_bvp_bytes_are_pinned(pinned_bvp_runs, argv):
+    written = pinned_bvp_runs[argv]
+    assert written == {name: BVP_DIGESTS[name] for name in written}
+    assert len(written) == {"tails": 1 + 4 * ("--dump-solutions" in argv),
+                            "compare": 1}[argv[0]]
 
 
 @pytest.mark.parametrize("argv", GAMMA_MAP_DIGESTS)
-def test_gamma_map_bvp_bytes_are_pinned(tmp_path, capsys, argv):
-    assert run(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
-    assert _output_digests(tmp_path) == GAMMA_MAP_DIGESTS[argv]
+def test_gamma_map_bvp_bytes_are_pinned(pinned_bvp_runs, argv):
+    assert pinned_bvp_runs[argv] == GAMMA_MAP_DIGESTS[argv]
 
 
 def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
@@ -241,14 +261,22 @@ def test_tails_default_sweep_fits_the_exponent(tmp_path, capsys):
 
 
 def test_tails_row_does_not_depend_on_the_other_epsilons(tmp_path, capsys):
-    rows = {}
-    for name, argv in (("default", []), ("single", ["--epsilon", "0.1"])):
+    rows, stdouts = {}, {}
+    for name, argv in (("default", []), ("single", ["--epsilon", "0.1"]),
+                       ("repeated", ["--epsilon", "0.1", "0.12", "0.1", "0.15"])):
         out = tmp_path / f"{name}.jsonl"
-        assert run(capsys, "tails", *argv, "--out", str(out))[0] == 0
-        rows[name] = [line for line in out.read_text().splitlines()
-                      if json.loads(line)["epsilon"] == 0.1]
+        code, stdouts[name], _ = run(capsys, "tails", *argv, "--out", str(out))
+        assert code == 0
+        rows[name] = out.read_text().splitlines()
+    assert len(rows["repeated"]) == 3
+    rows = {name: [line for line in lines if json.loads(line)["epsilon"] == 0.1]
+            for name, lines in rows.items()}
     assert len(rows["single"]) == 1
-    assert rows["default"] == rows["single"]
+    assert rows["default"] == rows["single"] == rows["repeated"]
+    # three distinct eps: fit_exponent refuses them, and tails skips the fit
+    assert stdouts["repeated"].endswith(
+        "\nfewer than 4 measurements: skipping the exponent fit\n")
+    assert "fit:" not in stdouts["repeated"]
 
 
 def test_tails_contaminated_window_rejected(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from fkdv import (
     ratio_test,
     singulant_report,
 )
+from fkdv import late_terms, stokes
 from fkdv.evaluation import singularity
 from fkdv.late_terms import (
     InsufficientDataError,
@@ -174,6 +177,20 @@ def test_report_assembly(table30):
     assert set(doc) >= {"lambda_sequence", "extrapolants", "lambda_final",
                         "beta_fit", "ratio_table"}
     assert doc["lambda_final"] == rep.lambda_final
+
+
+def test_beta_has_one_owner(table30):
+    # late_terms defines beta; stokes' forcing and jump read it, and the
+    # report writes it as the model's constant
+    src = Path(late_terms.__file__).parent
+    owners = [path.stem for path in sorted(src.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "BETA" for t in node.targets)]
+    assert owners == ["late_terms"]
+    assert stokes.BETA is late_terms.BETA
+    doc = report_to_json(singulant_report(table30), table30)
+    assert doc["beta_exponent"] == late_terms.BETA
 
 
 def test_inner_coefficients_first_entries():

@@ -15,10 +15,9 @@ import fkdv
 #: every public name of the package, by the submodule that defines it
 PUBLIC = {
     "series": ["N_MAX_LIMIT", "RecurrenceError", "ResourceLimitError",
-               "SechPolynomial", "SeriesTable", "build_series",
-               "fourth_derivative", "load_table", "order_residual",
-               "save_table", "second_derivative", "table_from_json",
-               "table_to_json"],
+               "SechPolynomial", "SeriesTable", "build_series", "load_table",
+               "order_residual", "save_table", "second_derivative",
+               "table_from_json", "table_to_json"],
     "evaluation": ["POLE_THRESHOLD", "EvalPoint", "PartialSum",
                    "PoleProximityError", "empirical_optimum", "optimal_N",
                    "partial_sum", "sech_squared", "singularity"],
@@ -53,9 +52,9 @@ def test_every_public_name_is_its_submodules_object():
 
 #: public names with no caller in the chain, kept as checks of it:
 #: order_residual, the exactness check of a built table; table_to_json, the
-#: tests' byte reference for save_table's text; fourth_derivative, which with
-#: second_derivative checks the closed-basis derivative by finite differences
-UNCALLED = {"order_residual", "table_to_json", "fourth_derivative"}
+#: tests' byte reference for save_table's text; second_derivative, which checks
+#: the closed-basis derivative, and twice over the fourth, by finite differences
+UNCALLED = {"order_residual", "table_to_json", "second_derivative"}
 
 
 def _chain_trees():
@@ -89,7 +88,7 @@ def test_every_public_name_has_a_caller():
 UNREAD = {
     ("GridSolution", "residual_history"): "residual_norm and iterations read it",
     ("GridSolution", "residual_target"): "the convergence target a solve is "
-        "checked against, which the run manifest will record (ROADMAP item 13)",
+        "checked against, which the run manifest will record (ROADMAP item 15)",
     ("TailMeasurement", "fit_residual"): "cmd_tails writes the record by asdict",
     ("TailMeasurement", "value_at_L"): "cmd_tails writes the record by asdict",
 }
